@@ -3,11 +3,14 @@
 Penalties are positive by construction: the descent runs in alpha with
 lam = exp(alpha) for a single level and weights_kl = exp(alpha_kl)
 entrywise for a weight matrix, so a plain fixed-step gradient update never
-leaves the feasible cone.  Each outer iteration solves the training
-problem (warm-started from the previous solution), evaluates the hold-out
-criterion, assembles the exact hypergradient through the implicit
-derivative of the solution map, and steps.  The chain rule through the
-exponential turns a derivative in lam into lam times it in alpha.
+leaves the feasible cone.  Both tuners share one outer loop.  Each outer
+iteration solves the training problem (warm-started from the previous
+solution), evaluates the hold-out criterion, assembles the exact
+per-entry hypergradient through one adjoint solve of the implicit
+derivative of the solution map, and steps.  A single level is every
+weight tied to it, so its derivative is the per-entry one summed.  The
+chain rule through the exponential turns a derivative in lam into lam
+times it in alpha.
 
 Zero entries in a matrix initialization stay exactly zero: the exponential
 parametrization moves weights multiplicatively, which is what makes an
@@ -17,7 +20,7 @@ unpenalized diagonal stay unpenalized.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,15 +33,15 @@ from .exceptions import (
     NotPositiveDefinite,
     SingularSystem,
 )
-from .glasso import Regularization, SolverConfig, solve
+from .glasso import PrecisionEstimate, Regularization, SolverConfig, solve
 from .implicit import (
     criterion_holdout,
-    hypergradient_scalar,
     hypergradient_weighted,
-    jacobian_scalar,
     relative_error,
     support_from_estimate,
 )
+# Not called here; perfbench/tracer.py wraps these names in this module.
+from .implicit import hypergradient_scalar, jacobian_scalar  # noqa: F401
 from .linalg import symmetrize
 
 # Failures that a halved outer step may walk around; anything else aborts.
@@ -67,7 +70,6 @@ class BilevelConfig:
     max_outer_iter: int = 200
     outer_tol: float = 1e-6
     init: Optional[Regularization] = None
-    warm_start: bool = True
     solver: SolverConfig = SolverConfig()
 
     def __post_init__(self):
@@ -94,12 +96,16 @@ class TrajectoryRecord:
 
 @dataclass
 class Trajectory:
-    """Append-only record of an outer run with its termination status."""
+    """Append-only record of an outer run with its termination status.
+
+    ``estimate`` is the solution at the last recorded iteration.
+    """
 
     scalar: bool
     records: List[TrajectoryRecord] = field(default_factory=list)
     converged: bool = False
     stop_reason: str = ""
+    estimate: Optional[PrecisionEstimate] = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -201,12 +207,16 @@ def default_grid(lam_init: float, points: int = 100, span: float = 1e-3) -> np.n
 
 @dataclass(frozen=True)
 class GridPoint:
-    """One grid evaluation; criterion and rel_error are nan when failed."""
+    """One grid evaluation; criterion and rel_error are nan when failed.
+
+    ``theta`` is kept only at the argmin that :func:`grid_search` returns.
+    """
 
     lam: float
     criterion: float
     rel_error: float
     failed: bool
+    theta: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def grid_search(
@@ -222,7 +232,8 @@ def grid_search(
     from the previous solution (solutions vary continuously in the level,
     so the previous one is close).  Solver failures mark their point as
     failed instead of aborting the sweep.  Returns the level minimizing
-    the criterion and the curve sorted by increasing level.
+    the criterion and the curve sorted by increasing level; the point at
+    that level carries its solution.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -234,6 +245,7 @@ def grid_search(
 
     points: dict = {}
     warm = None
+    best_i = None
     for i in np.argsort(grid)[::-1]:
         lam = float(grid[i])
         try:
@@ -249,18 +261,97 @@ def grid_search(
             else float("nan")
         )
         points[int(i)] = GridPoint(lam, crit, re_val, False)
+        # ties go to the smaller level, which the downward sweep meets last
+        if best_i is None or crit <= points[best_i].criterion:
+            best_i, best_theta = int(i), est.theta
 
-    curve = [points[int(i)] for i in np.argsort(grid)]
-    solved = [g for g in curve if not g.failed]
-    if not solved:
+    if best_i is None:
         raise DegenerateInput("every grid point failed to solve")
-    best = min(solved, key=lambda g: g.criterion)
-    return best.lam, curve
+    best = points[best_i] = replace(points[best_i], theta=best_theta)
+    return best.lam, [points[int(i)] for i in np.argsort(grid)]
 
 
 def _annotate(exc: Exception, iteration: int) -> None:
     # keep type and attributes, prefix the message with where it happened
     exc.args = (f"outer iteration {iteration}: {exc.args[0]}",) + exc.args[1:]
+
+
+def _descend(
+    cov_train: np.ndarray,
+    cov_test: np.ndarray,
+    alpha,
+    config: BilevelConfig,
+    theta_true: Optional[np.ndarray],
+) -> Trajectory:
+    """The outer loop of both tuners, over alpha = log(penalty).
+
+    ``alpha`` is a float (one level tied across every entry) or a p x p
+    array (one weight per entry).  Both take the per-entry hypergradient
+    from one adjoint solve; a tied level moves every weight at once, so
+    its derivative is the sum of the per-entry ones.  The weight matrix
+    gradient is symmetrized so the weights stay symmetric.
+    """
+    scalar = np.ndim(alpha) == 0
+    traj = Trajectory(scalar=scalar)
+    warm: Optional[np.ndarray] = None
+    prev_alpha = prev_galpha = None
+    rho = config.step_size
+
+    for k in range(config.max_outer_iter + 1):
+        t0 = time.perf_counter()
+        for attempt in range(2):
+            try:
+                penalty = np.exp(alpha)
+                reg = (
+                    Regularization.scalar(float(penalty))
+                    if scalar
+                    else Regularization.matrix(penalty)
+                )
+                est = solve(cov_train, reg, config.solver, warm_start=warm)
+                crit = criterion_holdout(est.theta, cov_test)
+                support = support_from_estimate(est, cov_train)
+                values = hypergradient_weighted(est, support, crit.gradient).values
+                # chain rule through the exponential: d/dalpha = penalty * d/dpenalty
+                galpha = penalty * (np.sum(values) if scalar else symmetrize(values))
+                break
+            except RETRYABLE as exc:
+                if prev_galpha is None:
+                    _annotate(exc, k)
+                    raise
+                if attempt == 1:
+                    traj.stop_reason = f"aborted at outer iteration {k}: {exc}"
+                    return traj
+                alpha = prev_alpha - 0.5 * rho * prev_galpha
+
+        seconds = time.perf_counter() - t0
+        norm = float(np.max(np.abs(galpha)))
+        re_val = (
+            relative_error(est.theta, theta_true) if theta_true is not None else None
+        )
+        traj.records.append(
+            TrajectoryRecord(
+                iteration=k,
+                reg=est.reg,
+                criterion=crit.value,
+                hypergrad_norm=norm,
+                inner_iterations=est.iterations,
+                rel_error=re_val,
+                seconds=seconds,
+            )
+        )
+        traj.estimate = est
+        warm = est.theta
+        if norm <= config.outer_tol:
+            traj.converged = True
+            traj.stop_reason = "hypergradient below tolerance"
+            break
+        if k == config.max_outer_iter:
+            traj.stop_reason = "outer iteration budget exhausted"
+            break
+        prev_alpha, prev_galpha = alpha, galpha
+        alpha = alpha - rho * galpha
+
+    return traj
 
 
 def tune_scalar(
@@ -272,10 +363,11 @@ def tune_scalar(
     """Descend the hold-out criterion over a single penalty level.
 
     Starts at ``config.init`` (or the smallest diagonal-solution level),
-    then repeats: solve the training problem, compute the criterion and
-    its hypergradient, update alpha = log(lam) by one fixed step.  Stops
-    when the alpha-space gradient magnitude falls below ``outer_tol`` or
-    the iteration budget runs out; the trajectory records which.
+    then repeats: solve the training problem (warm-started from the
+    previous solution), compute the criterion and its hypergradient,
+    update alpha = log(lam) by one fixed step.  Stops when the alpha-space
+    gradient magnitude falls below ``outer_tol`` or the iteration budget
+    runs out; the trajectory records which.
 
     A retryable failure (degenerate support, singular restricted system,
     inner non-convergence) at the starting point propagates, annotated
@@ -298,70 +390,9 @@ def tune_scalar(
         lam = config.init.lam
         if lam <= 0.0:
             raise ValueError("init must be > 0 for the log parametrization")
-    alpha = float(np.log(lam))
 
-    traj = Trajectory(scalar=True)
-    warm: Optional[np.ndarray] = None
-    prev_alpha: Optional[float] = None
-    prev_galpha: Optional[float] = None
-    rho = config.step_size
-
-    for k in range(config.max_outer_iter + 1):
-        t0 = time.perf_counter()
-        lam = float(np.exp(alpha))
-        attempt = 0
-        while True:
-            try:
-                est = solve(
-                    cov_train,
-                    Regularization.scalar(lam),
-                    config.solver,
-                    warm_start=warm,
-                )
-                crit = criterion_holdout(est.theta, cov_test)
-                support = support_from_estimate(est, cov_train)
-                jac = jacobian_scalar(est, support)
-                galpha = lam * hypergradient_scalar(jac, crit.gradient)
-                break
-            except RETRYABLE as exc:
-                if prev_galpha is None:
-                    _annotate(exc, k)
-                    raise
-                if attempt >= 1:
-                    traj.stop_reason = f"aborted at outer iteration {k}: {exc}"
-                    return traj.final.reg.lam, traj
-                attempt += 1
-                alpha = prev_alpha - 0.5 * rho * prev_galpha
-                lam = float(np.exp(alpha))
-
-        seconds = time.perf_counter() - t0
-        re_val = (
-            relative_error(est.theta, theta_true) if theta_true is not None else None
-        )
-        traj.records.append(
-            TrajectoryRecord(
-                iteration=k,
-                reg=est.reg,
-                criterion=crit.value,
-                hypergrad_norm=abs(galpha),
-                inner_iterations=est.iterations,
-                rel_error=re_val,
-                seconds=seconds,
-            )
-        )
-        if config.warm_start:
-            warm = est.theta
-        if abs(galpha) <= config.outer_tol:
-            traj.converged = True
-            traj.stop_reason = "hypergradient below tolerance"
-            break
-        if k == config.max_outer_iter:
-            traj.stop_reason = "outer iteration budget exhausted"
-            break
-        prev_alpha, prev_galpha = alpha, galpha
-        alpha = alpha - rho * galpha
-
-    return lam, traj
+    traj = _descend(cov_train, cov_test, float(np.log(lam)), config, theta_true)
+    return traj.final.reg.lam, traj
 
 
 def tune_matrix(
@@ -373,11 +404,10 @@ def tune_matrix(
     """Descend the hold-out criterion over a full matrix of penalty weights.
 
     Same loop as :func:`tune_scalar` with one alpha per entry.  The
-    hypergradient matrix is symmetrized before the update so the weights
-    stay symmetric, and its zero off-support pattern freezes those entries
-    for the step.  When no init is given the scalar tuner runs first and
-    its optimum fills the starting weight matrix, making the matrix run a
-    pure refinement.
+    hypergradient's zero off-support pattern freezes those entries for the
+    step.  When no init is given the scalar tuner runs first and its
+    optimum fills the starting weight matrix, making the matrix run a pure
+    refinement.
 
     Returns the last evaluated weight matrix and the trajectory.
     """
@@ -399,66 +429,5 @@ def tune_matrix(
     with np.errstate(divide="ignore"):
         alpha = np.log(weights)  # zero weights pin their alpha at -inf
 
-    traj = Trajectory(scalar=False)
-    warm: Optional[np.ndarray] = None
-    prev_alpha: Optional[np.ndarray] = None
-    prev_galpha: Optional[np.ndarray] = None
-    rho = config.step_size
-
-    for k in range(config.max_outer_iter + 1):
-        t0 = time.perf_counter()
-        weights = np.exp(alpha)
-        attempt = 0
-        while True:
-            try:
-                est = solve(
-                    cov_train,
-                    Regularization.matrix(weights),
-                    config.solver,
-                    warm_start=warm,
-                )
-                crit = criterion_holdout(est.theta, cov_test)
-                support = support_from_estimate(est, cov_train)
-                hyper = hypergradient_weighted(est, support, crit.gradient)
-                galpha = weights * symmetrize(hyper.values)
-                break
-            except RETRYABLE as exc:
-                if prev_galpha is None:
-                    _annotate(exc, k)
-                    raise
-                if attempt >= 1:
-                    traj.stop_reason = f"aborted at outer iteration {k}: {exc}"
-                    return traj.final.reg.weights, traj
-                attempt += 1
-                alpha = prev_alpha - 0.5 * rho * prev_galpha
-                weights = np.exp(alpha)
-
-        seconds = time.perf_counter() - t0
-        norm = float(np.max(np.abs(galpha)))
-        re_val = (
-            relative_error(est.theta, theta_true) if theta_true is not None else None
-        )
-        traj.records.append(
-            TrajectoryRecord(
-                iteration=k,
-                reg=est.reg,
-                criterion=crit.value,
-                hypergrad_norm=norm,
-                inner_iterations=est.iterations,
-                rel_error=re_val,
-                seconds=seconds,
-            )
-        )
-        if config.warm_start:
-            warm = est.theta
-        if norm <= config.outer_tol:
-            traj.converged = True
-            traj.stop_reason = "hypergradient below tolerance"
-            break
-        if k == config.max_outer_iter:
-            traj.stop_reason = "outer iteration budget exhausted"
-            break
-        prev_alpha, prev_galpha = alpha, galpha
-        alpha = alpha - rho * galpha
-
-    return est.reg.weights, traj
+    traj = _descend(cov_train, cov_test, alpha, config, theta_true)
+    return traj.final.reg.weights, traj

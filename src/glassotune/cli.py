@@ -30,7 +30,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .bilevel import (
 )
 from .datagen import (
     FLOAT_FORMAT,
-    Dataset,
     GroundTruth,
     make_sparse_spd,
     sample_gaussian,
@@ -55,7 +54,9 @@ from .datagen import (
     split_samples,
 )
 from .exceptions import GlassoTuneError, ResourceLimit
-from .glasso import Regularization, SolverConfig, solve
+from .glasso import Regularization, SolverConfig
+# Not called here; perfbench/tracer.py wraps this name in this module.
+from .glasso import solve  # noqa: F401
 
 MODES = ("grid", "scalar", "matrix", "compare")
 INIT_POLICIES = ("offdiag-max", "max-entry")
@@ -242,15 +243,12 @@ def _trajectory_summary(traj: Trajectory) -> dict:
     }
 
 
-def _emit_matrices(out: Path, truth: GroundTruth, data: Dataset,
-                   reg: Regularization, config: ExperimentConfig) -> None:
-    est = solve(data.cov_train, reg, config.solver_config())
-    lam_opt = (
-        np.array([[reg.lam]]) if reg.is_scalar else reg.as_matrix(config.p)
-    )
+def _emit_matrices(out: Path, truth: GroundTruth, reg: Regularization,
+                   theta: np.ndarray) -> None:
+    lam_opt = np.array([[reg.lam]]) if reg.is_scalar else reg.weights
     save_matrix_csv(lam_opt, out / "lambda_opt.csv")
     save_matrix_csv(truth.theta_true, out / "theta_true.csv")
-    save_matrix_csv(est.theta, out / "theta_hat.csv")
+    save_matrix_csv(theta, out / "theta_hat.csv")
 
 
 def run(config: ExperimentConfig) -> int:
@@ -272,7 +270,8 @@ def run(config: ExperimentConfig) -> int:
         print(f"data: p={config.p} n={config.n} seed={config.seed} "
               f"lambda_init={lam0:.6g}")
 
-        final_reg: Optional[Regularization] = None
+        # penalty and estimate of the last stage, exported as computed
+        final: Optional[Tuple[Regularization, np.ndarray]] = None
 
         if config.mode in ("grid", "compare"):
             t0 = time.perf_counter()
@@ -291,7 +290,7 @@ def run(config: ExperimentConfig) -> int:
                 "failed_points": int(sum(g.failed for g in curve)),
                 "seconds": time.perf_counter() - t0,
             }
-            final_reg = Regularization.scalar(best)
+            final = (Regularization.scalar(best), at_best.theta)
             print(f"grid: best lambda={best:.6g} criterion={at_best.criterion:.9g}")
 
         if config.mode in ("scalar", "matrix", "compare"):
@@ -305,7 +304,7 @@ def run(config: ExperimentConfig) -> int:
             scalar_summary.update(_trajectory_summary(straj))
             scalar_summary["seconds"] = time.perf_counter() - t0
             summary["scalar"] = scalar_summary
-            final_reg = Regularization.scalar(lam_opt)
+            final = (straj.estimate.reg, straj.estimate.theta)
             print(f"scalar: lambda={lam_opt:.6g} "
                   f"criterion={straj.final.criterion:.9g} "
                   f"iters={len(straj)} converged={straj.converged}")
@@ -328,31 +327,30 @@ def run(config: ExperimentConfig) -> int:
             matrix_summary.update(_trajectory_summary(mtraj))
             matrix_summary["seconds"] = time.perf_counter() - t0
             summary["matrix"] = matrix_summary
-            final_reg = Regularization.matrix(weights)
+            final = (mtraj.estimate.reg, mtraj.estimate.theta)
             print(f"matrix: criterion={mtraj.final.criterion:.9g} "
                   f"iters={len(mtraj)} converged={mtraj.converged}")
 
         if config.mode == "compare":
             straj.to_csv(out / "trajectory.csv")
             lam_grid = summary["grid"]["lambda_best"]
-            # multiplicative width of one grid cell
-            ratio = (
-                (lam0 / (lam0 * 1e-3)) ** (1.0 / (config.grid_points - 1))
-                if config.grid_points > 1
-                else float("inf")
-            )
+            # multiplicative width of one grid cell; a single point has none
+            ratio = within = None
+            if grid.size > 1:
+                ratio = float((grid[-1] / grid[0]) ** (1.0 / (grid.size - 1)))
+                within = lam_grid / ratio <= lam_opt <= lam_grid * ratio
             summary["compare"] = {
                 "lambda_grid": lam_grid,
                 "lambda_descent": lam_opt,
                 "lambda_gap": abs(lam_grid - lam_opt),
                 "grid_ratio": ratio,
-                "within_one_cell": lam_grid / ratio <= lam_opt <= lam_grid * ratio,
+                "within_one_cell": within,
             }
             print(f"compare: grid={lam_grid:.6g} descent={lam_opt:.6g} "
                   f"within_one_cell={summary['compare']['within_one_cell']}")
 
-        if config.emit_matrices and final_reg is not None:
-            _emit_matrices(out, truth, data, final_reg, config)
+        if config.emit_matrices and final is not None:
+            _emit_matrices(out, truth, *final)
 
     except ResourceLimit as exc:
         _write_error(out, exc, summary)

@@ -17,7 +17,6 @@ against a known ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -62,12 +61,12 @@ class WeightedHypergradient:
 
     ``values[k, l]`` is d C(theta_hat(weights)) / d weights[k, l], exactly
     zero off-support.  ``y`` keeps the adjoint solve vector (one entry per
-    support coordinate) for diagnostics; it is None on the naive path.
+    support coordinate) for diagnostics.
     """
 
     dim: int
     values: np.ndarray = field(repr=False)
-    y: Optional[np.ndarray] = field(default=None, repr=False)
+    y: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -165,7 +164,6 @@ def hypergradient_weighted(
     est: PrecisionEstimate,
     support: SupportSet,
     grad_c: np.ndarray,
-    naive: bool = False,
 ) -> WeightedHypergradient:
     """Gradient of the outer criterion with respect to every penalty weight.
 
@@ -176,9 +174,9 @@ def hypergradient_weighted(
 
         out[k, l] = -sign(theta_kl) * y[pos(k, l)]   on support, else 0.
 
-    With ``naive=True`` the per-entry derivatives are materialized by
-    extracting columns of the dense restricted inverse and contracted one
-    by one; same output, quadratically more work.  Kept as an oracle.
+    Tying every weight to one level makes its derivative the sum of the
+    per-entry ones, so the sum of ``values`` is the scalar-penalty
+    hypergradient.
     """
     p = est.dim
     grad_c = symmetrize(np.asarray(grad_c, dtype=float))
@@ -187,20 +185,9 @@ def hypergradient_weighted(
     k = _restricted_kron(est, support)
     idx = support.indices
     sign_s = np.sign(vec(est.theta))[idx]
-    rhs = vec(grad_c)[idx]
-
-    if naive:
-        k_inv = solve_symmetric(k, np.eye(len(idx)))
-        vals = np.empty(len(idx))
-        for m in range(len(idx)):
-            jac_m = -sign_s[m] * k_inv[:, m]
-            vals[m] = float(rhs @ jac_m)
-        y = None
-    else:
-        y = solve_symmetric(k, rhs)
-        vals = -sign_s * y
+    y = solve_symmetric(k, vec(grad_c)[idx])
     flat = np.zeros(p * p)
-    flat[idx] = vals
+    flat[idx] = -sign_s * y
     return WeightedHypergradient(dim=p, values=unvec(flat, p), y=y)
 
 

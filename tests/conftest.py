@@ -4,6 +4,15 @@ import numpy as np
 import pytest
 
 import glassotune as gt
+from glassotune.linalg import (
+    cholesky,
+    kron_restricted,
+    solve_symmetric,
+    spd_inverse,
+    symmetrize,
+    unvec,
+    vec,
+)
 
 
 def make_instance(p: int, n: int, seed: int, density: float = 0.3):
@@ -18,6 +27,30 @@ def random_spd(rng: np.random.Generator, p: int, jitter: float = 0.5) -> np.ndar
     """Well-conditioned random SPD matrix."""
     a = rng.standard_normal((p, p))
     return a @ a.T + (p + jitter) * np.eye(p)
+
+
+def naive_weighted_hypergradient(est, support, grad_c) -> np.ndarray:
+    """Per-entry oracle for ``hypergradient_weighted(...).values``.
+
+    Materializes the derivative of the solution in each support weight as
+    a column of the dense restricted inverse and contracts them one by
+    one against the criterion gradient: same output as the adjoint solve,
+    quadratically more work.
+    """
+    p = est.dim
+    theta_inv = spd_inverse(cholesky(est.theta))
+    k_inv = solve_symmetric(
+        kron_restricted(theta_inv, theta_inv, support), np.eye(len(support))
+    )
+    idx = support.indices
+    sign_s = np.sign(vec(est.theta))[idx]
+    rhs = vec(symmetrize(np.asarray(grad_c, dtype=float)))[idx]
+    vals = np.empty(len(idx))
+    for m in range(len(idx)):
+        vals[m] = float(rhs @ (-sign_s[m] * k_inv[:, m]))
+    flat = np.zeros(p * p)
+    flat[idx] = vals
+    return unvec(flat, p)
 
 
 @pytest.fixture

@@ -17,9 +17,32 @@ from glassotune.bilevel import (
 )
 from glassotune.exceptions import DegenerateInput, DegenerateSupport
 from glassotune.glasso import Regularization, SolverConfig, solve
+from glassotune.implicit import (
+    criterion_holdout,
+    hypergradient_weighted,
+    support_from_estimate,
+)
 from glassotune.linalg import spd_inverse, cholesky
 
 from conftest import make_instance
+
+
+def fail_support_check(monkeypatch, failing):
+    """Make the tuners' support check raise on the calls ``failing`` picks.
+
+    ``failing`` takes the 1-based call count; the other calls run the real
+    check.
+    """
+    real = glassotune.bilevel.support_from_estimate
+    calls = {"n": 0}
+
+    def patched(est, cov):
+        calls["n"] += 1
+        if failing(calls["n"]):
+            raise DegenerateSupport("simulated kink")
+        return real(est, cov)
+
+    monkeypatch.setattr(glassotune.bilevel, "support_from_estimate", patched)
 
 
 class TestLambdaInit:
@@ -144,6 +167,14 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search(data.cov_train, data.cov_test, [0.1, -0.2])
 
+    def test_argmin_keeps_its_solution(self):
+        _, data = make_instance(4, 200, seed=0)
+        grid = default_grid(lambda_init(data.cov_train), points=6)
+        best, curve = grid_search(data.cov_train, data.cov_test, grid)
+        at_best = next(g for g in curve if g.lam == best)
+        assert all(g.theta is None for g in curve if g is not at_best)
+        assert criterion_holdout(at_best.theta, data.cov_test).value == at_best.criterion
+
     def test_deterministic(self):
         _, data = make_instance(4, 200, seed=2)
         grid = default_grid(lambda_init(data.cov_train), points=8)
@@ -236,17 +267,20 @@ class TestTuneScalar:
         assert [r.reg.lam for r in a.records] == [r.reg.lam for r in b.records]
         assert [r.criterion for r in a.records] == [r.criterion for r in b.records]
 
-    def test_cold_start_matches_on_first_iteration(self):
+    def test_hypergradient_is_the_summed_weighted_one(self):
+        # A single level ties every weight to it, so its alpha-space
+        # gradient is lam times the sum of the per-entry gradients.
         _, data = make_instance(5, 400, seed=3)
-        _, warm = tune_scalar(
-            data.cov_train, data.cov_test, BilevelConfig(max_outer_iter=1)
+        _, traj = tune_scalar(
+            data.cov_train, data.cov_test, BilevelConfig(max_outer_iter=2)
         )
-        _, cold = tune_scalar(
-            data.cov_train,
-            data.cov_test,
-            BilevelConfig(max_outer_iter=1, warm_start=False),
-        )
-        assert warm.records[0].criterion == cold.records[0].criterion
+        est = traj.estimate
+        assert est.reg == traj.final.reg
+        crit = criterion_holdout(est.theta, data.cov_test)
+        assert crit.value == traj.final.criterion
+        support = support_from_estimate(est, data.cov_train)
+        values = hypergradient_weighted(est, support, crit.gradient).values
+        assert traj.final.hypergrad_norm == est.reg.lam * abs(np.sum(values))
 
     def test_rejects_matrix_init(self):
         _, data = make_instance(3, 100, seed=1)
@@ -276,16 +310,7 @@ class TestTuneScalar:
 
     def test_single_midrun_failure_is_retried(self, monkeypatch):
         _, data = make_instance(5, 400, seed=3)
-        real = glassotune.bilevel.support_from_estimate
-        calls = {"n": 0}
-
-        def flaky(est, cov):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise DegenerateSupport("simulated kink")
-            return real(est, cov)
-
-        monkeypatch.setattr(glassotune.bilevel, "support_from_estimate", flaky)
+        fail_support_check(monkeypatch, lambda n: n == 2)
         _, traj = tune_scalar(
             data.cov_train, data.cov_test, BilevelConfig(max_outer_iter=5)
         )
@@ -294,17 +319,7 @@ class TestTuneScalar:
 
     def test_repeated_midrun_failure_aborts_with_trajectory(self, monkeypatch):
         _, data = make_instance(5, 400, seed=3)
-        real = glassotune.bilevel.support_from_estimate
-
-        def broken(est, cov):
-            if broken.calls >= 1:
-                broken.calls += 1
-                raise DegenerateSupport("simulated kink")
-            broken.calls += 1
-            return real(est, cov)
-
-        broken.calls = 0
-        monkeypatch.setattr(glassotune.bilevel, "support_from_estimate", broken)
+        fail_support_check(monkeypatch, lambda n: n > 1)
         lam, traj = tune_scalar(
             data.cov_train, data.cov_test, BilevelConfig(max_outer_iter=5)
         )
@@ -315,6 +330,31 @@ class TestTuneScalar:
 
 
 class TestTuneMatrix:
+    def _config(self, data, **kwargs):
+        lam = 0.3 * lambda_init(data.cov_train)
+        return BilevelConfig(init=Regularization.scalar(lam), **kwargs)
+
+    def test_single_midrun_failure_is_retried(self, monkeypatch):
+        _, data = make_instance(4, 200, seed=0)
+        fail_support_check(monkeypatch, lambda n: n == 2)
+        _, traj = tune_matrix(
+            data.cov_train, data.cov_test, self._config(data, max_outer_iter=5)
+        )
+        assert "aborted" not in traj.stop_reason
+        assert len(traj) == 6
+
+    def test_repeated_midrun_failure_aborts_with_trajectory(self, monkeypatch):
+        _, data = make_instance(4, 200, seed=0)
+        fail_support_check(monkeypatch, lambda n: n > 1)
+        weights, traj = tune_matrix(
+            data.cov_train, data.cov_test, self._config(data, max_outer_iter=5)
+        )
+        assert traj.stop_reason.startswith("aborted at outer iteration 1")
+        assert not traj.converged
+        assert len(traj) == 1
+        np.testing.assert_array_equal(weights, traj.final.reg.weights)
+        assert traj.estimate.reg is traj.final.reg
+
     def test_stationary_at_matched_holdout(self):
         # If the hold-out covariance is exactly the inverse of the solution,
         # the criterion gradient vanishes and the tuner stops at iteration 0.

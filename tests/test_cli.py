@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import glassotune as gt
 from glassotune.cli import ExperimentConfig, main, parse_config, run
 from glassotune.datagen import load_matrix_csv
 
@@ -16,9 +17,13 @@ def small_config(tmp_path, **overrides):
     return ExperimentConfig(**base)
 
 
+def _reject_constant(name):
+    raise ValueError(f"summary.json holds {name}, which is not JSON")
+
+
 def read_summary(tmp_path):
     with open(tmp_path / "summary.json") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def without_timings(obj):
@@ -169,6 +174,24 @@ class TestRunScalar:
         assert load_matrix_csv(tmp_path / "theta_hat.csv").shape == (6, 6)
 
 
+class TestEmittedEstimate:
+    @pytest.mark.parametrize(
+        "mode, stage",
+        [("grid", "grid"), ("scalar", "scalar"), ("matrix", "matrix"),
+         ("compare", "scalar")],
+    )
+    def test_is_the_estimate_behind_the_reported_criterion(self, tmp_path, mode, stage):
+        cfg = small_config(tmp_path, mode=mode, p=4, n=100, grid_points=5,
+                           max_outer_iter=3, emit_matrices=True)
+        assert run(cfg) == 0
+        truth = gt.make_sparse_spd(cfg.p, cfg.density, cfg.seed)
+        samples = gt.sample_gaussian(truth, cfg.n, cfg.seed + 1)
+        data = gt.split_samples(samples, cfg.split_ratio, cfg.seed + 2)
+        theta = load_matrix_csv(tmp_path / "theta_hat.csv")
+        reported = read_summary(tmp_path)[stage]["criterion"]
+        assert gt.criterion_holdout(theta, data.cov_test).value == reported
+
+
 class TestRunMatrix:
     def test_outputs(self, tmp_path):
         cfg = small_config(tmp_path, mode="matrix", p=4, n=100,
@@ -200,6 +223,14 @@ class TestRunCompare:
         )
         assert cmp["grid_ratio"] == pytest.approx(1e3 ** (1 / (cfg.grid_points - 1)))
         assert isinstance(cmp["within_one_cell"], bool)
+
+    def test_single_grid_point_has_no_cell(self, tmp_path):
+        cfg = small_config(tmp_path, mode="compare", p=5, grid_points=1,
+                           max_outer_iter=3)
+        assert run(cfg) == 0
+        cmp = read_summary(tmp_path)["compare"]
+        assert cmp["grid_ratio"] is None
+        assert cmp["within_one_cell"] is None
 
     def test_deterministic_apart_from_timings(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
