@@ -33,14 +33,12 @@ from .exceptions import (
     GlassoTuneError,
     NotConverged,
     NotPositiveDefinite,
-    ResourceLimit,
     SingularSystem,
 )
 from .glasso import (
     PrecisionEstimate,
     Regularization,
     SolverConfig,
-    check_nondegeneracy,
     check_optimality,
     objective,
     soft_threshold,
@@ -75,7 +73,6 @@ __all__ = [
     "NotPositiveDefinite",
     "PrecisionEstimate",
     "Regularization",
-    "ResourceLimit",
     "ScalarJacobian",
     "SingularSystem",
     "SolverConfig",
@@ -83,7 +80,6 @@ __all__ = [
     "Trajectory",
     "TrajectoryRecord",
     "WeightedHypergradient",
-    "check_nondegeneracy",
     "check_optimality",
     "criterion_holdout",
     "default_grid",

@@ -15,7 +15,7 @@ output directory:
 * ``error.json``         written instead of summary.json when a numerical
                          failure propagates
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 size cap hit.
+Exit codes: 0 success, 2 usage error, 3 numerical failure.
 
 Seeds are derived from ``--seed`` as seed (ground truth), seed+1 (samples),
 seed+2 (train/test split), so every artifact is reproducible from the
@@ -53,7 +53,7 @@ from .datagen import (
     save_matrix_csv,
     split_samples,
 )
-from .exceptions import GlassoTuneError, ResourceLimit
+from .exceptions import GlassoTuneError
 from .glasso import Regularization, SolverConfig
 # Not called here; perfbench/tracer.py wraps this name in this module.
 from .glasso import solve  # noqa: F401
@@ -352,9 +352,6 @@ def run(config: ExperimentConfig) -> int:
         if config.emit_matrices and final is not None:
             _emit_matrices(out, truth, *final)
 
-    except ResourceLimit as exc:
-        _write_error(out, exc, summary)
-        return 4
     except GlassoTuneError as exc:
         _write_error(out, exc, summary)
         return 3

@@ -16,9 +16,9 @@ class NotPositiveDefinite(GlassoTuneError):
 class SingularSystem(GlassoTuneError):
     """A symmetric linear system is numerically singular.
 
-    Raised when a factorization pivot falls below the relative
-    singularity threshold, e.g. for a rank-deficient restricted
-    Kronecker block.
+    Raised when conjugate gradients meet a direction of nonpositive
+    curvature or exhaust their iteration budget, e.g. for a restricted
+    Kronecker block that is not positive definite.
     """
 
 
@@ -47,7 +47,3 @@ class DegenerateSplit(GlassoTuneError):
 class DegenerateInput(GlassoTuneError):
     """An input admits no meaningful result (e.g. a diagonal covariance
     has no finite smallest regularization producing a diagonal estimate)."""
-
-
-class ResourceLimit(GlassoTuneError):
-    """An operation refuses to run because it would exceed its size cap."""

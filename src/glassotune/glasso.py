@@ -19,7 +19,8 @@ equation at the step in effect when it stopped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -144,6 +145,16 @@ class PrecisionEstimate:
     @property
     def dim(self) -> int:
         return self.theta.shape[0]
+
+    @cached_property
+    def theta_inv(self) -> np.ndarray:
+        """``theta^{-1}``, factorized on first use and kept with the estimate.
+
+        Read-only, since every caller is handed the same array.
+        """
+        inv = spd_inverse(cholesky(self.theta))
+        inv.flags.writeable = False
+        return inv
 
 
 def soft_threshold(z: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -324,7 +335,7 @@ def check_optimality(est: PrecisionEstimate, cov: np.ndarray) -> float:
     to those conditions; near zero certifies the estimate independently of
     how it was computed.
     """
-    r = spd_inverse(cholesky(est.theta)) - symmetrize(np.asarray(cov, dtype=float))
+    r = est.theta_inv - symmetrize(np.asarray(cov, dtype=float))
     thr = est.reg.as_matrix(est.dim)
     on = est.support.as_matrix_mask()
     violation = np.where(
@@ -334,23 +345,3 @@ def check_optimality(est: PrecisionEstimate, cov: np.ndarray) -> float:
     )
     return float(np.max(violation))
 
-
-def check_nondegeneracy(
-    est: PrecisionEstimate, cov: np.ndarray, margin: float
-) -> Tuple[bool, float]:
-    """Whether every zero entry is strictly inside its threshold interval.
-
-    For each off-support entry the slack is T_ij - |theta^{-1} - S|_ij; the
-    estimate is non-degenerate at the given margin when every slack is at
-    least margin.  Returns (ok, worst slack); an empty off-support set is
-    vacuously non-degenerate with infinite slack.
-    """
-    if not margin > 0.0:
-        raise ValueError("margin must be > 0")
-    off = ~est.support.as_matrix_mask()
-    if not off.any():
-        return True, float("inf")
-    r = spd_inverse(cholesky(est.theta)) - symmetrize(np.asarray(cov, dtype=float))
-    thr = est.reg.as_matrix(est.dim)
-    worst = float(np.min(thr[off] - np.abs(r[off])))
-    return worst >= margin, worst

@@ -3,7 +3,9 @@
 At a non-degenerate solution the soft-threshold fixed point is locally
 smooth in the penalty, and differentiating it on the support of theta
 yields a linear system whose coefficient matrix is the Kronecker square of
-theta^{-1} restricted to support coordinates.  The derivative with respect
+theta^{-1} restricted to support coordinates.  That matrix is SPD and its
+product with a vector is theta^{-1} X theta^{-1}, so the system is solved by
+conjugate gradients without ever forming it.  The derivative with respect
 to a scalar penalty solves that system against -sign(theta) on the support;
 per-entry weight derivatives share the same coefficient matrix, so their
 contraction against a criterion gradient collapses into a single adjoint
@@ -20,9 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DegenerateSupport, ResourceLimit
+from .exceptions import DegenerateSupport
 from .glasso import PrecisionEstimate
 from .linalg import (
+    Operator,
     SupportSet,
     cholesky,
     kron_restricted,
@@ -38,9 +41,6 @@ from .linalg import (
 # distance of its threshold are flagged as degenerate: the derivative does
 # not exist there.
 BOUNDARY_TOL = 1e-6
-
-# The restricted system is dense |S| x |S|; refuse beyond this size.
-SUPPORT_CAP = 20000
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def support_from_estimate(est: PrecisionEstimate, cov: np.ndarray) -> SupportSet
         case the solution is at or near a kink where no derivative exists.
     """
     theta = est.theta
-    theta_inv = spd_inverse(cholesky(theta))
+    theta_inv = est.theta_inv
     cov = symmetrize(np.asarray(cov, dtype=float))
     thr = est.reg.as_matrix(est.dim)
 
@@ -119,16 +119,8 @@ def support_from_estimate(est: PrecisionEstimate, cov: np.ndarray) -> SupportSet
     return est.support
 
 
-def _restricted_kron(est: PrecisionEstimate, support: SupportSet) -> np.ndarray:
-    if support.dim2 != est.dim * est.dim:
-        raise ValueError("support does not match the estimate's dimension")
-    if len(support) > SUPPORT_CAP:
-        raise ResourceLimit(
-            f"restricted system would be {len(support)} x {len(support)}, "
-            f"cap is {SUPPORT_CAP}"
-        )
-    theta_inv = spd_inverse(cholesky(est.theta))
-    return kron_restricted(theta_inv, theta_inv, support)
+def _restricted_kron(est: PrecisionEstimate, support: SupportSet) -> Operator:
+    return kron_restricted(est.theta_inv, support)
 
 
 def jacobian_scalar(est: PrecisionEstimate, support: SupportSet) -> ScalarJacobian:
@@ -140,8 +132,8 @@ def jacobian_scalar(est: PrecisionEstimate, support: SupportSet) -> ScalarJacobi
     on the prox step gamma: the step scales both sides of the system and
     cancels.
 
-    Raises SingularSystem if the restricted coefficient matrix is not
-    invertible and ResourceLimit if the support is larger than SUPPORT_CAP.
+    Raises SingularSystem if conjugate gradients find the restricted
+    coefficient matrix not positive definite or do not converge.
     """
     p = est.dim
     k = _restricted_kron(est, support)

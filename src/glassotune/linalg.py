@@ -17,17 +17,20 @@ Conventions, fixed package-wide:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
 from .exceptions import NotPositiveDefinite, SingularSystem
 
-# Relative pivot threshold below which a symmetric solve is declared
-# singular: pivot < SINGULARITY_RTOL * max |diagonal of the system|.
-SINGULARITY_RTOL = 1e-12
+# Conjugate gradients stop once the residual norm is at most this fraction
+# of the right-hand side's norm.
+CG_RTOL = 1e-12
+
+# A linear map given only by its product with a vector.
+Operator = Callable[[np.ndarray], np.ndarray]
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -146,67 +149,72 @@ class SupportSet:
         return int(self.indices.size)
 
 
-def kron_restricted(a: np.ndarray, b: np.ndarray, support: SupportSet) -> np.ndarray:
-    """Rows and columns ``support`` of ``a kron b``, without materializing it.
+def kron_restricted(w: np.ndarray, support: SupportSet) -> Operator:
+    """Product with rows and columns ``support`` of ``w kron w``, matrix-free.
 
-    Entry ``(r, c)`` of the result equals
-    ``(a kron b)[support.indices[r], support.indices[c]]``, computed directly
-    by index arithmetic, so it matches extraction from the dense Kronecker
-    product bit for bit (same floating-point products).
+    Returns the map ``v -> vec(symmetrize(w @ unvec_S(v) @ w))_S``, where
+    ``unvec_S`` scatters ``v`` into a p x p zero matrix at the support.  For
+    symmetric ``w``, a support closed under transposition and ``v``
+    symmetric in each ``(i, j)``, ``(j, i)`` pair, this is
+    ``(w kron w)[support, support] @ v``; the symmetrize makes the paired
+    outputs exactly equal.  Each product costs two p x p matrix products
+    and O(p**2) memory, against O(|S|**2) for the explicit block.
     """
-    a = _as_square(a, "a")
-    b = _as_square(b, "b")
-    p = a.shape[0]
-    if b.shape[0] != p:
-        raise ValueError("a and b must share the same dimension")
+    w = _as_square(w, "w")
+    p = w.shape[0]
     if support.dim2 != p * p:
-        raise ValueError("support dimension does not match the matrices")
+        raise ValueError("support dimension does not match the matrix")
     idx = support.indices
-    outer = idx // p
-    inner = idx % p
-    return a[np.ix_(outer, outer)] * b[np.ix_(inner, inner)]
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        flat = np.zeros(p * p)
+        flat[idx] = v
+        return vec(symmetrize(w @ unvec(flat, p) @ w))[idx]
+
+    return apply
 
 
-def solve_symmetric(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``m @ x = rhs`` for symmetric ``m``.
+def solve_symmetric(apply: Operator, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``K x = rhs`` by conjugate gradients for SPD ``K``.
 
-    Tries a Cholesky factorization first (the restricted Kronecker blocks
-    this serves are SPD when the precision estimate is), falling back to a
-    pivoted LU when a pivot fails.  Multiple right-hand sides share one
-    factorization.
+    ``K`` is given only through its product ``apply(v) == K @ v``, so it is
+    never formed.  Iterates until the residual norm is at most
+    ``CG_RTOL * |rhs|``; in exact arithmetic that takes at most
+    ``len(rhs)`` steps, which is the iteration budget.
 
     Raises
     ------
     SingularSystem
-        When a factorization pivot falls below
-        ``SINGULARITY_RTOL * max |diag(m)|``.
+        When a search direction has ``d @ K d <= 0`` (``K`` is not positive
+        definite) or the budget runs out before the tolerance.
     """
-    m = _as_square(m, "system matrix")
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != m.shape[0]:
-        raise ValueError("rhs rows must match the system dimension")
-    diag_scale = np.max(np.abs(np.diag(m))) if m.size else 0.0
-    threshold = SINGULARITY_RTOL * max(diag_scale, np.finfo(float).tiny)
-    try:
-        c, low = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        return _solve_lu(m, rhs, threshold)
-    # Cholesky pivots are the squared factor diagonal.
-    if np.min(np.diag(c)) ** 2 < threshold:
-        raise SingularSystem(
-            "symmetric system is numerically singular (Cholesky pivot below "
-            f"{threshold:.3e})"
-        )
-    return scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
-
-
-def _solve_lu(m: np.ndarray, rhs: np.ndarray, threshold: float) -> np.ndarray:
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        # scipy warns on exact singularity; the pivot check below handles it
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    if np.min(np.abs(np.diag(lu))) < threshold:
-        raise SingularSystem(
-            f"symmetric system is numerically singular (LU pivot below {threshold:.3e})"
-        )
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    b = np.asarray(rhs, dtype=float)
+    if b.ndim != 1:
+        raise ValueError("rhs must be a vector")
+    x = np.zeros_like(b)
+    r = b.copy()
+    d = b.copy()
+    rr = bb = float(b @ b)
+    stop = CG_RTOL**2 * bb
+    it = 0
+    while not rr <= stop:  # a NaN residual keeps iterating and then raises
+        if it == b.size:
+            raise SingularSystem(
+                f"conjugate gradients left relative residual {np.sqrt(rr / bb):.3e} "
+                f"after {it} iterations"
+            )
+        kd = apply(d)
+        curvature = float(d @ kd)
+        if not curvature > 0.0:
+            raise SingularSystem(
+                f"system is not positive definite: d.Kd = {curvature:.3e} "
+                f"at conjugate-gradient iteration {it}"
+            )
+        alpha = rr / curvature
+        x += alpha * d
+        r -= alpha * kd
+        rr_next = float(r @ r)
+        d = r + (rr_next / rr) * d
+        rr = rr_next
+        it += 1
+    return x

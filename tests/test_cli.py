@@ -264,15 +264,6 @@ class TestFailureModes:
         assert record["partial_summary"]["config"]["n"] == 2
         assert not (tmp_path / "summary.json").exists()
 
-    def test_resource_limit_exits_4(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("glassotune.implicit.SUPPORT_CAP", 1)
-        cfg = small_config(tmp_path, mode="scalar", p=4, n=100,
-                           max_outer_iter=2)
-        assert run(cfg) == 4
-        with open(tmp_path / "error.json") as fh:
-            record = json.load(fh)
-        assert record["error"] == "ResourceLimit"
-
 
 class TestMain:
     def test_success_exit_code(self, tmp_path):

@@ -245,3 +245,82 @@ class TestCsvRoundTrip:
         path.write_text("2,3\n1.0,2.0\n3.0,4.0\n")
         with pytest.raises(ValueError):
             load_samples_csv(path)
+
+
+class TestGoldenValues:
+    """Outputs recorded at fixed seeds, so the benchmark inputs cannot drift.
+
+    Integer and boolean outputs (support pattern, split indices) must match
+    exactly; floats to 1e-12 relative, which leaves room for a different
+    BLAS summation order but not for a changed draw or formula.
+    """
+
+    THETA_5 = [
+        [2.64093527557904, -0.619267699975664, 0.0, 0.5000811657747822, 0.0],
+        [-0.619267699975664, 3.744631067218738, 0.0, -1.1037026848760334, 0.0],
+        [0.0, 0.0, 3.1530596705415497, 0.0, 0.0],
+        [0.5000811657747822, -1.1037026848760334, 0.0, 1.8661656897117547, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 1.690432368419858],
+    ]
+    MASK_5 = [
+        [0, 1, 0, 1, 0],
+        [1, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0],
+        [1, 1, 0, 0, 0],
+        [0, 0, 0, 0, 0],
+    ]
+    SAMPLES_5 = [
+        [-0.16177975789204013, 1.1285517996421766, -0.07467222310066046,
+         2.4089429321094964, 0.2686530824122682],
+        [0.4891674725526391, 0.49732341545108527, 0.9316391102090631,
+         0.643492653678767, -1.430101721740052],
+        [-0.5947948748595043, 0.484180352470396, -0.022480963318811144,
+         0.8754522249569355, -0.624938234087896],
+        [-0.29753206630175855, -0.3529750590697789, -0.16320551946691844,
+         -0.5625843238297398, -0.7001925848244911],
+    ]
+    COV_TEST_DIAG_5 = [
+        0.2965328796813352, 0.2408805966371448, 0.43422841269143825,
+        0.5902496967602952, 1.2178693654743795,
+    ]
+
+    @staticmethod
+    def assert_rel(got, expected):
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    def test_make_sparse_spd(self):
+        truth = make_sparse_spd(5, 0.4, seed=7)
+        np.testing.assert_array_equal(truth.support_mask, np.array(self.MASK_5, dtype=bool))
+        self.assert_rel(truth.theta_true, self.THETA_5)
+
+    def test_sample_gaussian(self):
+        truth = make_sparse_spd(5, 0.4, seed=7)
+        self.assert_rel(sample_gaussian(truth, 4, seed=8), self.SAMPLES_5)
+
+    def test_split_samples(self):
+        data = split_samples(np.array(self.SAMPLES_5), 0.5, seed=9)
+        np.testing.assert_array_equal(data.train_indices, [3, 0])
+        np.testing.assert_array_equal(data.test_indices, [2, 1])
+        self.assert_rel(data.cov_train[1, 3], 1.4585975581015038)
+        self.assert_rel(np.diagonal(data.cov_test), self.COV_TEST_DIAG_5)
+
+    def test_benchmark_sized_inputs(self):
+        # p=100, n=2000, density 0.05, split 0.5 at CLI seed 0: the shape
+        # every benchmark workload generates.
+        truth = make_sparse_spd(100, 0.05, seed=0)
+        flat = np.flatnonzero(truth.support_mask.ravel())
+        assert flat.size == 1252
+        assert int(flat.sum()) == 6839316
+        np.testing.assert_array_equal(flat[:10], [5, 9, 14, 20, 30, 72, 106, 158, 163, 183])
+        self.assert_rel(np.trace(truth.theta_true), 262.0659837592069)
+        self.assert_rel(np.linalg.norm(truth.theta_true), 28.97868328729225)
+        samples = sample_gaussian(truth, 2000, seed=1)
+        self.assert_rel(samples.sum(), 327.2598744232457)
+        self.assert_rel((samples * samples).sum(), 101064.94221713854)
+        data = split_samples(samples, 0.5, seed=2)
+        np.testing.assert_array_equal(
+            data.train_indices[:8], [1843, 273, 150, 461, 1384, 1995, 558, 601]
+        )
+        assert int(data.train_indices.sum()) == 1018108
+        self.assert_rel(np.trace(data.cov_train), 50.54184689671901)
+        self.assert_rel(np.trace(data.cov_test), 50.52309532041954)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,13 +10,12 @@ from glassotune.glasso import (
     PrecisionEstimate,
     Regularization,
     SolverConfig,
-    check_nondegeneracy,
     check_optimality,
     objective,
     soft_threshold,
     solve,
 )
-from glassotune.linalg import SupportSet
+from glassotune.linalg import SupportSet, cholesky, spd_inverse
 
 from conftest import random_spd
 
@@ -296,31 +297,23 @@ class TestCheckOptimality:
         assert check_optimality(est, np.eye(2)) == pytest.approx(0.5)
 
 
-class TestCheckNondegeneracy:
-    def test_full_support_is_vacuous(self):
-        theta = np.array([[2.0, 0.3], [0.3, 1.0]])
-        est = PrecisionEstimate(
-            theta=theta,
-            reg=Regularization.scalar(0.1),
-            gamma=1.0,
-            support=SupportSet.from_matrix_mask(np.ones((2, 2), dtype=bool)),
-            fixed_point_residual=0.0,
-            iterations=0,
-        )
-        ok, slack = check_nondegeneracy(est, np.eye(2), margin=1e-6)
-        assert ok and slack == float("inf")
+class TestThetaInv:
+    def test_matches_fresh_inverse_bitwise(self, rng):
+        cov = random_spd(rng, 5)
+        est = solve(cov, Regularization.scalar(0.5))
+        np.testing.assert_array_equal(est.theta_inv, spd_inverse(cholesky(est.theta)))
 
-    def test_diagonal_solution_has_positive_slack(self, rng):
-        cov = random_spd(rng, 3)
-        lam = 2.0 * np.max(np.abs(cov - np.diag(np.diagonal(cov))))
-        est = solve(cov, Regularization.scalar(lam))
-        ok, slack = check_nondegeneracy(est, cov, margin=lam / 4)
-        assert ok and slack >= lam / 2 - 1e-12
-        ok_strict, _ = check_nondegeneracy(est, cov, margin=10.0 * lam)
-        assert not ok_strict
+    def test_computed_once_and_read_only(self, rng):
+        est = solve(random_spd(rng, 4), Regularization.scalar(0.5))
+        assert est.theta_inv is est.theta_inv
+        assert not est.theta_inv.flags.writeable
 
-    def test_rejects_bad_margin(self, rng):
-        cov = random_spd(rng, 2)
-        est = solve(cov, Regularization.scalar(1.0))
-        with pytest.raises(ValueError):
-            check_nondegeneracy(est, cov, margin=0.0)
+    def test_replace_gets_fresh_cache(self, rng):
+        est = solve(random_spd(rng, 4), Regularization.scalar(0.5))
+        first = est.theta_inv
+        moved = dataclasses.replace(est, theta=2.0 * est.theta)
+        np.testing.assert_allclose(moved.theta_inv, first / 2.0, rtol=1e-12)
+
+    def test_not_a_constructor_field(self):
+        names = {f.name for f in dataclasses.fields(PrecisionEstimate)}
+        assert "theta_inv" not in names

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from glassotune.exceptions import DegenerateSupport, ResourceLimit
+from glassotune.exceptions import DegenerateSupport
 from glassotune.glasso import (
     PrecisionEstimate,
     Regularization,
@@ -148,12 +148,25 @@ class TestJacobianScalar:
         rhs = -np.sign(vec(est.theta))[idx]
         np.testing.assert_allclose(lhs, rhs, atol=1e-8)
 
-    def test_support_cap(self, monkeypatch):
-        est, data, _ = solved_instance(seed=1)
-        support = support_from_estimate(est, data.cov_train)
-        monkeypatch.setattr("glassotune.implicit.SUPPORT_CAP", 2)
-        with pytest.raises(ResourceLimit):
-            jacobian_scalar(est, support)
+    def test_full_support_at_p150_closed_form(self, rng):
+        # On the full support the restricted system is all of W kron W with
+        # W = theta^{-1}, whose inverse is theta kron theta, so the Jacobian
+        # is -theta sign(theta) theta.  |S| = 22,500 would be a 4 GB dense
+        # block; the matrix-free solve needs O(p**2) memory.
+        p = 150
+        theta = random_spd(rng, p)
+        est = PrecisionEstimate(
+            theta=theta,
+            reg=Regularization.scalar(0.1),
+            gamma=1.0,
+            support=SupportSet.from_mask(np.ones(p * p, dtype=bool)),
+            fixed_point_residual=0.0,
+            iterations=0,
+        )
+        expected = -theta @ np.sign(theta) @ theta
+        jac = jacobian_scalar(est, est.support)
+        err = np.linalg.norm(jac.values - expected) / np.linalg.norm(expected)
+        assert err <= 1e-10
 
     def test_rejects_mismatched_support(self, rng):
         est, data, _ = solved_instance(seed=1)

@@ -43,6 +43,27 @@ def dense_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def pair_symmetric(rng: np.random.Generator, support: SupportSet) -> np.ndarray:
+    """Random vector on a symmetric support, equal on each (i, j), (j, i) pair."""
+    x = symmetrize(rng.standard_normal(support.as_matrix_mask().shape))
+    return vec(x)[support.indices]
+
+
+def symmetric_support(rng: np.random.Generator, p: int) -> SupportSet:
+    mask = rng.random((p, p)) > 0.5
+    return SupportSet.from_matrix_mask(mask | mask.T | np.eye(p, dtype=bool))
+
+
+def restricted_product(w: np.ndarray, s: SupportSet, v: np.ndarray) -> np.ndarray:
+    """Oracle: the support rows and columns cut out of the dense kron."""
+    idx = s.indices
+    return dense_kron(w, w)[np.ix_(idx, idx)] @ v
+
+
+def assert_rel_close(got: np.ndarray, expected: np.ndarray, rtol: float = 1e-12):
+    assert np.linalg.norm(got - expected) <= rtol * np.linalg.norm(expected)
+
+
 class TestCholesky:
     def test_identity(self):
         np.testing.assert_array_equal(cholesky(np.eye(3)), np.eye(3))
@@ -160,78 +181,101 @@ class TestSupportSet:
 class TestKronRestricted:
     def test_identity_pair(self):
         s = SupportSet.from_mask(np.array([True, False, False, True]))
-        np.testing.assert_array_equal(
-            kron_restricted(np.eye(2), np.eye(2), s), np.eye(2)
-        )
+        v = np.array([2.0, -3.0])
+        np.testing.assert_array_equal(kron_restricted(np.eye(2), s)(v), v)
 
     def test_full_support_equals_dense(self, rng):
-        a, b = random_spd(rng, 3), random_spd(rng, 3)
+        w = random_spd(rng, 3)
         s = SupportSet.from_mask(np.ones(9, dtype=bool))
-        np.testing.assert_array_equal(kron_restricted(a, b, s), dense_kron(a, b))
+        v = pair_symmetric(rng, s)
+        assert_rel_close(kron_restricted(w, s)(v), dense_kron(w, w) @ v)
 
     def test_single_index(self, rng):
-        a, b = random_spd(rng, 3), random_spd(rng, 3)
-        for k in range(9):
+        w = random_spd(rng, 3)
+        for i in range(3):
+            k = i + 3 * i  # diagonal entries are their own transpose pair
             s = SupportSet.from_mask(np.eye(9, dtype=bool)[k])
-            expected = a[k // 3, k // 3] * b[k % 3, k % 3]
-            assert kron_restricted(a, b, s)[0, 0] == expected
+            assert kron_restricted(w, s)(np.ones(1))[0] == w[i, i] * w[i, i]
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_arbitrary_support_matches_extraction(self, p, rng):
-        a, b = random_spd(rng, p), random_spd(rng, p)
-        full = dense_kron(a, b)
+        w = spd_inverse(cholesky(random_spd(rng, p)))
         for _ in range(5):
-            mask = rng.random(p * p) > 0.4
-            if not mask.any():
-                mask[0] = True
-            s = SupportSet.from_mask(mask)
-            idx = s.indices
-            np.testing.assert_array_equal(
-                kron_restricted(a, b, s), full[np.ix_(idx, idx)]
-            )
+            s = symmetric_support(rng, p)
+            v = pair_symmetric(rng, s)
+            assert_rel_close(kron_restricted(w, s)(v), restricted_product(w, s, v))
 
     def test_matches_kron_vec_identity(self, rng):
-        # vec(B X A^T) == (A kron B) vec(X) under the column-major vec
-        a, b = random_spd(rng, 3), random_spd(rng, 3)
-        x = rng.standard_normal((3, 3))
+        # vec(W X W) == (W kron W) vec(X) under the column-major vec
+        w = random_spd(rng, 3)
+        x = symmetrize(rng.standard_normal((3, 3)))
         s = SupportSet.from_mask(np.ones(9, dtype=bool))
-        left = vec(b @ x @ a.T)
-        right = kron_restricted(a, b, s) @ vec(x)
-        np.testing.assert_allclose(left, right, atol=1e-12)
+        assert_rel_close(kron_restricted(w, s)(vec(x)), vec(w @ x @ w))
+
+    def test_pairs_exactly_symmetric(self, rng):
+        # Any input, pair-symmetric or not, maps to equal (i, j), (j, i) outputs.
+        p = 6
+        w = random_spd(rng, p)
+        s = symmetric_support(rng, p)
+        out = np.zeros(p * p)
+        out[s.indices] = kron_restricted(w, s)(rng.standard_normal(len(s)))
+        m = unvec(out, p)
+        np.testing.assert_array_equal(m, m.T)
+
+    def test_rejects_mismatched_support(self, rng):
+        with pytest.raises(ValueError):
+            kron_restricted(random_spd(rng, 3), SupportSet.from_mask(np.ones(4, dtype=bool)))
+
+
+def matrix_operator(m: np.ndarray):
+    return lambda v: m @ v
 
 
 class TestSolveSymmetric:
     def test_identity(self):
         b = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(solve_symmetric(np.eye(3), b), b)
+        np.testing.assert_array_equal(solve_symmetric(matrix_operator(np.eye(3)), b), b)
 
     def test_diagonal(self):
-        x = solve_symmetric(np.diag([2.0, 5.0]), np.array([4.0, 10.0]))
+        x = solve_symmetric(matrix_operator(np.diag([2.0, 5.0])), np.array([4.0, 10.0]))
         np.testing.assert_allclose(x, [2.0, 2.0])
 
     def test_residual(self, rng):
         m = random_spd(rng, 6)
         b = rng.standard_normal(6)
-        x = solve_symmetric(m, b)
+        x = solve_symmetric(matrix_operator(m), b)
         assert np.max(np.abs(m @ x - b)) <= 1e-10
 
-    def test_multiple_rhs(self, rng):
-        m = random_spd(rng, 5)
-        b = rng.standard_normal((5, 3))
-        x = solve_symmetric(m, b)
-        assert x.shape == (5, 3)
-        assert np.max(np.abs(m @ x - b)) <= 1e-10
+    def test_zero_rhs(self, rng):
+        x = solve_symmetric(matrix_operator(random_spd(rng, 4)), np.zeros(4))
+        np.testing.assert_array_equal(x, np.zeros(4))
+
+    def test_restricted_kron_system(self, rng):
+        p = 5
+        w = spd_inverse(cholesky(random_spd(rng, p)))
+        s = symmetric_support(rng, p)
+        b = pair_symmetric(rng, s)
+        x = solve_symmetric(kron_restricted(w, s), b)
+        assert np.linalg.norm(restricted_product(w, s, x) - b) <= 1e-11 * np.linalg.norm(b)
 
     def test_singular_raises(self):
-        m = np.ones((3, 3))  # rank one
+        # rank one: the direction (1, -1, 0) has zero curvature
+        m = np.ones((3, 3))
         with pytest.raises(SingularSystem):
-            solve_symmetric(m, np.array([1.0, 1.0, 1.0]))
+            solve_symmetric(matrix_operator(m), np.array([1.0, -1.0, 0.0]))
 
-    def test_symmetric_indefinite_falls_back(self):
-        # not PD, still solvable: exercises the LU fallback path
-        m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        x = solve_symmetric(m, np.array([3.0, 4.0]))
-        np.testing.assert_allclose(x, [4.0, 3.0])
+    def test_budget_exhausted_raises(self, rng):
+        # condition number 1e10: in floating point, len(rhs) steps fall short
+        n = 20
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        m = (q * np.logspace(0, 10, n)) @ q.T
+        with pytest.raises(SingularSystem):
+            solve_symmetric(matrix_operator(m), np.ones(n))
+
+    def test_indefinite_raises(self):
+        m = np.array([[1.0, 0.0], [0.0, -1.0]])
+        with pytest.raises(SingularSystem):
+            solve_symmetric(matrix_operator(m), np.array([1.0, 2.0]))
 
 
 def test_symmetrize(rng):
