@@ -35,8 +35,9 @@ class DegenerateSupport(GlassoTuneError):
     """A soft-threshold argument sits on the non-differentiable boundary.
 
     The implicit Jacobian is only defined away from entries with
-    ``|Z_ij| == gamma * Lambda_ij``; this error refuses to silently pick a
-    generalized derivative there.
+    ``|Z_ij| == G_ij * Lambda_ij``, where Z is the fixed-point argument at
+    the per-entry step G; this error refuses to silently pick a generalized
+    derivative there.
     """
 
 

@@ -82,9 +82,16 @@ def support_from_estimate(est: PrecisionEstimate, cov: np.ndarray) -> SupportSet
 
     Returns the entries of theta with magnitude above the solver's support
     tolerance, after checking that the same set is recovered from the
-    fixed-point argument zhat = theta - gamma * (cov - theta^{-1}) compared
-    against its thresholds.  ``cov`` must be the covariance the estimate
-    was solved against.
+    fixed-point argument zhat = theta - G * (cov - W) compared against the
+    thresholds G * Lambda, entrywise, with W = theta^{-1} and the per-entry
+    step G_ij = 1 / (W_ii * W_jj), the inverse of the diagonal of the
+    Hessian W kron W of -logdet.  Any positive per-entry step characterizes
+    the same fixed point, and this one depends on the estimate alone, not
+    on the step the solver ended on.  At the solution the relative margin
+    | |zhat| - G * Lambda | / (G * Lambda) is |theta_ij| W_ii W_jj / Lambda_ij
+    on the support and (Lambda_ij - |W_ij - cov_ij|) / Lambda_ij off it,
+    both unchanged when cov and Lambda are scaled together.  ``cov`` must be
+    the covariance the estimate was solved against.
 
     Raises
     ------
@@ -98,8 +105,10 @@ def support_from_estimate(est: PrecisionEstimate, cov: np.ndarray) -> SupportSet
     cov = symmetrize(np.asarray(cov, dtype=float))
     thr = est.reg.as_matrix(est.dim)
 
-    zhat = theta - est.gamma * (cov - theta_inv)
-    t = est.gamma * thr
+    diag = np.diagonal(theta_inv)
+    step = 1.0 / np.outer(diag, diag)
+    zhat = theta - step * (cov - theta_inv)
+    t = step * thr
     gap = np.abs(np.abs(zhat) - t)
     near = gap < BOUNDARY_TOL * t  # vacuous where the threshold is zero
     if near.any():

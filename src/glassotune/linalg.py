@@ -83,12 +83,28 @@ def logdet(lower: np.ndarray) -> float:
 def spd_inverse(lower: np.ndarray) -> np.ndarray:
     """Inverse of the SPD matrix factored by a lower Cholesky factor.
 
-    Returns a symmetric matrix ``X`` with ``A @ X == I`` up to round-off,
-    where ``A = lower @ lower.T``.
+    Returns an exactly symmetric matrix ``X`` with ``A @ X == I`` up to
+    round-off, where ``A = lower @ lower.T``.  ``lower`` must be zero above
+    its diagonal, as :func:`cholesky` returns it.  LAPACK ``dpotri`` forms
+    one triangle of the inverse from the factor (a third of the flops of
+    solving against the identity), and the other triangle is its mirror.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If the factor has a zero on its diagonal.
     """
-    p = lower.shape[0]
-    inv = scipy.linalg.cho_solve((lower, True), np.eye(p), check_finite=False)
-    return symmetrize(inv)
+    # lower.T is the upper factor of A in Fortran order, so dpotri reads it
+    # without a transposing copy; the strictly lower part of the result is
+    # the zeros of lower.T, so adding the transpose mirrors the upper part.
+    upper, info = scipy.linalg.lapack.dpotri(np.asarray(lower, dtype=float).T, lower=0)
+    if info > 0:
+        raise NotPositiveDefinite(f"singular Cholesky factor: zero pivot {info}")
+    if info < 0:
+        raise ValueError(f"dpotri rejected argument {-info}")
+    inv = upper + upper.T
+    np.fill_diagonal(inv, upper.diagonal())
+    return inv
 
 
 def vec(a: np.ndarray) -> np.ndarray:

@@ -54,10 +54,17 @@ def report(capsys, index, label, ok, detail):
 
 
 def boundary_slack(est, cov):
-    """Smallest relative distance of a fixed-point argument to its threshold."""
+    """Smallest relative distance of a fixed-point argument to its threshold.
+
+    Uses the per-entry step 1 / (W_ii W_jj), W = theta^{-1}, of
+    ``support_from_estimate``, so the screen does not depend on the step
+    the solver stopped at.
+    """
     theta_inv = spd_inverse(cholesky(est.theta))
-    zhat = est.theta - est.gamma * (symmetrize(cov) - theta_inv)
-    t = est.gamma * est.reg.as_matrix(est.dim)
+    diag = np.diagonal(theta_inv)
+    step = 1.0 / np.outer(diag, diag)
+    zhat = est.theta - step * (symmetrize(cov) - theta_inv)
+    t = step * est.reg.as_matrix(est.dim)
     pos = t > 0
     return float(np.min(np.abs(np.abs(zhat[pos]) - t[pos]) / t[pos]))
 

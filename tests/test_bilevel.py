@@ -472,3 +472,42 @@ class TestTrajectoryCsv:
     def test_grid_point_fields(self):
         g = GridPoint(lam=0.2, criterion=1.0, rel_error=0.5, failed=False)
         assert g.lam == 0.2 and not g.failed
+
+
+@pytest.fixture(scope="module")
+def tuned_p20():
+    """Grid and default scalar descent on the p=20 acceptance instance."""
+    truth, data = make_instance(20, 500, seed=3)
+    grid = default_grid(lambda_init(data.cov_train), points=100)
+    best, curve = grid_search(
+        data.cov_train, data.cov_test, grid, theta_true=truth.theta_true
+    )
+    lam_opt, traj = tune_scalar(
+        data.cov_train, data.cov_test, BilevelConfig(), theta_true=truth.theta_true
+    )
+    return best, curve, lam_opt, traj
+
+
+class TestToleranceGoldens:
+    """Tuner outputs at p=20, recorded while the inner step only shrank.
+
+    The grid argmin is a grid point, so it must match exactly; the values
+    at it and the descent's optimum move with the inner solver's iterates
+    within its tolerance, so they are pinned to 1e-6 relative.
+    """
+
+    GRID_ARGMIN = 0.030793386302005992
+    GRID_CRITERION = 6.131968892113399
+    SCALAR_LAMBDA = 0.029962383349850907
+    SCALAR_CRITERION = 6.13166118415182
+
+    def test_grid_argmin(self, tuned_p20):
+        best, curve, _, _ = tuned_p20
+        assert best == self.GRID_ARGMIN
+        (point,) = [g for g in curve if g.lam == best]
+        assert point.criterion == pytest.approx(self.GRID_CRITERION, rel=1e-6)
+
+    def test_scalar_descent(self, tuned_p20):
+        _, _, lam_opt, traj = tuned_p20
+        assert lam_opt == pytest.approx(self.SCALAR_LAMBDA, rel=1e-6)
+        assert traj.final.criterion == pytest.approx(self.SCALAR_CRITERION, rel=1e-6)

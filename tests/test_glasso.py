@@ -17,7 +17,7 @@ from glassotune.glasso import (
 )
 from glassotune.linalg import SupportSet, cholesky, spd_inverse
 
-from conftest import random_spd
+from conftest import make_instance, random_spd
 
 
 def two_by_two_oracle(cov: np.ndarray, lam: float) -> np.ndarray:
@@ -116,8 +116,6 @@ class TestSolverConfig:
             {"max_iter": 0},
             {"tol": 0.0},
             {"gamma_init": 0.0},
-            {"backtrack_factor": 1.0},
-            {"backtrack_factor": 0.0},
             {"support_tol": 0.0},
         ],
     )
@@ -216,11 +214,14 @@ class TestSolveProperties:
         np.testing.assert_allclose(thetas[0], thetas[1], atol=1e-8)
         np.testing.assert_allclose(thetas[0], thetas[2], atol=1e-8)
 
-    def test_step_never_grows(self, rng):
+    def test_step_grows_back(self, rng):
+        # Barzilai-Borwein proposals lift a step far below the curvature
+        # scale instead of creeping along at it.
         cov = random_spd(rng, 4)
-        cfg = SolverConfig(gamma_init=10.0)
+        cfg = SolverConfig(gamma_init=1e-4)
         est = solve(cov, Regularization.scalar(0.1), cfg)
-        assert est.gamma <= cfg.gamma_init
+        assert est.gamma > cfg.gamma_init
+        assert est.iterations < 100
 
     def test_warm_start_at_solution_returns_immediately(self, rng):
         cov = random_spd(rng, 4)
@@ -317,3 +318,26 @@ class TestThetaInv:
     def test_not_a_constructor_field(self):
         names = {f.name for f in dataclasses.fields(PrecisionEstimate)}
         assert "theta_inv" not in names
+
+
+@pytest.fixture(scope="module")
+def cov_p100_seed0():
+    """Training covariance of the CLI's default p=100 data (seed 0)."""
+    return make_instance(100, 2000, seed=0, density=0.05)[1].cov_train
+
+
+class TestSolveP100:
+    @pytest.mark.parametrize("lam", [0.1, 0.018, 0.005])
+    def test_cold_solve_iteration_count(self, cov_p100_seed0, lam):
+        # A step that only ever shrank took 94, 294 and 863 iterations here.
+        est = solve(cov_p100_seed0, Regularization.scalar(lam))
+        assert est.iterations <= 200
+        assert check_optimality(est, cov_p100_seed0) <= 1e-6
+
+    def test_cold_solve_seed81_converges(self):
+        # With a step that only ever shrank, this solve stalled at residual
+        # 9.1e-8 after the whole 10,000-iteration budget.
+        cov = make_instance(100, 2000, seed=81, density=0.05)[1].cov_train
+        est = solve(cov, Regularization.scalar(0.0224751))
+        assert est.fixed_point_residual <= 1e-8
+        assert check_optimality(est, cov) <= 1e-6

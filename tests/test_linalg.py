@@ -125,6 +125,17 @@ class TestSpdInverse:
         x = spd_inverse(cholesky(a))
         np.testing.assert_array_equal(x, x.T)
 
+    def test_p100_symmetric_and_matches_numpy(self, rng):
+        a = random_spd(rng, 100)
+        x = spd_inverse(cholesky(a))
+        np.testing.assert_array_equal(x, x.T)
+        ref = np.linalg.inv(a)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_singular_factor_raises(self):
+        with pytest.raises(NotPositiveDefinite):
+            spd_inverse(np.array([[1.0, 0.0], [1.0, 0.0]]))
+
 
 class TestVec:
     def test_column_major(self):
