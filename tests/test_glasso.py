@@ -116,6 +116,8 @@ class TestSolverConfig:
             {"max_iter": 0},
             {"tol": 0.0},
             {"gamma_init": 0.0},
+            {"tol": float("nan")},
+            {"gamma_init": -1.0},
             {"support_tol": 0.0},
         ],
     )
