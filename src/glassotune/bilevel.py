@@ -99,11 +99,14 @@ class Trajectory:
     """Append-only record of an outer run with its termination status.
 
     ``estimate`` is the solution at the last recorded iteration.
+    ``aborted`` is true when a retried step failed again and the run
+    stopped early; its ``stop_reason`` then starts with "aborted".
     """
 
     scalar: bool
     records: List[TrajectoryRecord] = field(default_factory=list)
     converged: bool = False
+    aborted: bool = False
     stop_reason: str = ""
     estimate: Optional[PrecisionEstimate] = field(default=None, repr=False)
 
@@ -319,6 +322,7 @@ def _descend(
                     _annotate(exc, k)
                     raise
                 if attempt == 1:
+                    traj.aborted = True
                     traj.stop_reason = f"aborted at outer iteration {k}: {exc}"
                     return traj
                 alpha = prev_alpha - 0.5 * rho * prev_galpha

@@ -9,13 +9,16 @@ output directory:
 * ``trajectory.csv``     one row per outer descent iteration
                          (modes scalar, matrix, compare)
 * ``summary.json``       the full config echoed back plus final levels,
-                         criteria, errors, iteration counts, and timings
+                         criteria, errors, iteration counts, abort flags,
+                         and timings
 * ``lambda_opt.csv``, ``theta_true.csv``, ``theta_hat.csv``
                          with ``--emit-matrices``
 * ``error.json``         written instead of summary.json when a numerical
                          failure propagates
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure.
+Exit codes: 0 success, 2 usage error, 3 numerical failure.  A descent that
+aborts early still exits 0: its trajectory up to the abort is valid, and the
+abort shows as ``"aborted": true`` in ``summary.json`` and a stderr line.
 
 Seeds are derived from ``--seed`` as seed (ground truth), seed+1 (samples),
 seed+2 (train/test split), so every artifact is reproducible from the
@@ -231,7 +234,10 @@ def _write_grid_curve(path: Path, curve: List[GridPoint]) -> None:
             )
 
 
-def _trajectory_summary(traj: Trajectory) -> dict:
+def _trajectory_summary(stage: str, traj: Trajectory) -> dict:
+    """Summary fields of one descent stage; an abort also gets a stderr line."""
+    if traj.aborted:
+        print(f"warning: {stage} descent {traj.stop_reason}", file=sys.stderr)
     final = traj.final
     return {
         "criterion": final.criterion,
@@ -239,6 +245,7 @@ def _trajectory_summary(traj: Trajectory) -> dict:
         "outer_iterations": len(traj),
         "inner_iterations_total": int(sum(r.inner_iterations for r in traj.records)),
         "converged": traj.converged,
+        "aborted": traj.aborted,
         "stop_reason": traj.stop_reason,
     }
 
@@ -301,7 +308,7 @@ def run(config: ExperimentConfig) -> int:
                 theta_true=truth.theta_true,
             )
             scalar_summary = {"lambda_opt": lam_opt}
-            scalar_summary.update(_trajectory_summary(straj))
+            scalar_summary.update(_trajectory_summary("scalar", straj))
             scalar_summary["seconds"] = time.perf_counter() - t0
             summary["scalar"] = scalar_summary
             final = (straj.estimate.reg, straj.estimate.theta)
@@ -324,7 +331,7 @@ def run(config: ExperimentConfig) -> int:
                 "lambda_max": float(weights.max()),
                 "lambda_mean": float(weights.mean()),
             }
-            matrix_summary.update(_trajectory_summary(mtraj))
+            matrix_summary.update(_trajectory_summary("matrix", mtraj))
             matrix_summary["seconds"] = time.perf_counter() - t0
             summary["matrix"] = matrix_summary
             final = (mtraj.estimate.reg, mtraj.estimate.theta)

@@ -57,18 +57,27 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     Returns
     -------
     ndarray
-        Lower-triangular factor with strictly positive diagonal.
+        Fortran-ordered lower-triangular factor with strictly positive
+        diagonal and exact zeros above it.
 
     Raises
     ------
     NotPositiveDefinite
-        If a pivot <= 0 is encountered, i.e. ``a`` is not SPD.
+        If a pivot <= 0 is encountered, i.e. ``a`` is not SPD, or if the
+        factor's diagonal is not finite (a NaN or inf in the lower triangle
+        of ``a`` ends up there).
     """
     a = _as_square(a)
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
+    lower, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=1)
+    if info > 0:
+        raise NotPositiveDefinite(
+            f"matrix is not positive definite: leading minor of order {info}"
+        )
+    if info < 0:
+        raise ValueError(f"dpotrf rejected argument {-info}")
+    if not np.isfinite(lower.diagonal()).all():
+        raise NotPositiveDefinite("matrix is not positive definite: non-finite factor")
+    return lower
 
 
 def logdet(lower: np.ndarray) -> float:
@@ -94,16 +103,17 @@ def spd_inverse(lower: np.ndarray) -> np.ndarray:
     NotPositiveDefinite
         If the factor has a zero on its diagonal.
     """
-    # lower.T is the upper factor of A in Fortran order, so dpotri reads it
-    # without a transposing copy; the strictly lower part of the result is
-    # the zeros of lower.T, so adding the transpose mirrors the upper part.
-    upper, info = scipy.linalg.lapack.dpotri(np.asarray(lower, dtype=float).T, lower=0)
+    # dpotri overwrites a Fortran-ordered copy of the factor (the order
+    # cholesky returns, so the copy needs no transpose) with the lower
+    # triangle of the inverse; the strictly upper part keeps the factor's
+    # zeros, so adding the transpose mirrors the lower part.
+    low, info = scipy.linalg.lapack.dpotri(lower, lower=1)
     if info > 0:
         raise NotPositiveDefinite(f"singular Cholesky factor: zero pivot {info}")
     if info < 0:
         raise ValueError(f"dpotri rejected argument {-info}")
-    inv = upper + upper.T
-    np.fill_diagonal(inv, upper.diagonal())
+    inv = low + low.T
+    np.fill_diagonal(inv, low.diagonal())
     return inv
 
 

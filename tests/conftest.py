@@ -5,6 +5,8 @@ import pytest
 import scipy.linalg
 
 import glassotune as gt
+import glassotune.bilevel
+from glassotune.exceptions import DegenerateSupport
 from glassotune.linalg import symmetrize, unvec, vec
 
 
@@ -44,6 +46,24 @@ def naive_weighted_hypergradient(est, support, grad_c) -> np.ndarray:
     flat = np.zeros(p * p)
     flat[idx] = vals
     return unvec(flat, p)
+
+
+def fail_support_check(monkeypatch, failing):
+    """Make the tuners' support check raise on the calls ``failing`` picks.
+
+    ``failing`` takes the 1-based call count; the other calls run the real
+    check.
+    """
+    real = glassotune.bilevel.support_from_estimate
+    calls = {"n": 0}
+
+    def patched(est, cov):
+        calls["n"] += 1
+        if failing(calls["n"]):
+            raise DegenerateSupport("simulated kink")
+        return real(est, cov)
+
+    monkeypatch.setattr(glassotune.bilevel, "support_from_estimate", patched)
 
 
 @pytest.fixture

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import glassotune.bilevel
 from glassotune.bilevel import (
     INIT_BACKOFF,
     BilevelConfig,
@@ -24,25 +23,7 @@ from glassotune.implicit import (
 )
 from glassotune.linalg import spd_inverse, cholesky
 
-from conftest import make_instance
-
-
-def fail_support_check(monkeypatch, failing):
-    """Make the tuners' support check raise on the calls ``failing`` picks.
-
-    ``failing`` takes the 1-based call count; the other calls run the real
-    check.
-    """
-    real = glassotune.bilevel.support_from_estimate
-    calls = {"n": 0}
-
-    def patched(est, cov):
-        calls["n"] += 1
-        if failing(calls["n"]):
-            raise DegenerateSupport("simulated kink")
-        return real(est, cov)
-
-    monkeypatch.setattr(glassotune.bilevel, "support_from_estimate", patched)
+from conftest import fail_support_check, make_instance
 
 
 class TestLambdaInit:
@@ -315,6 +296,7 @@ class TestTuneScalar:
             data.cov_train, data.cov_test, BilevelConfig(max_outer_iter=5)
         )
         assert "aborted" not in traj.stop_reason
+        assert not traj.aborted
         assert len(traj) == 6
 
     def test_repeated_midrun_failure_aborts_with_trajectory(self, monkeypatch):
@@ -324,6 +306,7 @@ class TestTuneScalar:
             data.cov_train, data.cov_test, BilevelConfig(max_outer_iter=5)
         )
         assert traj.stop_reason.startswith("aborted at outer iteration 1")
+        assert traj.aborted
         assert not traj.converged
         assert len(traj) == 1
         assert lam == traj.final.reg.lam
@@ -341,6 +324,7 @@ class TestTuneMatrix:
             data.cov_train, data.cov_test, self._config(data, max_outer_iter=5)
         )
         assert "aborted" not in traj.stop_reason
+        assert not traj.aborted
         assert len(traj) == 6
 
     def test_repeated_midrun_failure_aborts_with_trajectory(self, monkeypatch):
@@ -350,6 +334,7 @@ class TestTuneMatrix:
             data.cov_train, data.cov_test, self._config(data, max_outer_iter=5)
         )
         assert traj.stop_reason.startswith("aborted at outer iteration 1")
+        assert traj.aborted
         assert not traj.converged
         assert len(traj) == 1
         np.testing.assert_array_equal(weights, traj.final.reg.weights)

@@ -9,6 +9,8 @@ import glassotune as gt
 from glassotune.cli import ExperimentConfig, main, parse_config, run
 from glassotune.datagen import load_matrix_csv
 
+from conftest import fail_support_check
+
 
 def small_config(tmp_path, **overrides):
     base = dict(p=6, n=200, density=0.3, seed=1, grid_points=25,
@@ -251,6 +253,28 @@ class TestRunCompare:
         a["config"].pop("output_dir")
         b["config"].pop("output_dir")
         assert without_timings(a) == without_timings(b)
+
+
+class TestAbortedDescent:
+    def test_flagged_in_summary_with_exit_0(self, tmp_path, monkeypatch, capsys):
+        # Every support check after the first fails, so the retried step of
+        # outer iteration 1 fails again and the descent aborts.
+        fail_support_check(monkeypatch, lambda n: n > 1)
+        assert run(small_config(tmp_path, mode="scalar", max_outer_iter=5)) == 0
+        scalar = read_summary(tmp_path)["scalar"]
+        assert scalar["aborted"] is True
+        assert scalar["stop_reason"].startswith("aborted at outer iteration 1")
+        assert scalar["outer_iterations"] == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"warning: scalar descent {scalar['stop_reason']}"]
+
+    def test_clean_run_is_not_flagged(self, tmp_path, capsys):
+        assert run(small_config(tmp_path, mode="matrix", p=4, n=100,
+                                max_outer_iter=3)) == 0
+        summary = read_summary(tmp_path)
+        assert summary["scalar"]["aborted"] is False
+        assert summary["matrix"]["aborted"] is False
+        assert capsys.readouterr().err == ""
 
 
 class TestFailureModes:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import glassotune.glasso
 from glassotune.exceptions import NotConverged, NotPositiveDefinite
 from glassotune.glasso import (
     PrecisionEstimate,
@@ -53,6 +54,30 @@ class TestSoftThreshold:
         z = np.array([2.0, 2.0])
         t = np.array([0.5, 3.0])
         np.testing.assert_array_equal(soft_threshold(z, t), [1.5, 0.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        z=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12),
+        t=st.floats(0.0, 1e6),
+    )
+    def test_scalar_threshold_matches_definition(self, z, t):
+        z = np.array(z)
+        np.testing.assert_array_equal(
+            soft_threshold(z, t), np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1e6)),
+            min_size=1, max_size=12,
+        )
+    )
+    def test_array_thresholds_match_definition(self, pairs):
+        z, t = (np.array(c) for c in zip(*pairs))
+        np.testing.assert_array_equal(
+            soft_threshold(z, t), np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+        )
 
 
 class TestRegularization:
@@ -177,6 +202,82 @@ class TestSolveTwoByTwo:
         est = solve(cov, Regularization.scalar(0.2), SolverConfig(tol=1e-10))
         np.testing.assert_allclose(est.theta, two_by_two_oracle(cov, 0.2), atol=1e-8)
         assert est.theta[0, 1] > 0  # inverse flips the off-diagonal sign
+
+
+class TestSolveExactSymmetry:
+    # No iterate is re-symmetrized, so symmetry must hold bit for bit.
+    def test_scalar_penalty(self, rng):
+        est = solve(random_spd(rng, 12), Regularization.scalar(0.3))
+        np.testing.assert_array_equal(est.theta, est.theta.T)
+
+    def test_weighted_penalty(self, rng):
+        w = rng.uniform(0.05, 0.6, size=(12, 12))
+        est = solve(random_spd(rng, 12), Regularization.matrix(w))
+        np.testing.assert_array_equal(est.theta, est.theta.T)
+
+    @pytest.mark.parametrize("scalar", [True, False], ids=["scalar", "weighted"])
+    def test_from_asymmetric_warm_start(self, rng, scalar):
+        cov = random_spd(rng, 12)
+        reg = (Regularization.scalar(0.3) if scalar
+               else Regularization.matrix(rng.uniform(0.05, 0.6, size=(12, 12))))
+        warm = np.linalg.inv(cov) + 1e-3 * np.triu(rng.standard_normal((12, 12)), 1)
+        assert not np.array_equal(warm, warm.T)
+        est = solve(cov, reg, warm_start=warm)
+        assert est.iterations > 0
+        np.testing.assert_array_equal(est.theta, est.theta.T)
+
+
+class TestSolveCallCounts:
+    def _count(self, monkeypatch, name):
+        real = getattr(glassotune.glasso, name)
+        calls = {"n": 0}
+
+        def counted(*args):
+            calls["n"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(glassotune.glasso, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("gamma_init", [None, 50.0])
+    def test_one_factor_per_candidate_one_inverse_per_step(
+        self, rng, monkeypatch, gamma_init
+    ):
+        # The benchmark reads backtracks as Cholesky calls minus inverses.
+        chol = self._count(monkeypatch, "cholesky")
+        inv = self._count(monkeypatch, "spd_inverse")
+        prox = self._count(monkeypatch, "soft_threshold")
+        est = solve(random_spd(rng, 8), Regularization.scalar(0.2),
+                    SolverConfig(gamma_init=gamma_init))
+        # One factor for the start and one per candidate; the last prox
+        # only measures the residual and is never factored.
+        assert chol["n"] == prox["n"]
+        assert inv["n"] == 1 + est.iterations
+        if gamma_init is not None:  # a huge first step must backtrack
+            assert chol["n"] - inv["n"] > 0
+
+    def test_inverse_comes_back_without_refactoring(self, rng, monkeypatch):
+        est = solve(random_spd(rng, 6), Regularization.scalar(0.2))
+        chol = self._count(monkeypatch, "cholesky")
+        inv = est.theta_inv
+        assert chol["n"] == 0
+        assert not inv.flags.writeable
+
+
+class TestSolveNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_cov_rejected_up_front(self, rng, bad, where):
+        cov = random_spd(rng, 4)
+        cov[where] = cov[where[::-1]] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve(cov, Regularization.scalar(0.1))
+
+    def test_objective_rejects_nan_theta(self):
+        cov = np.eye(2)
+        with pytest.raises(NotPositiveDefinite):
+            objective(np.array([[np.nan, 0.0], [0.0, 1.0]]), cov,
+                      Regularization.scalar(0.1))
 
 
 class TestSolveProperties:

@@ -84,6 +84,28 @@ class TestCholesky:
         assert np.all(np.diag(lower) > 0)
 
 
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[np.nan, 0.0], [0.0, 1.0]],
+            [[1.0, 0.0], [0.0, np.nan]],
+            [[1.0, np.nan], [np.nan, 1.0]],
+            [[np.inf, 0.0], [0.0, 1.0]],
+            [[1.0, np.inf], [np.inf, 1.0]],
+        ],
+        ids=["nan-first-diagonal", "nan-last-diagonal", "nan-off-diagonal",
+             "inf-diagonal", "inf-off-diagonal"],
+    )
+    def test_non_finite_raises(self, a):
+        with pytest.raises(NotPositiveDefinite):
+            cholesky(np.array(a))
+
+    def test_fortran_ordered_with_zero_upper_triangle(self, rng):
+        lower = cholesky(random_spd(rng, 5))
+        assert lower.flags.f_contiguous
+        assert np.all(np.triu(lower, 1) == 0.0)
+
+
 class TestLogdet:
     def test_identity(self):
         assert logdet(cholesky(np.eye(5))) == 0.0
@@ -131,6 +153,19 @@ class TestSpdInverse:
         np.testing.assert_array_equal(x, x.T)
         ref = np.linalg.inv(a)
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_c_and_fortran_ordered_factors_agree(self, rng):
+        lower = cholesky(random_spd(rng, 30))
+        np.testing.assert_array_equal(
+            spd_inverse(np.ascontiguousarray(lower)),
+            spd_inverse(np.asfortranarray(lower)),
+        )
+
+    def test_leaves_the_factor_untouched(self, rng):
+        lower = cholesky(random_spd(rng, 6))
+        before = lower.copy()
+        spd_inverse(lower)
+        np.testing.assert_array_equal(lower, before)
 
     def test_singular_factor_raises(self):
         with pytest.raises(NotPositiveDefinite):
