@@ -206,23 +206,17 @@ class TestSolveTwoByTwo:
 
 class TestSolveExactSymmetry:
     # No iterate is re-symmetrized, so symmetry must hold bit for bit.
-    def test_scalar_penalty(self, rng):
-        est = solve(random_spd(rng, 12), Regularization.scalar(0.3))
-        np.testing.assert_array_equal(est.theta, est.theta.T)
-
-    def test_weighted_penalty(self, rng):
-        w = rng.uniform(0.05, 0.6, size=(12, 12))
-        est = solve(random_spd(rng, 12), Regularization.matrix(w))
-        np.testing.assert_array_equal(est.theta, est.theta.T)
-
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "asymmetric-warm"])
     @pytest.mark.parametrize("scalar", [True, False], ids=["scalar", "weighted"])
-    def test_from_asymmetric_warm_start(self, rng, scalar):
+    def test_theta_is_exactly_symmetric(self, rng, scalar, warm):
         cov = random_spd(rng, 12)
         reg = (Regularization.scalar(0.3) if scalar
                else Regularization.matrix(rng.uniform(0.05, 0.6, size=(12, 12))))
-        warm = np.linalg.inv(cov) + 1e-3 * np.triu(rng.standard_normal((12, 12)), 1)
-        assert not np.array_equal(warm, warm.T)
-        est = solve(cov, reg, warm_start=warm)
+        start = None
+        if warm:
+            start = np.linalg.inv(cov) + 1e-3 * np.triu(rng.standard_normal((12, 12)), 1)
+            assert not np.array_equal(start, start.T)
+        est = solve(cov, reg, warm_start=start)
         assert est.iterations > 0
         np.testing.assert_array_equal(est.theta, est.theta.T)
 
