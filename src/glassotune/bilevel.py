@@ -44,13 +44,13 @@ from .implicit import (
 from .implicit import hypergradient_scalar, jacobian_scalar  # noqa: F401
 from .linalg import symmetrize
 
-# Failures that a halved outer step may walk around; anything else aborts.
-RETRYABLE = (DegenerateSupport, SingularSystem, NotConverged)
+# Failures that end a descent mid-run; on its first iterate they propagate.
+ABORTING = (DegenerateSupport, SingularSystem, NotConverged)
 
 # At exactly lambda_init the largest off-diagonal covariance entry sits on
-# the soft-threshold kink (zero slack), so the solution map has no
-# derivative there.  Descents start this factor above it: same diagonal
-# solution, strictly positive slack.
+# the soft-threshold kink (zero slack), where the derivative is one-sided.
+# Descents start this factor above it: same diagonal solution, strictly
+# positive slack, so the first hypergradient is a two-sided derivative.
 INIT_BACKOFF = 1.0 + 1e-3
 
 
@@ -92,6 +92,7 @@ class TrajectoryRecord:
     inner_iterations: int
     rel_error: Optional[float]
     seconds: float
+    kink_entries: int = 0  # support entries put on the zero branch
 
 
 @dataclass
@@ -99,8 +100,9 @@ class Trajectory:
     """Append-only record of an outer run with its termination status.
 
     ``estimate`` is the solution at the last recorded iteration.
-    ``aborted`` is true when a retried step failed again and the run
-    stopped early; its ``stop_reason`` then starts with "aborted".
+    ``aborted`` is true when a failure after the first iterate stopped the
+    run early (see :func:`tune_scalar`); its ``stop_reason`` then starts
+    with "aborted".
     """
 
     scalar: bool
@@ -192,7 +194,7 @@ def starting_level(cov_train: np.ndarray, policy: str = "offdiag-max") -> float:
 
     :func:`lambda_init` itself is the kink where the worst entry has zero
     slack; one step of INIT_BACKOFF above it the solution is still diagonal
-    but strictly inside the threshold, so the hypergradient exists.
+    but strictly inside the threshold, so the derivative is two-sided.
     """
     return lambda_init(cov_train, policy) * INIT_BACKOFF
 
@@ -297,36 +299,29 @@ def _descend(
     scalar = np.ndim(alpha) == 0
     traj = Trajectory(scalar=scalar)
     warm: Optional[np.ndarray] = None
-    prev_alpha = prev_galpha = None
-    rho = config.step_size
 
     for k in range(config.max_outer_iter + 1):
         t0 = time.perf_counter()
-        for attempt in range(2):
-            try:
-                penalty = np.exp(alpha)
-                reg = (
-                    Regularization.scalar(float(penalty))
-                    if scalar
-                    else Regularization.matrix(penalty)
-                )
-                est = solve(cov_train, reg, config.solver, warm_start=warm)
-                crit = criterion_holdout(est.theta, cov_test)
-                support = support_from_estimate(est, cov_train)
-                values = hypergradient_weighted(est, support, crit.gradient).values
-                # chain rule through the exponential: d/dalpha = penalty * d/dpenalty
-                galpha = penalty * (np.sum(values) if scalar else symmetrize(values))
-                break
-            except RETRYABLE as exc:
-                if prev_galpha is None:
-                    _annotate(exc, k)
-                    raise
-                if attempt == 1:
-                    traj.aborted = True
-                    traj.stop_reason = f"aborted at outer iteration {k}: {exc}"
-                    return traj
-                alpha = prev_alpha - 0.5 * rho * prev_galpha
-
+        penalty = np.exp(alpha)
+        reg = (
+            Regularization.scalar(float(penalty))
+            if scalar
+            else Regularization.matrix(penalty)
+        )
+        try:
+            est = solve(cov_train, reg, config.solver, warm_start=warm)
+            crit = criterion_holdout(est.theta, cov_test)
+            support = support_from_estimate(est, cov_train)
+            values = hypergradient_weighted(est, support, crit.gradient).values
+        except ABORTING as exc:
+            if not traj.records:
+                _annotate(exc, k)
+                raise
+            traj.aborted = True
+            traj.stop_reason = f"aborted at outer iteration {k}: {exc}"
+            return traj
+        # chain rule through the exponential: d/dalpha = penalty * d/dpenalty
+        galpha = penalty * (np.sum(values) if scalar else symmetrize(values))
         seconds = time.perf_counter() - t0
         norm = float(np.max(np.abs(galpha)))
         re_val = (
@@ -341,6 +336,7 @@ def _descend(
                 inner_iterations=est.iterations,
                 rel_error=re_val,
                 seconds=seconds,
+                kink_entries=len(est.support) - len(support),
             )
         )
         traj.estimate = est
@@ -352,8 +348,7 @@ def _descend(
         if k == config.max_outer_iter:
             traj.stop_reason = "outer iteration budget exhausted"
             break
-        prev_alpha, prev_galpha = alpha, galpha
-        alpha = alpha - rho * galpha
+        alpha = alpha - config.step_size * galpha
 
     return traj
 
@@ -373,11 +368,11 @@ def tune_scalar(
     gradient magnitude falls below ``outer_tol`` or the iteration budget
     runs out; the trajectory records which.
 
-    A retryable failure (degenerate support, singular restricted system,
-    inner non-convergence) at the starting point propagates, annotated
-    with the iteration index.  Mid-run, the step that led to the failing
-    point is retried once at half length; a second failure ends the run
-    with the trajectory collected so far.
+    Kinks of the solution map are differentiated by the zero-branch rule
+    of :func:`~glassotune.implicit.support_from_estimate`.  A failure of
+    the inner solve, the adjoint solve or the support check at the
+    starting point propagates, annotated with the iteration index;
+    mid-run it ends the run with the trajectory collected so far.
 
     Returns the last evaluated level and the full trajectory.
     """

@@ -9,8 +9,8 @@ output directory:
 * ``trajectory.csv``     one row per outer descent iteration
                          (modes scalar, matrix, compare)
 * ``summary.json``       the full config echoed back plus final levels,
-                         criteria, errors, iteration counts, abort flags,
-                         and timings
+                         criteria, errors, iteration and kink counts,
+                         abort flags and timings
 * ``lambda_opt.csv``, ``theta_true.csv``, ``theta_hat.csv``
                          with ``--emit-matrices``
 * ``error.json``         written instead of summary.json when a numerical
@@ -244,6 +244,7 @@ def _trajectory_summary(stage: str, traj: Trajectory) -> dict:
         "rel_error": final.rel_error,
         "outer_iterations": len(traj),
         "inner_iterations_total": int(sum(r.inner_iterations for r in traj.records)),
+        "kink_entries": int(sum(r.kink_entries for r in traj.records)),
         "converged": traj.converged,
         "aborted": traj.aborted,
         "stop_reason": traj.stop_reason,

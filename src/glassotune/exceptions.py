@@ -32,12 +32,12 @@ class NotConverged(GlassoTuneError):
 
 
 class DegenerateSupport(GlassoTuneError):
-    """A soft-threshold argument sits on the non-differentiable boundary.
+    """An estimate's support is not the support of its fixed point.
 
-    The implicit Jacobian is only defined away from entries with
-    ``|Z_ij| == G_ij * Lambda_ij``, where Z is the fixed-point argument at
-    the per-entry step G; this error refuses to silently pick a generalized
-    derivative there.
+    Raised when, outside the kink band, the entries of theta above the
+    support tolerance differ from those whose fixed-point argument clears
+    its threshold.  Kinks themselves are not an error: see
+    ``implicit.support_from_estimate`` for the rule applied there.
     """
 
 

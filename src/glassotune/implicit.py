@@ -37,9 +37,9 @@ from .linalg import (
     vec,
 )
 
-# Support entries whose fixed-point argument sits within this relative
-# distance of its threshold are flagged as degenerate: the derivative does
-# not exist there.
+# Entries whose fixed-point argument sits within this relative distance of
+# its threshold count as at a kink; support_from_estimate puts them on the
+# zero branch.
 BOUNDARY_TOL = 1e-6
 
 
@@ -78,10 +78,10 @@ class CriterionValue:
 
 
 def support_from_estimate(est: PrecisionEstimate, cov: np.ndarray) -> SupportSet:
-    """Validated support of a converged estimate.
+    """Support of a converged estimate to differentiate on.
 
-    Returns the entries of theta with magnitude above the solver's support
-    tolerance, after checking that the same set is recovered from the
+    Starts from the entries of theta with magnitude above the solver's
+    support tolerance and checks that the same set is recovered from the
     fixed-point argument zhat = theta - G * (cov - W) compared against the
     thresholds G * Lambda, entrywise, with W = theta^{-1} and the per-entry
     step G_ij = 1 / (W_ii * W_jj), the inverse of the diagonal of the
@@ -93,12 +93,16 @@ def support_from_estimate(est: PrecisionEstimate, cov: np.ndarray) -> SupportSet
     both unchanged when cov and Lambda are scaled together.  ``cov`` must be
     the covariance the estimate was solved against.
 
-    Raises
-    ------
-    DegenerateSupport
-        If any |zhat| entry sits within BOUNDARY_TOL (relative) of its
-        threshold, or if the two support readings disagree.  In either
-        case the solution is at or near a kink where no derivative exists.
+    Kink rule: entries whose margin is below BOUNDARY_TOL sit on a kink of
+    the solution map and go on the zero branch.  They are left out of the
+    returned support, so their derivative is zero: the one-sided derivative
+    along which they stay zero, an element of the conservative (Clarke)
+    Jacobian (Bolte, Le, Pauwels & Vaiter, NeurIPS 2021; Bertrand et al.,
+    JMLR 2022).  With no entry in the band it returns ``est.support`` itself.
+
+    Raises DegenerateSupport if, outside the band, the support of theta
+    disagrees with the fixed-point reading: the estimate is off its fixed
+    point.
     """
     theta = est.theta
     theta_inv = est.theta_inv
@@ -111,21 +115,18 @@ def support_from_estimate(est: PrecisionEstimate, cov: np.ndarray) -> SupportSet
     t = step * thr
     gap = np.abs(np.abs(zhat) - t)
     near = gap < BOUNDARY_TOL * t  # vacuous where the threshold is zero
-    if near.any():
-        k, l = np.argwhere(near)[0]
-        raise DegenerateSupport(
-            f"|zhat| within {BOUNDARY_TOL:g} (relative) of its threshold at "
-            f"entry ({k}, {l}); the solution map is not differentiable here"
-        )
 
     mask_theta = est.support.as_matrix_mask()
     mask_z = np.abs(zhat) > t
-    if not np.array_equal(mask_theta, mask_z):
+    if np.any((mask_theta != mask_z) & ~near):
         raise DegenerateSupport(
             "support read from theta disagrees with the fixed-point "
-            "threshold comparison; estimate is too close to a kink"
+            "threshold comparison outside the kink band; the estimate is "
+            "off its fixed point"
         )
-    return est.support
+    if not near.any():
+        return est.support
+    return SupportSet.from_matrix_mask(mask_theta & ~near)
 
 
 def _restricted_kron(est: PrecisionEstimate, support: SupportSet) -> Operator:

@@ -60,7 +60,7 @@ def fail_support_check(monkeypatch, failing):
     def patched(est, cov):
         calls["n"] += 1
         if failing(calls["n"]):
-            raise DegenerateSupport("simulated kink")
+            raise DegenerateSupport("simulated failure")
         return real(est, cov)
 
     monkeypatch.setattr(glassotune.bilevel, "support_from_estimate", patched)

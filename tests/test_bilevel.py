@@ -281,23 +281,24 @@ class TestTuneScalar:
                 BilevelConfig(init=Regularization.scalar(0.0)),
             )
 
-    def test_failure_at_start_propagates_annotated(self):
-        # Exactly lambda_init is the kink: the support check fails on the
-        # very first iterate, where there is no previous step to back off to.
+    def test_failure_at_start_propagates_annotated(self, monkeypatch):
+        # A failure on the very first iterate leaves no trajectory to return.
         _, data = make_instance(5, 400, seed=3)
-        cfg = BilevelConfig(init=Regularization.scalar(lambda_init(data.cov_train)))
+        fail_support_check(monkeypatch, lambda n: n == 1)
         with pytest.raises(DegenerateSupport, match="outer iteration 0"):
-            tune_scalar(data.cov_train, data.cov_test, cfg)
+            tune_scalar(data.cov_train, data.cov_test, BilevelConfig())
 
-    def test_single_midrun_failure_is_retried(self, monkeypatch):
-        _, data = make_instance(5, 400, seed=3)
-        fail_support_check(monkeypatch, lambda n: n == 2)
-        _, traj = tune_scalar(
-            data.cov_train, data.cov_test, BilevelConfig(max_outer_iter=5)
+    def test_kink_entries_count_the_zero_branch(self):
+        # Just below lambda_init one off-diagonal pair is on the support,
+        # far inside the kink band; the rule takes both entries off it.
+        _, data = make_instance(4, 100, seed=2)
+        cfg = BilevelConfig(
+            init=Regularization.scalar(lambda_init(data.cov_train) - 1e-8),
+            max_outer_iter=1,
+            solver=SolverConfig(tol=1e-11),
         )
-        assert "aborted" not in traj.stop_reason
-        assert not traj.aborted
-        assert len(traj) == 6
+        _, traj = tune_scalar(data.cov_train, data.cov_test, cfg)
+        assert traj.records[0].kink_entries == 2
 
     def test_repeated_midrun_failure_aborts_with_trajectory(self, monkeypatch):
         _, data = make_instance(5, 400, seed=3)
@@ -317,16 +318,6 @@ class TestTuneMatrix:
         lam = 0.3 * lambda_init(data.cov_train)
         return BilevelConfig(init=Regularization.scalar(lam), **kwargs)
 
-    def test_single_midrun_failure_is_retried(self, monkeypatch):
-        _, data = make_instance(4, 200, seed=0)
-        fail_support_check(monkeypatch, lambda n: n == 2)
-        _, traj = tune_matrix(
-            data.cov_train, data.cov_test, self._config(data, max_outer_iter=5)
-        )
-        assert "aborted" not in traj.stop_reason
-        assert not traj.aborted
-        assert len(traj) == 6
-
     def test_repeated_midrun_failure_aborts_with_trajectory(self, monkeypatch):
         _, data = make_instance(4, 200, seed=0)
         fail_support_check(monkeypatch, lambda n: n > 1)
@@ -339,6 +330,17 @@ class TestTuneMatrix:
         assert len(traj) == 1
         np.testing.assert_array_equal(weights, traj.final.reg.weights)
         assert traj.estimate.reg is traj.final.reg
+
+    def test_kink_no_longer_aborts_cli_p20_seed0(self):
+        # The CLI's p=20 seed-0 data: the matrix stage used to stop at a
+        # kink at outer iteration 140; the zero-branch rule runs it through
+        # its whole budget, and the fixed step keeps the criterion falling.
+        _, data = make_instance(20, 500, seed=0, density=0.05)
+        _, traj = tune_matrix(data.cov_train, data.cov_test)
+        assert not traj.aborted
+        assert traj.stop_reason == "outer iteration budget exhausted"
+        assert len(traj) == BilevelConfig().max_outer_iter + 1
+        assert np.all(np.diff(traj.criterion_values()) <= 0.0)
 
     def test_stationary_at_matched_holdout(self):
         # If the hold-out covariance is exactly the inverse of the solution,

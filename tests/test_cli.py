@@ -257,8 +257,8 @@ class TestRunCompare:
 
 class TestAbortedDescent:
     def test_flagged_in_summary_with_exit_0(self, tmp_path, monkeypatch, capsys):
-        # Every support check after the first fails, so the retried step of
-        # outer iteration 1 fails again and the descent aborts.
+        # Every support check after the first fails, so the descent aborts
+        # at outer iteration 1.
         fail_support_check(monkeypatch, lambda n: n > 1)
         assert run(small_config(tmp_path, mode="scalar", max_outer_iter=5)) == 0
         scalar = read_summary(tmp_path)["scalar"]
@@ -274,6 +274,8 @@ class TestAbortedDescent:
         summary = read_summary(tmp_path)
         assert summary["scalar"]["aborted"] is False
         assert summary["matrix"]["aborted"] is False
+        assert summary["scalar"]["kink_entries"] == 0
+        assert summary["matrix"]["kink_entries"] == 0
         assert capsys.readouterr().err == ""
 
 

@@ -68,13 +68,40 @@ class TestSupportFromEstimate:
     def test_kink_at_smallest_all_zero_penalty(self):
         # At lam equal to the largest off-diagonal covariance entry the
         # solution is diagonal and that entry's fixed-point argument lands
-        # exactly on its threshold: no derivative exists there.
+        # exactly on its threshold.  Above lam0 the entry stays zero, below
+        # it the entry enters the support, so the one-sided derivatives
+        # differ.  The zero branch is the right-sided one: the diagonal
+        # closed form d theta_ii / d lam = -theta_ii^2.
         _, data = make_instance(4, 100, seed=2)
         off = np.abs(data.cov_train - np.diag(np.diagonal(data.cov_train)))
         lam0 = float(np.max(off))
         est = solve(data.cov_train, Regularization.scalar(lam0), TIGHT)
-        with pytest.raises(DegenerateSupport):
-            support_from_estimate(est, data.cov_train)
+        support = support_from_estimate(est, data.cov_train)
+        mask = support.as_matrix_mask()
+        np.testing.assert_array_equal(mask, np.eye(4, dtype=bool))
+        np.testing.assert_array_equal(mask, mask.T)
+        assert np.all(est.support.as_matrix_mask()[mask])
+
+        jac = jacobian_scalar(est, support).values
+        np.testing.assert_allclose(jac, np.diag(-np.diagonal(est.theta) ** 2), atol=1e-12)
+        h = 1e-5
+        right = solve(data.cov_train, Regularization.scalar(lam0 + h), TIGHT)
+        left = solve(data.cov_train, Regularization.scalar(lam0 - h), TIGHT)
+        fd_right = (right.theta - est.theta) / h
+        fd_left = (est.theta - left.theta) / h
+        np.testing.assert_allclose(jac, fd_right, rtol=1e-3, atol=1e-7)
+        assert np.max(np.abs(fd_left - jac)) > 0.1 * np.max(np.abs(jac))
+
+    def test_band_entry_on_support_goes_on_zero_branch(self):
+        # Just below lam0 the kink entry is on theta's support, with a
+        # margin far inside BOUNDARY_TOL; the rule drops it and its mirror.
+        _, data = make_instance(4, 100, seed=2)
+        off = np.abs(data.cov_train - np.diag(np.diagonal(data.cov_train)))
+        lam0 = float(np.max(off))
+        est = solve(data.cov_train, Regularization.scalar(lam0 - 1e-8), TIGHT)
+        assert len(est.support) == 6
+        support = support_from_estimate(est, data.cov_train)
+        np.testing.assert_array_equal(support.as_matrix_mask(), np.eye(4, dtype=bool))
 
     def test_small_backoff_clears_the_kink(self):
         _, data = make_instance(4, 100, seed=2)

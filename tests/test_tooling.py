@@ -1,5 +1,6 @@
-"""The benchmark tracer wraps package functions by name; keep those names."""
+"""The benchmark wraps and calls package functions by name; keep those names."""
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -7,6 +8,24 @@ from pathlib import Path
 import pytest
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+# What perfbench/run.py's output check reads from the package to verify a
+# run's exported estimate.
+OUTPUT_CHECK_NAMES = [
+    ("glassotune", "make_sparse_spd"),
+    ("glassotune", "sample_gaussian"),
+    ("glassotune", "split_samples"),
+    ("glassotune", "Regularization.scalar"),
+    ("glassotune", "Regularization.matrix"),
+    ("glassotune", "SupportSet.from_matrix_mask"),
+    ("glassotune", "SolverConfig"),
+    ("glassotune", "PrecisionEstimate"),
+    ("glassotune", "check_optimality"),
+    ("glassotune", "criterion_holdout"),
+    ("glassotune.datagen", "load_matrix_csv"),
+    ("glassotune.linalg", "cholesky"),
+    ("glassotune.linalg", "logdet"),
+]
 
 
 def load_tracer():
@@ -19,3 +38,21 @@ def load_tracer():
 @pytest.mark.parametrize("module, attr, span", load_tracer().TARGETS)
 def test_tracer_target_resolves(module, attr, span):
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+@pytest.mark.parametrize("module, path", OUTPUT_CHECK_NAMES)
+def test_output_check_name_resolves(module, path):
+    obj = importlib.import_module(module)
+    for attr in path.split("."):
+        obj = getattr(obj, attr)
+    assert callable(obj)
+
+
+def test_output_check_fields_exist():
+    import glassotune as gt
+
+    assert issubclass(gt.GlassoTuneError, Exception)
+    assert gt.SolverConfig().support_tol > 0.0
+    fields = {f.name for f in dataclasses.fields(gt.PrecisionEstimate)}
+    assert {"theta", "reg", "gamma", "support", "fixed_point_residual",
+            "iterations"} <= fields
