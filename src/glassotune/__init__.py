@@ -40,7 +40,6 @@ from .glasso import (
     Regularization,
     SolverConfig,
     check_optimality,
-    objective,
     soft_threshold,
     solve,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "jacobian_scalar",
     "lambda_init",
     "make_sparse_spd",
-    "objective",
     "relative_error",
     "sample_gaussian",
     "soft_threshold",

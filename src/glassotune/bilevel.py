@@ -53,32 +53,35 @@ ABORTING = (DegenerateSupport, SingularSystem, NotConverged)
 # positive slack, so the first hypergradient is a two-sided derivative.
 INIT_BACKOFF = 1.0 + 1e-3
 
+# A descent counts as converged once its hypergradient in alpha is at most
+# OUTER_TOL: in absolute value for a level, in sup-norm for a weight matrix.
+OUTER_TOL = 1e-6
+
+# default_grid spans [lam_init * GRID_SPAN, lam_init].
+GRID_SPAN = 1e-3
+
 
 @dataclass(frozen=True)
 class BilevelConfig:
     """Outer-loop budget and step size.
 
-    ``outer_tol`` bounds the hypergradient in alpha (absolute value for the
-    scalar tuner, sup-norm for the matrix tuner) below which the run counts
-    as converged.  ``init`` is a Regularization holding strictly positive
-    starting levels (zeros allowed in the matrix case and stay pinned);
-    None picks :func:`starting_level` for the scalar tuner, and the scalar
-    optimum for the matrix tuner.
+    ``step_size`` must be finite and positive.  ``init`` is a
+    Regularization holding strictly positive starting levels (zeros
+    allowed in the matrix case and stay pinned); None picks
+    :func:`starting_level` for the scalar tuner, and the scalar optimum
+    for the matrix tuner.
     """
 
     step_size: float = 0.1
     max_outer_iter: int = 200
-    outer_tol: float = 1e-6
     init: Optional[Regularization] = None
     solver: SolverConfig = SolverConfig()
 
     def __post_init__(self):
-        if not self.step_size > 0.0:
-            raise ValueError("step_size must be > 0")
+        if not 0.0 < self.step_size < np.inf:
+            raise ValueError("step_size must be finite and > 0")
         if self.max_outer_iter < 1:
             raise ValueError("max_outer_iter must be >= 1")
-        if self.outer_tol < 0.0:
-            raise ValueError("outer_tol must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -118,9 +121,6 @@ class Trajectory:
     @property
     def final(self) -> TrajectoryRecord:
         return self.records[-1]
-
-    def criterion_values(self) -> np.ndarray:
-        return np.array([r.criterion for r in self.records])
 
     def to_csv(self, path) -> None:
         """One row per outer iteration.
@@ -199,15 +199,13 @@ def starting_level(cov_train: np.ndarray, policy: str = "offdiag-max") -> float:
     return lambda_init(cov_train, policy) * INIT_BACKOFF
 
 
-def default_grid(lam_init: float, points: int = 100, span: float = 1e-3) -> np.ndarray:
-    """Log-spaced grid over [lam_init * span, lam_init]."""
+def default_grid(lam_init: float, points: int = 100) -> np.ndarray:
+    """Log-spaced grid over [lam_init * GRID_SPAN, lam_init]."""
     if points < 1:
         raise ValueError("points must be >= 1")
-    if not 0.0 < span <= 1.0:
-        raise ValueError("span must lie in (0, 1]")
     if points == 1:
         return np.array([float(lam_init)])
-    return np.geomspace(lam_init * span, lam_init, points)
+    return np.geomspace(lam_init * GRID_SPAN, lam_init, points)
 
 
 @dataclass(frozen=True)
@@ -341,7 +339,7 @@ def _descend(
         )
         traj.estimate = est
         warm = est.theta
-        if norm <= config.outer_tol:
+        if norm <= OUTER_TOL:
             traj.converged = True
             traj.stop_reason = "hypergradient below tolerance"
             break
@@ -365,8 +363,8 @@ def tune_scalar(
     then repeats: solve the training problem (warm-started from the
     previous solution), compute the criterion and its hypergradient,
     update alpha = log(lam) by one fixed step.  Stops when the alpha-space
-    gradient magnitude falls below ``outer_tol`` or the iteration budget
-    runs out; the trajectory records which.
+    gradient magnitude is at most OUTER_TOL or the iteration budget runs
+    out; the trajectory records which.
 
     Kinks of the solution map are differentiated by the zero-branch rule
     of :func:`~glassotune.implicit.support_from_estimate`.  A failure of

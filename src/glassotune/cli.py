@@ -90,16 +90,18 @@ class ExperimentConfig:
             raise ValueError("p must be >= 2")
         if self.n < 2:
             raise ValueError("n must be >= 2")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 < self.density <= 1.0:
             raise ValueError("density must lie in (0, 1]")
         if not 0.0 < self.split_ratio < 1.0:
             raise ValueError("split-ratio must lie strictly between 0 and 1")
-        if not self.rho > 0.0:
-            raise ValueError("rho must be > 0")
+        if not 0.0 < self.rho < np.inf:
+            raise ValueError("rho must be finite and > 0")
         if self.max_outer_iter < 1:
             raise ValueError("max-outer-iter must be >= 1")
-        if not self.inner_tol > 0.0:
-            raise ValueError("inner-tol must be > 0")
+        if not 0.0 < self.inner_tol < np.inf:
+            raise ValueError("inner-tol must be finite and > 0")
         if self.grid_points < 1:
             raise ValueError("grid-points must be >= 1")
         if self.lambda_init_policy not in INIT_POLICIES:
@@ -118,11 +120,6 @@ class ExperimentConfig:
             init=init,
             solver=self.solver_config(),
         )
-
-
-_INT_FIELDS = {"p", "n", "seed", "max_outer_iter", "grid_points"}
-_FLOAT_FIELDS = {"density", "split_ratio", "rho", "inner_tol"}
-_BOOL_FIELDS = {"emit_matrices"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -171,10 +168,9 @@ def _parse_bool(text: str) -> bool:
 
 
 def _read_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
-    # keys match flag names with dashes/underscores ignored, case-insensitive
-    canonical = {
-        f.name.replace("_", ""): f.name for f in fields(ExperimentConfig)
-    }
+    # keys match flag names with dashes/underscores ignored, case-insensitive;
+    # values take the type of the field's default
+    canonical = {f.name.replace("_", ""): f for f in fields(ExperimentConfig)}
     values = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -190,19 +186,12 @@ def _read_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
         normalized = key.strip().lower().replace("-", "").replace("_", "")
         if normalized not in canonical:
             parser.error(f"{path}:{lineno}: unknown config key {key.strip()!r}")
-        name = canonical[normalized]
-        value = value.strip()
+        field = canonical[normalized]
+        convert = _parse_bool if type(field.default) is bool else type(field.default)
         try:
-            if name in _INT_FIELDS:
-                values[name] = int(value)
-            elif name in _FLOAT_FIELDS:
-                values[name] = float(value)
-            elif name in _BOOL_FIELDS:
-                values[name] = _parse_bool(value)
-            else:
-                values[name] = value
+            values[field.name] = convert(value.strip())
         except ValueError as exc:
-            parser.error(f"{path}:{lineno}: bad value for {name}: {exc}")
+            parser.error(f"{path}:{lineno}: bad value for {field.name}: {exc}")
     return values
 
 

@@ -2,9 +2,13 @@
 
 Randomness policy: every operation takes an integer seed and builds its own
 PCG64-backed generator, and normal variates are produced by the Box-Muller
-transform on that uniform stream.  Outputs are therefore reproducible
-bit for bit across platforms for a given seed.  The model is zero-mean
-throughout; no covariance computation centers the data.
+transform on that uniform stream.  The uniform draws, and with them the
+support pattern and the split indices, are the same on every platform for
+a given seed.  The normal variates, the matrix products, the triangular
+solve and the covariances go through math-library and BLAS/LAPACK
+kernels, so their floats are bit for bit the same only on one
+numpy/scipy/BLAS build and agree to round-off across builds.  The model
+is zero-mean throughout; no covariance computation centers the data.
 """
 
 from __future__ import annotations
@@ -184,11 +188,8 @@ def split_samples(samples: np.ndarray, ratio: float, seed: int) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# CSV layouts.  Matrices: p rows of p comma-separated values.  Samples: a
-# "p,n" header row, then one sample per row.  All floats use "%.17g", which
-# round-trips doubles exactly.  A Dataset serializes as its sample block;
-# the partition is reconstructed by re-running split_samples with the same
-# ratio and seed.
+# CSV layout: p rows of p comma-separated values.  All floats use "%.17g",
+# which round-trips doubles exactly.
 # ---------------------------------------------------------------------------
 
 FLOAT_FORMAT = "%.17g"
@@ -209,25 +210,3 @@ def load_matrix_csv(path) -> np.ndarray:
         a = a.reshape(1, -1) if a.size > 1 else a.reshape(1, 1)
     return a
 
-
-def save_samples_csv(samples: np.ndarray, path) -> None:
-    """Write samples with a ``p,n`` header row, then one sample per row."""
-    x = np.asarray(samples, dtype=float)
-    n, p = x.shape
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{p},{n}\n")
-        for row in x:
-            fh.write(",".join(FLOAT_FORMAT % v for v in row) + "\n")
-
-
-def load_samples_csv(path) -> np.ndarray:
-    """Read samples written by :func:`save_samples_csv`, validating shape."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split(",")
-        if len(header) != 2:
-            raise ValueError("expected a 'p,n' header row")
-        p, n = int(header[0]), int(header[1])
-        x = np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2)
-    if x.shape != (n, p):
-        raise ValueError(f"sample block has shape {x.shape}, header says ({n}, {p})")
-    return x

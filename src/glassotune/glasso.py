@@ -35,6 +35,9 @@ import numpy as np
 from .exceptions import NotConverged, NotPositiveDefinite
 from .linalg import SupportSet, cholesky, logdet, spd_inverse, symmetrize
 
+# Accepted proximal steps before solve gives up with NotConverged.
+MAX_ITER = 10000
+
 # Backtracking shrinks the step by BACKTRACK_FACTOR after each rejected
 # candidate and gives up after MAX_BACKTRACKS candidates; the step has then
 # shrunk by 2**59, so a failure signals pathological input.
@@ -89,11 +92,6 @@ class Regularization:
     def is_scalar(self) -> bool:
         return self.lam is not None
 
-    @property
-    def dim(self) -> Optional[int]:
-        """Dimension pinned by a weight matrix, None for the scalar form."""
-        return None if self.weights is None else self.weights.shape[0]
-
     def as_matrix(self, p: int) -> np.ndarray:
         """Materialize the p x p threshold matrix."""
         if self.is_scalar:
@@ -107,30 +105,21 @@ class Regularization:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget and tolerances for :func:`solve`.
+    """Tolerances for :func:`solve`.
 
     ``tol`` bounds the sup-norm fixed-point residual at termination.
-    ``gamma_init`` is the first prox step; None picks 1 over the largest
-    row 2-norm of S, an upper proxy for 1/||S||_2.  Later steps are
-    Barzilai-Borwein proposals corrected by backtracking.
     ``support_tol`` is the magnitude below which an entry of the solution
-    counts as zero.
+    counts as zero.  Both must be finite and positive.
     """
 
-    max_iter: int = 10000
     tol: float = 1e-8
-    gamma_init: Optional[float] = None
     support_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be > 0")
-        if self.gamma_init is not None and not self.gamma_init > 0.0:
-            raise ValueError("gamma_init must be > 0")
-        if not self.support_tol > 0.0:
-            raise ValueError("support_tol must be > 0")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and > 0")
+        if not 0.0 < self.support_tol < np.inf:
+            raise ValueError("support_tol must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -177,20 +166,10 @@ def soft_threshold(z: np.ndarray, thresholds: float | np.ndarray) -> np.ndarray:
     return z - np.minimum(np.maximum(z, -thresholds), thresholds)
 
 
-def objective(theta: np.ndarray, cov: np.ndarray, reg: Regularization) -> float:
-    """Penalized objective -logdet(theta) + <cov, theta> + sum T|theta|.
-
-    Raises NotPositiveDefinite when theta is not SPD.
-    """
-    theta = np.asarray(theta, dtype=float)
-    lower = cholesky(theta)
-    thr = reg.as_matrix(theta.shape[0])
-    return float(
-        -logdet(lower) + np.sum(cov * theta) + np.sum(thr * np.abs(theta))
-    )
-
-
 def _default_gamma(cov: np.ndarray) -> float:
+    # First prox step: 1 over the largest row 2-norm of S, an upper proxy
+    # for 1/||S||_2.  Later steps are Barzilai-Borwein proposals corrected
+    # by backtracking.
     largest_row = float(np.max(np.sum(cov * cov, axis=1)))
     if largest_row <= 0.0:
         return 1.0
@@ -221,8 +200,7 @@ def solve(
     reg : Regularization
         Penalty level or weight matrix.
     config : SolverConfig, optional
-        Budget and tolerances; defaults are suitable for p up to a few
-        hundred.
+        Tolerances; defaults are suitable for p up to a few hundred.
     warm_start : ndarray, optional
         SPD starting point, e.g. the solution at a nearby penalty.  When
         omitted the diagonal stationary point 1 / (S_ii + T_ii) is used.
@@ -234,7 +212,7 @@ def solve(
     Raises
     ------
     NotConverged
-        After max_iter accepted steps with the residual still above tol.
+        After MAX_ITER accepted steps with the residual still above tol.
         Carries the iteration count and last residual.
     NotPositiveDefinite
         If the penalty is identically zero and cov is singular (the
@@ -283,9 +261,9 @@ def solve(
     theta_inv = spd_inverse(lower)
     f_theta = -logdet(lower) + float(np.vdot(cov, theta))
 
-    gamma = config.gamma_init if config.gamma_init is not None else _default_gamma(cov)
+    gamma = _default_gamma(cov)
 
-    for it in range(config.max_iter + 1):
+    for it in range(MAX_ITER + 1):
         grad = cov - theta_inv
         # The prox at the proposed step is both the residual's target and
         # the first candidate of the backtracking search.
@@ -294,7 +272,7 @@ def solve(
         residual = float(np.max(np.abs(delta)))
         if residual <= config.tol * min(1.0, gamma):
             return _finalize(theta, theta_inv, reg, gamma, residual, it, config)
-        if it == config.max_iter:
+        if it == MAX_ITER:
             raise NotConverged(
                 f"no fixed point after {it} iterations, residual {residual:.3e}",
                 iterations=it,

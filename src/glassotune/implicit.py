@@ -51,7 +51,6 @@ class ScalarJacobian:
     support the Jacobian was built on.
     """
 
-    dim: int
     values: np.ndarray = field(repr=False)
 
 
@@ -64,7 +63,6 @@ class WeightedHypergradient:
     support coordinate) for diagnostics.
     """
 
-    dim: int
     values: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
 
@@ -151,7 +149,7 @@ def jacobian_scalar(est: PrecisionEstimate, support: SupportSet) -> ScalarJacobi
     y = solve_symmetric(k, -sign_s)
     flat = np.zeros(p * p)
     flat[support.indices] = y
-    return ScalarJacobian(dim=p, values=unvec(flat, p))
+    return ScalarJacobian(values=unvec(flat, p))
 
 
 def hypergradient_scalar(jac: ScalarJacobian, grad_c: np.ndarray) -> float:
@@ -190,7 +188,7 @@ def hypergradient_weighted(
     y = solve_symmetric(k, vec(grad_c)[idx])
     flat = np.zeros(p * p)
     flat[idx] = -sign_s * y
-    return WeightedHypergradient(dim=p, values=unvec(flat, p), y=y)
+    return WeightedHypergradient(values=unvec(flat, p), y=y)
 
 
 def criterion_holdout(theta: np.ndarray, cov_test: np.ndarray) -> CriterionValue:

@@ -119,6 +119,15 @@ class TestParseConfig:
             parse_config(["--p", "1"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--rho", "inf"), ("--inner-tol", "inf"), ("--seed", "-1")],
+    )
+    def test_non_finite_or_negative_setting_is_usage_error(self, flag, value):
+        with pytest.raises(SystemExit) as info:
+            parse_config([flag, value])
+        assert info.value.code == 2
+
     def test_unknown_mode_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
             parse_config(["--mode", "bogus"])

@@ -8,11 +8,9 @@ from glassotune.datagen import (
     GroundTruth,
     empirical_covariance,
     load_matrix_csv,
-    load_samples_csv,
     make_sparse_spd,
     sample_gaussian,
     save_matrix_csv,
-    save_samples_csv,
     sparse_cholesky_factor,
     split_samples,
 )
@@ -215,36 +213,6 @@ class TestCsvRoundTrip:
         b = load_matrix_csv(path)
         assert b.shape == (1, 1)
         assert b[0, 0] == 0.3
-
-    def test_samples_exact(self, tmp_path):
-        x = np.random.default_rng(1).normal(size=(6, 4))
-        path = tmp_path / "x.csv"
-        save_samples_csv(x, path)
-        np.testing.assert_array_equal(load_samples_csv(path), x)
-
-    def test_samples_header(self, tmp_path):
-        x = np.zeros((3, 2))
-        path = tmp_path / "x.csv"
-        save_samples_csv(x, path)
-        assert path.read_text().splitlines()[0] == "2,3"
-
-    def test_samples_single_row(self, tmp_path):
-        x = np.array([[1.5, -2.5, 0.25]])
-        path = tmp_path / "one.csv"
-        save_samples_csv(x, path)
-        np.testing.assert_array_equal(load_samples_csv(path), x)
-
-    def test_samples_bad_header_raises(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("3\n1.0,2.0,3.0\n")
-        with pytest.raises(ValueError):
-            load_samples_csv(path)
-
-    def test_samples_shape_mismatch_raises(self, tmp_path):
-        path = tmp_path / "short.csv"
-        path.write_text("2,3\n1.0,2.0\n3.0,4.0\n")
-        with pytest.raises(ValueError):
-            load_samples_csv(path)
 
 
 class TestGoldenValues:

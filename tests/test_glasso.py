@@ -12,7 +12,6 @@ from glassotune.glasso import (
     Regularization,
     SolverConfig,
     check_optimality,
-    objective,
     soft_threshold,
     solve,
 )
@@ -124,41 +123,29 @@ class TestRegularization:
 
     def test_flags(self):
         assert Regularization.scalar(0.1).is_scalar
-        assert Regularization.scalar(0.1).dim is None
         assert not Regularization.matrix(np.ones((3, 3))).is_scalar
-        assert Regularization.matrix(np.ones((3, 3))).dim == 3
 
 
 class TestSolverConfig:
     def test_defaults_valid(self):
         cfg = SolverConfig()
-        assert cfg.max_iter == 10000
-        assert cfg.gamma_init is None
+        assert (cfg.tol, cfg.support_tol) == (1e-8, 1e-10)
+        assert glassotune.glasso.MAX_ITER == 10000
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"max_iter": 0},
+            {"tol": float("inf")},
             {"tol": 0.0},
-            {"gamma_init": 0.0},
+            {"support_tol": float("inf")},
             {"tol": float("nan")},
-            {"gamma_init": -1.0},
+            {"support_tol": float("nan")},
             {"support_tol": 0.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
-
-
-class TestObjective:
-    def test_hand_computed(self):
-        val = objective(np.eye(2), np.eye(2), Regularization.scalar(0.5))
-        assert val == pytest.approx(3.0)  # 0 + 2 + 0.5 * 2
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            objective(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2), Regularization.scalar(0.1))
 
 
 class TestSolveDiagonal:
@@ -233,21 +220,22 @@ class TestSolveCallCounts:
         monkeypatch.setattr(glassotune.glasso, name, counted)
         return calls
 
-    @pytest.mark.parametrize("gamma_init", [None, 50.0])
+    @pytest.mark.parametrize("first_step", [None, 50.0])
     def test_one_factor_per_candidate_one_inverse_per_step(
-        self, rng, monkeypatch, gamma_init
+        self, rng, monkeypatch, first_step
     ):
         # The benchmark reads backtracks as Cholesky calls minus inverses.
         chol = self._count(monkeypatch, "cholesky")
         inv = self._count(monkeypatch, "spd_inverse")
         prox = self._count(monkeypatch, "soft_threshold")
-        est = solve(random_spd(rng, 8), Regularization.scalar(0.2),
-                    SolverConfig(gamma_init=gamma_init))
+        if first_step is not None:
+            monkeypatch.setattr(glassotune.glasso, "_default_gamma", lambda cov: first_step)
+        est = solve(random_spd(rng, 8), Regularization.scalar(0.2))
         # One factor for the start and one per candidate; the last prox
         # only measures the residual and is never factored.
         assert chol["n"] == prox["n"]
         assert inv["n"] == 1 + est.iterations
-        if gamma_init is not None:  # a huge first step must backtrack
+        if first_step is not None:  # a huge first step must backtrack
             assert chol["n"] - inv["n"] > 0
 
     def test_inverse_comes_back_without_refactoring(self, rng, monkeypatch):
@@ -266,12 +254,6 @@ class TestSolveNonFinite:
         cov[where] = cov[where[::-1]] = bad
         with pytest.raises(ValueError, match="finite"):
             solve(cov, Regularization.scalar(0.1))
-
-    def test_objective_rejects_nan_theta(self):
-        cov = np.eye(2)
-        with pytest.raises(NotPositiveDefinite):
-            objective(np.array([[np.nan, 0.0], [0.0, 1.0]]), cov,
-                      Regularization.scalar(0.1))
 
 
 class TestSolveProperties:
@@ -298,26 +280,24 @@ class TestSolveProperties:
         b = solve(cov, Regularization.matrix(np.full((4, 4), 0.2)))
         np.testing.assert_array_equal(a.theta, b.theta)
 
-    def test_step_size_does_not_change_solution(self, rng):
+    def test_step_size_does_not_change_solution(self, rng, monkeypatch):
         cov = random_spd(rng, 4)
-        thetas = [
-            solve(
-                cov,
-                Regularization.scalar(0.15),
-                SolverConfig(tol=1e-10, gamma_init=g),
-            ).theta
-            for g in (0.05, 0.5, 5.0)
-        ]
+        thetas = []
+        for g in (0.05, 0.5, 5.0):
+            monkeypatch.setattr(glassotune.glasso, "_default_gamma", lambda cov: g)
+            thetas.append(
+                solve(cov, Regularization.scalar(0.15), SolverConfig(tol=1e-10)).theta
+            )
         np.testing.assert_allclose(thetas[0], thetas[1], atol=1e-8)
         np.testing.assert_allclose(thetas[0], thetas[2], atol=1e-8)
 
-    def test_step_grows_back(self, rng):
+    def test_step_grows_back(self, rng, monkeypatch):
         # Barzilai-Borwein proposals lift a step far below the curvature
         # scale instead of creeping along at it.
         cov = random_spd(rng, 4)
-        cfg = SolverConfig(gamma_init=1e-4)
-        est = solve(cov, Regularization.scalar(0.1), cfg)
-        assert est.gamma > cfg.gamma_init
+        monkeypatch.setattr(glassotune.glasso, "_default_gamma", lambda cov: 1e-4)
+        est = solve(cov, Regularization.scalar(0.1))
+        assert est.gamma > 1e-4
         assert est.iterations < 100
 
     def test_warm_start_at_solution_returns_immediately(self, rng):
@@ -371,10 +351,11 @@ class TestSolveErrors:
                 warm_start=np.array([[1.0, 2.0], [2.0, 1.0]]),
             )
 
-    def test_not_converged_carries_state(self, rng):
+    def test_not_converged_carries_state(self, rng, monkeypatch):
         cov = random_spd(rng, 4)
+        monkeypatch.setattr(glassotune.glasso, "MAX_ITER", 1)
         with pytest.raises(NotConverged) as info:
-            solve(cov, Regularization.scalar(0.01), SolverConfig(max_iter=1))
+            solve(cov, Regularization.scalar(0.01))
         assert info.value.iterations == 1
         assert info.value.residual > 0.0
 

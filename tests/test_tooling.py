@@ -48,6 +48,31 @@ def test_output_check_name_resolves(module, path):
     assert callable(obj)
 
 
+class _Stopped(BaseException):
+    pass
+
+
+@pytest.mark.parametrize("mode", ["grid", "scalar", "matrix", "compare"])
+def test_setup_hook_runs_before_tuning(tmp_path, monkeypatch, mode):
+    # perfbench/child.py times set-up by making cli.starting_level raise;
+    # every mode must call it, and before any tuning output is written.
+    import glassotune.cli as cli
+
+    seen = []
+
+    def stop(*args, **kwargs):
+        seen.append({p.name for p in tmp_path.iterdir()})
+        raise _Stopped
+
+    monkeypatch.setattr(cli, "starting_level", stop)
+    config = cli.ExperimentConfig(mode=mode, p=6, n=200, density=0.3,
+                                  output_dir=str(tmp_path))
+    with pytest.raises(_Stopped):
+        cli.run(config)
+    (written,) = seen
+    assert not written & {"grid_curve.csv", "trajectory.csv"}
+
+
 def test_output_check_fields_exist():
     import glassotune as gt
 
