@@ -3,9 +3,10 @@
 Penalties are positive by construction: the descent runs in alpha with
 lam = exp(alpha) for a single level and weights_kl = exp(alpha_kl)
 entrywise for a weight matrix, so a plain fixed-step gradient update never
-leaves the feasible cone.  Both tuners share one outer loop.  Each outer
-iteration solves the training problem (warm-started from the previous
-solution), evaluates the hold-out criterion, assembles the exact
+leaves the feasible cone in exact arithmetic (a step that underflows or
+overflows the exponential ends the descent).  Both tuners share one outer
+loop.  Each outer iteration solves the training problem (warm-started from
+the previous solution), evaluates the hold-out criterion, assembles the exact
 per-entry hypergradient through one adjoint solve of the implicit
 derivative of the solution map, and steps.  A single level is every
 weight tied to it, so its derivative is the per-entry one summed.  The
@@ -25,14 +26,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .datagen import FLOAT_FORMAT
-from .exceptions import (
-    DegenerateInput,
-    DegenerateSupport,
-    NotConverged,
-    NotPositiveDefinite,
-    SingularSystem,
-)
+from .datagen import save_matrix_csv
+from .exceptions import DegenerateInput, GlassoTuneError
 from .glasso import PrecisionEstimate, Regularization, SolverConfig, solve
 from .implicit import (
     criterion_holdout,
@@ -43,9 +38,6 @@ from .implicit import (
 # Not called here; perfbench/tracer.py wraps these names in this module.
 from .implicit import hypergradient_scalar, jacobian_scalar  # noqa: F401
 from .linalg import symmetrize
-
-# Failures that end a descent mid-run; on its first iterate they propagate.
-ABORTING = (DegenerateSupport, SingularSystem, NotConverged)
 
 # At exactly lambda_init the largest off-diagonal covariance entry sits on
 # the soft-threshold kink (zero slack), where the derivative is one-sided.
@@ -103,9 +95,9 @@ class Trajectory:
     """Append-only record of an outer run with its termination status.
 
     ``estimate`` is the solution at the last recorded iteration.
-    ``aborted`` is true when a failure after the first iterate stopped the
-    run early (see :func:`tune_scalar`); its ``stop_reason`` then starts
-    with "aborted".
+    ``aborted`` is true when a failure or an out-of-range step after the
+    first iterate stopped the run early (see :func:`tune_scalar`); its
+    ``stop_reason`` then starts with "aborted".
     """
 
     scalar: bool
@@ -130,34 +122,18 @@ class Trajectory:
         A missing relative error is written as nan.  The seconds column is
         wall-clock and is the only nondeterministic field.
         """
-        if self.scalar:
-            header = "iter,lambda,criterion,hypergrad_norm,inner_iters,rel_error,seconds"
-        else:
-            header = (
-                "iter,lambda_min,lambda_max,lambda_mean,"
-                "criterion,hypergrad_norm,inner_iters,rel_error,seconds"
-            )
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(header + "\n")
-            for r in self.records:
-                if self.scalar:
-                    lam_cols = [r.reg.lam]
-                else:
-                    w = r.reg.weights
-                    lam_cols = [float(w.min()), float(w.max()), float(w.mean())]
-                re_val = float("nan") if r.rel_error is None else r.rel_error
-                cols = (
-                    [str(r.iteration)]
-                    + [FLOAT_FORMAT % v for v in lam_cols]
-                    + [
-                        FLOAT_FORMAT % r.criterion,
-                        FLOAT_FORMAT % r.hypergrad_norm,
-                        str(r.inner_iterations),
-                        FLOAT_FORMAT % re_val,
-                        FLOAT_FORMAT % r.seconds,
-                    ]
-                )
-                fh.write(",".join(cols) + "\n")
+        lam_header = "lambda" if self.scalar else "lambda_min,lambda_max,lambda_mean"
+        rows = []
+        for r in self.records:
+            w = r.reg.weights
+            lam_cols = [r.reg.lam] if self.scalar else [w.min(), w.max(), w.mean()]
+            re_val = float("nan") if r.rel_error is None else r.rel_error
+            rows.append([r.iteration, *lam_cols, r.criterion, r.hypergrad_norm,
+                         r.inner_iterations, re_val, r.seconds])
+        save_matrix_csv(
+            rows, path,
+            header=f"iter,{lam_header},criterion,hypergrad_norm,inner_iters,rel_error,seconds",
+        )
 
 
 def lambda_init(cov_train: np.ndarray, policy: str = "offdiag-max") -> float:
@@ -253,7 +229,7 @@ def grid_search(
         lam = float(grid[i])
         try:
             est = solve(cov_train, Regularization.scalar(lam), solver, warm_start=warm)
-        except (NotConverged, NotPositiveDefinite):
+        except GlassoTuneError:
             points[int(i)] = GridPoint(lam, float("nan"), float("nan"), True)
             continue
         warm = est.theta
@@ -274,9 +250,10 @@ def grid_search(
     return best.lam, [points[int(i)] for i in np.argsort(grid)]
 
 
-def _annotate(exc: Exception, iteration: int) -> None:
-    # keep type and attributes, prefix the message with where it happened
-    exc.args = (f"outer iteration {iteration}: {exc.args[0]}",) + exc.args[1:]
+def _abort(traj: Trajectory, iteration: int, reason) -> Trajectory:
+    traj.aborted = True
+    traj.stop_reason = f"aborted at outer iteration {iteration}: {reason}"
+    return traj
 
 
 def _descend(
@@ -293,14 +270,24 @@ def _descend(
     from one adjoint solve; a tied level moves every weight at once, so
     its derivative is the sum of the per-entry ones.  The weight matrix
     gradient is symmetrized so the weights stay symmetric.
+
+    Any GlassoTuneError of the solve, the criterion, the support check or
+    the adjoint solve propagates at the first iterate, annotated with the
+    iteration index; later it aborts the run, which keeps the iterates
+    before it.  So does a step that takes a free entry (finite alpha) to a
+    penalty of 0 or inf; entries pinned at alpha = -inf stay at 0.
     """
     scalar = np.ndim(alpha) == 0
+    free = np.isfinite(alpha)
     traj = Trajectory(scalar=scalar)
     warm: Optional[np.ndarray] = None
 
     for k in range(config.max_outer_iter + 1):
         t0 = time.perf_counter()
-        penalty = np.exp(alpha)
+        with np.errstate(over="ignore"):
+            penalty = np.exp(alpha)
+        if not np.all(((0.0 < penalty) & (penalty < np.inf)) | ~free):
+            return _abort(traj, k, "the step took a penalty to 0 or inf")
         reg = (
             Regularization.scalar(float(penalty))
             if scalar
@@ -311,13 +298,12 @@ def _descend(
             crit = criterion_holdout(est.theta, cov_test)
             support = support_from_estimate(est, cov_train)
             values = hypergradient_weighted(est, support, crit.gradient).values
-        except ABORTING as exc:
+        except GlassoTuneError as exc:
             if not traj.records:
-                _annotate(exc, k)
+                # keep type and attributes, prefix the message with where it happened
+                exc.args = (f"outer iteration {k}: {exc.args[0]}",) + exc.args[1:]
                 raise
-            traj.aborted = True
-            traj.stop_reason = f"aborted at outer iteration {k}: {exc}"
-            return traj
+            return _abort(traj, k, exc)
         # chain rule through the exponential: d/dalpha = penalty * d/dpenalty
         galpha = penalty * (np.sum(values) if scalar else symmetrize(values))
         seconds = time.perf_counter() - t0
@@ -367,10 +353,12 @@ def tune_scalar(
     out; the trajectory records which.
 
     Kinks of the solution map are differentiated by the zero-branch rule
-    of :func:`~glassotune.implicit.support_from_estimate`.  A failure of
-    the inner solve, the adjoint solve or the support check at the
-    starting point propagates, annotated with the iteration index;
-    mid-run it ends the run with the trajectory collected so far.
+    of :func:`~glassotune.implicit.support_from_estimate`.  Any
+    GlassoTuneError at the starting point (the inner solve failing to
+    converge or backtracking out of the SPD cone, a failed support check
+    or adjoint solve) propagates, annotated with the iteration index.
+    Mid-run it aborts the run with the trajectory collected so far, and
+    so does a step that underflows lam to 0 or overflows it to inf.
 
     Returns the last evaluated level and the full trajectory.
     """

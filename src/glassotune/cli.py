@@ -16,9 +16,12 @@ output directory:
 * ``error.json``         written instead of summary.json when a numerical
                          failure propagates
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure.  A descent that
-aborts early still exits 0: its trajectory up to the abort is valid, and the
-abort shows as ``"aborted": true`` in ``summary.json`` and a stderr line.
+A run first removes these names from the output directory, so it holds only
+the run's own outputs.  Exit codes: 0 success, 2 usage error (including an
+output directory that cannot be created or cleared), 3 numerical failure.
+A descent that aborts early still exits 0: its trajectory up to the abort is
+valid, and the abort shows as ``"aborted": true`` in ``summary.json`` and a
+stderr line.
 
 Seeds are derived from ``--seed`` as seed (ground truth), seed+1 (samples),
 seed+2 (train/test split), so every artifact is reproducible from the
@@ -33,13 +36,12 @@ import sys
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from .bilevel import (
     BilevelConfig,
-    GridPoint,
     Trajectory,
     default_grid,
     grid_search,
@@ -49,7 +51,6 @@ from .bilevel import (
     tune_scalar,
 )
 from .datagen import (
-    FLOAT_FORMAT,
     GroundTruth,
     make_sparse_spd,
     sample_gaussian,
@@ -63,6 +64,9 @@ from .glasso import solve  # noqa: F401
 
 MODES = ("grid", "scalar", "matrix", "compare")
 INIT_POLICIES = ("offdiag-max", "max-entry")
+# every file a run may write, all removed from the output directory first
+OUTPUT_FILES = ("grid_curve.csv", "trajectory.csv", "summary.json", "lambda_opt.csv",
+                "theta_true.csv", "theta_hat.csv", "error.json")
 
 
 @dataclass(frozen=True)
@@ -213,22 +217,27 @@ def parse_config(argv: Optional[List[str]] = None) -> ExperimentConfig:
         raise AssertionError("unreachable")
 
 
-def _write_grid_curve(path: Path, curve: List[GridPoint]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("lambda,criterion,rel_error\n")
-        for g in curve:
-            fh.write(
-                ",".join(FLOAT_FORMAT % v for v in (g.lam, g.criterion, g.rel_error))
-                + "\n"
-            )
+def _descent_stage(summary: dict, stage: str, tune, init: Regularization,
+                   config: ExperimentConfig, data, truth: GroundTruth) -> Trajectory:
+    """Run one descent stage and record its summary fields and seconds.
 
-
-def _trajectory_summary(stage: str, traj: Trajectory) -> dict:
-    """Summary fields of one descent stage; an abort also gets a stderr line."""
+    An aborted descent also gets a stderr line.
+    """
+    t0 = time.perf_counter()
+    _, traj = tune(data.cov_train, data.cov_test, config.bilevel_config(init),
+                   theta_true=truth.theta_true)
     if traj.aborted:
         print(f"warning: {stage} descent {traj.stop_reason}", file=sys.stderr)
     final = traj.final
-    return {
+    if final.reg.is_scalar:
+        record = {"lambda_opt": final.reg.lam}
+        level = f"lambda={final.reg.lam:.6g} "
+    else:
+        w = final.reg.weights
+        record = {"lambda_min": float(w.min()), "lambda_max": float(w.max()),
+                  "lambda_mean": float(w.mean())}
+        level = ""
+    record.update({
         "criterion": final.criterion,
         "rel_error": final.rel_error,
         "outer_iterations": len(traj),
@@ -237,21 +246,24 @@ def _trajectory_summary(stage: str, traj: Trajectory) -> dict:
         "converged": traj.converged,
         "aborted": traj.aborted,
         "stop_reason": traj.stop_reason,
-    }
-
-
-def _emit_matrices(out: Path, truth: GroundTruth, reg: Regularization,
-                   theta: np.ndarray) -> None:
-    lam_opt = np.array([[reg.lam]]) if reg.is_scalar else reg.weights
-    save_matrix_csv(lam_opt, out / "lambda_opt.csv")
-    save_matrix_csv(truth.theta_true, out / "theta_true.csv")
-    save_matrix_csv(theta, out / "theta_hat.csv")
+        "seconds": time.perf_counter() - t0,
+    })
+    summary[stage] = record
+    print(f"{stage}: {level}criterion={final.criterion:.9g} "
+          f"iters={len(traj)} converged={traj.converged}")
+    return traj
 
 
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit code."""
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name in OUTPUT_FILES:
+            (out / name).unlink(missing_ok=True)
+    except OSError as exc:
+        print(f"error: cannot use output directory {out}: {exc}", file=sys.stderr)
+        return 2
     summary: dict = {"config": asdict(config)}
 
     try:
@@ -267,9 +279,6 @@ def run(config: ExperimentConfig) -> int:
         print(f"data: p={config.p} n={config.n} seed={config.seed} "
               f"lambda_init={lam0:.6g}")
 
-        # penalty and estimate of the last stage, exported as computed
-        final: Optional[Tuple[Regularization, np.ndarray]] = None
-
         if config.mode in ("grid", "compare"):
             t0 = time.perf_counter()
             grid = default_grid(lam0, config.grid_points)
@@ -277,7 +286,8 @@ def run(config: ExperimentConfig) -> int:
                 data.cov_train, data.cov_test, grid,
                 solver=config.solver_config(), theta_true=truth.theta_true,
             )
-            _write_grid_curve(out / "grid_curve.csv", curve)
+            save_matrix_csv([[g.lam, g.criterion, g.rel_error] for g in curve],
+                            out / "grid_curve.csv", header="lambda,criterion,rel_error")
             at_best = next(g for g in curve if g.lam == best)
             summary["grid"] = {
                 "lambda_best": best,
@@ -287,49 +297,21 @@ def run(config: ExperimentConfig) -> int:
                 "failed_points": int(sum(g.failed for g in curve)),
                 "seconds": time.perf_counter() - t0,
             }
+            # penalty and estimate of the last stage, exported as computed
             final = (Regularization.scalar(best), at_best.theta)
             print(f"grid: best lambda={best:.6g} criterion={at_best.criterion:.9g}")
 
-        if config.mode in ("scalar", "matrix", "compare"):
-            t0 = time.perf_counter()
-            scalar_cfg = config.bilevel_config(Regularization.scalar(lam_start))
-            lam_opt, straj = tune_scalar(
-                data.cov_train, data.cov_test, scalar_cfg,
-                theta_true=truth.theta_true,
-            )
-            scalar_summary = {"lambda_opt": lam_opt}
-            scalar_summary.update(_trajectory_summary("scalar", straj))
-            scalar_summary["seconds"] = time.perf_counter() - t0
-            summary["scalar"] = scalar_summary
-            final = (straj.estimate.reg, straj.estimate.theta)
-            print(f"scalar: lambda={lam_opt:.6g} "
-                  f"criterion={straj.final.criterion:.9g} "
-                  f"iters={len(straj)} converged={straj.converged}")
-            if config.mode == "scalar":
-                straj.to_csv(out / "trajectory.csv")
-
-        if config.mode == "matrix":
-            t0 = time.perf_counter()
-            matrix_cfg = config.bilevel_config(Regularization.scalar(lam_opt))
-            weights, mtraj = tune_matrix(
-                data.cov_train, data.cov_test, matrix_cfg,
-                theta_true=truth.theta_true,
-            )
-            mtraj.to_csv(out / "trajectory.csv")
-            matrix_summary = {
-                "lambda_min": float(weights.min()),
-                "lambda_max": float(weights.max()),
-                "lambda_mean": float(weights.mean()),
-            }
-            matrix_summary.update(_trajectory_summary("matrix", mtraj))
-            matrix_summary["seconds"] = time.perf_counter() - t0
-            summary["matrix"] = matrix_summary
-            final = (mtraj.estimate.reg, mtraj.estimate.theta)
-            print(f"matrix: criterion={mtraj.final.criterion:.9g} "
-                  f"iters={len(mtraj)} converged={mtraj.converged}")
+        if config.mode != "grid":
+            descent = _descent_stage(summary, "scalar", tune_scalar,
+                                     Regularization.scalar(lam_start), config, data, truth)
+            lam_opt = descent.final.reg.lam
+            if config.mode == "matrix":
+                descent = _descent_stage(summary, "matrix", tune_matrix,
+                                         Regularization.scalar(lam_opt), config, data, truth)
+            descent.to_csv(out / "trajectory.csv")
+            final = (descent.estimate.reg, descent.estimate.theta)
 
         if config.mode == "compare":
-            straj.to_csv(out / "trajectory.csv")
             lam_grid = summary["grid"]["lambda_best"]
             # multiplicative width of one grid cell; a single point has none
             ratio = within = None
@@ -346,8 +328,12 @@ def run(config: ExperimentConfig) -> int:
             print(f"compare: grid={lam_grid:.6g} descent={lam_opt:.6g} "
                   f"within_one_cell={summary['compare']['within_one_cell']}")
 
-        if config.emit_matrices and final is not None:
-            _emit_matrices(out, truth, *final)
+        if config.emit_matrices:
+            reg, theta = final
+            save_matrix_csv([[reg.lam]] if reg.is_scalar else reg.weights,
+                            out / "lambda_opt.csv")
+            save_matrix_csv(truth.theta_true, out / "theta_true.csv")
+            save_matrix_csv(theta, out / "theta_hat.csv")
 
     except GlassoTuneError as exc:
         _write_error(out, exc, summary)

@@ -188,17 +188,21 @@ def split_samples(samples: np.ndarray, ratio: float, seed: int) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# CSV layout: p rows of p comma-separated values.  All floats use "%.17g",
-# which round-trips doubles exactly.
+# CSV layout: one line per row of comma-separated values.  All floats use
+# "%.17g", which round-trips doubles exactly, prints integer-valued floats
+# the way str() prints ints, and prints nan as nan.
 # ---------------------------------------------------------------------------
 
 FLOAT_FORMAT = "%.17g"
 
 
-def save_matrix_csv(a: np.ndarray, path) -> None:
-    """Write a matrix as p rows of p comma-separated values."""
+def save_matrix_csv(a: np.ndarray, path, header: str = "") -> None:
+    """Write a matrix as one line of comma-separated values per row.
+
+    A nonempty ``header`` is written as the first line, unprefixed.
+    """
     a = np.asarray(a, dtype=float)
-    np.savetxt(path, a, delimiter=",", fmt=FLOAT_FORMAT)
+    np.savetxt(path, a, delimiter=",", fmt=FLOAT_FORMAT, header=header, comments="")
 
 
 def load_matrix_csv(path) -> np.ndarray:

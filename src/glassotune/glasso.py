@@ -107,19 +107,17 @@ class Regularization:
 class SolverConfig:
     """Tolerances for :func:`solve`.
 
-    ``tol`` bounds the sup-norm fixed-point residual at termination.
-    ``support_tol`` is the magnitude below which an entry of the solution
-    counts as zero.  Both must be finite and positive.
+    ``tol`` bounds the sup-norm fixed-point residual at termination and
+    must be finite and positive.  ``support_tol``, a class constant, is the
+    magnitude below which an entry of the solution counts as zero.
     """
 
     tol: float = 1e-8
-    support_tol: float = 1e-10
+    support_tol = 1e-10  # unannotated: a constant, not a field
 
     def __post_init__(self):
         if not 0.0 < self.tol < np.inf:
             raise ValueError("tol must be finite and > 0")
-        if not 0.0 < self.support_tol < np.inf:
-            raise ValueError("support_tol must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -131,25 +131,28 @@ def _restricted_kron(est: PrecisionEstimate, support: SupportSet) -> Operator:
     return kron_restricted(est.theta_inv, support)
 
 
+def _on_support(values: np.ndarray, support: SupportSet, p: int) -> np.ndarray:
+    """Scatter one value per support coordinate into a p x p zero matrix."""
+    flat = np.zeros(p * p)
+    flat[support.indices] = values
+    return unvec(flat, p)
+
+
 def jacobian_scalar(est: PrecisionEstimate, support: SupportSet) -> ScalarJacobian:
     """Derivative of the solution with respect to its scalar penalty level.
 
     Solves the support-restricted system K y = -sign(vec theta)_S with
     K the restricted Kronecker square of theta^{-1}, and scatters y back
-    to a p x p matrix with zeros off-support.  The result does not depend
-    on the prox step gamma: the step scales both sides of the system and
-    cancels.
+    to a p x p matrix with zeros off-support.  K is symmetric, so this is
+    the adjoint solve of :func:`hypergradient_weighted` against
+    -sign(theta).  The result does not depend on the prox step gamma: the
+    step scales both sides of the system and cancels.
 
     Raises SingularSystem if conjugate gradients find the restricted
     coefficient matrix not positive definite or do not converge.
     """
-    p = est.dim
-    k = _restricted_kron(est, support)
-    sign_s = np.sign(vec(est.theta))[support.indices]
-    y = solve_symmetric(k, -sign_s)
-    flat = np.zeros(p * p)
-    flat[support.indices] = y
-    return ScalarJacobian(values=unvec(flat, p))
+    y = hypergradient_weighted(est, support, -np.sign(est.theta)).y
+    return ScalarJacobian(values=_on_support(y, support, est.dim))
 
 
 def hypergradient_scalar(jac: ScalarJacobian, grad_c: np.ndarray) -> float:
@@ -182,13 +185,10 @@ def hypergradient_weighted(
     grad_c = symmetrize(np.asarray(grad_c, dtype=float))
     if grad_c.shape != (p, p):
         raise ValueError("criterion gradient shape does not match the estimate")
-    k = _restricted_kron(est, support)
     idx = support.indices
+    y = solve_symmetric(_restricted_kron(est, support), vec(grad_c)[idx])
     sign_s = np.sign(vec(est.theta))[idx]
-    y = solve_symmetric(k, vec(grad_c)[idx])
-    flat = np.zeros(p * p)
-    flat[idx] = -sign_s * y
-    return WeightedHypergradient(values=unvec(flat, p), y=y)
+    return WeightedHypergradient(values=_on_support(-sign_s * y, support, p), y=y)
 
 
 def criterion_holdout(theta: np.ndarray, cov_test: np.ndarray) -> CriterionValue:

@@ -305,11 +305,56 @@ class TestTuneScalar:
         assert len(traj) == 1
         assert lam == traj.final.reg.lam
 
+    def test_step_to_zero_penalty_aborts(self):
+        # The first step underflows lam to 0, where lam * dC/dlam is 0 too:
+        # read as a converged run, it would claim a stationary point.
+        _, data = make_instance(10, 400, seed=1)
+        lam, traj = tune_scalar(
+            data.cov_train, data.cov_test,
+            BilevelConfig(step_size=1e6, max_outer_iter=5),
+        )
+        assert traj.aborted and not traj.converged
+        assert traj.stop_reason == (
+            "aborted at outer iteration 1: the step took a penalty to 0 or inf"
+        )
+        assert len(traj) == 1
+        assert lam == traj.final.reg.lam > 0.0
+
+
+# The default scalar tuner's optimum on make_instance(10, 400, seed=1).
+LAM_OPT_P10_SEED1 = 0.029089247267355373
+
 
 class TestTuneMatrix:
     def _config(self, data, **kwargs):
         lam = 0.3 * lambda_init(data.cov_train)
         return BilevelConfig(init=Regularization.scalar(lam), **kwargs)
+
+    def test_midrun_non_spd_backtracking_aborts(self):
+        # The step out of the scalar optimum leaves the inner solve no SPD
+        # sufficient-decrease step (NotPositiveDefinite).
+        _, data = make_instance(10, 400, seed=1)
+        cfg = BilevelConfig(init=Regularization.scalar(LAM_OPT_P10_SEED1),
+                            step_size=1e4, max_outer_iter=20)
+        weights, traj = tune_matrix(data.cov_train, data.cov_test, cfg)
+        assert traj.aborted and not traj.converged
+        assert traj.stop_reason.startswith("aborted at outer iteration 1: no positive definite")
+        assert len(traj) == 1
+        np.testing.assert_array_equal(weights, traj.final.reg.weights)
+
+    @pytest.mark.filterwarnings("error")
+    def test_step_to_infinite_penalty_aborts(self):
+        _, data = make_instance(10, 400, seed=1)
+        cfg = BilevelConfig(init=Regularization.scalar(LAM_OPT_P10_SEED1),
+                            step_size=1e5, max_outer_iter=20)
+        weights, traj = tune_matrix(data.cov_train, data.cov_test, cfg)
+        assert traj.aborted and not traj.converged
+        assert traj.stop_reason == (
+            "aborted at outer iteration 1: the step took a penalty to 0 or inf"
+        )
+        assert len(traj) == 1
+        np.testing.assert_array_equal(weights, traj.final.reg.weights)
+        assert np.ptp(weights) == 0.0  # the constant starting matrix
 
     def test_repeated_midrun_failure_aborts_with_trajectory(self, monkeypatch):
         _, data = make_instance(4, 200, seed=0)

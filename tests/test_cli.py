@@ -277,6 +277,20 @@ class TestAbortedDescent:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"warning: scalar descent {scalar['stop_reason']}"]
 
+    def test_out_of_range_step_aborts_with_exit_0(self, tmp_path, capsys):
+        # The scalar step underflows lambda to 0; the matrix stage then
+        # starts from the last valid level instead of failing on lambda=0.
+        cfg = ExperimentConfig(mode="matrix", p=10, n=400, seed=1, rho=1e4,
+                               max_outer_iter=5, output_dir=str(tmp_path))
+        assert run(cfg) == 0
+        summary = read_summary(tmp_path)
+        assert summary["scalar"]["aborted"] is True
+        assert summary["scalar"]["stop_reason"] == (
+            "aborted at outer iteration 1: the step took a penalty to 0 or inf"
+        )
+        assert summary["scalar"]["lambda_opt"] > 0.0
+        assert "matrix" in summary
+
     def test_clean_run_is_not_flagged(self, tmp_path, capsys):
         assert run(small_config(tmp_path, mode="matrix", p=4, n=100,
                                 max_outer_iter=3)) == 0
@@ -298,6 +312,34 @@ class TestFailureModes:
         assert record["error"] == "DegenerateSplit"
         assert record["partial_summary"]["config"]["n"] == 2
         assert not (tmp_path / "summary.json").exists()
+
+
+    def test_output_dir_naming_a_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("not a directory\n")
+        assert run(small_config(path, mode="grid")) == 2
+        assert "output directory" in capsys.readouterr().err
+        assert path.read_text() == "not a directory\n"
+
+
+class TestStaleOutputs:
+    FAILING = dict(mode="scalar", p=5, n=2, split_ratio=0.4)
+
+    @pytest.mark.parametrize(
+        "first, second, expected",
+        [
+            (dict(mode="compare", emit_matrices=True), FAILING, {"error.json"}),
+            (FAILING, dict(mode="grid"), {"grid_curve.csv", "summary.json"}),
+            (dict(mode="compare", emit_matrices=True), dict(mode="scalar"),
+             {"summary.json", "trajectory.csv"}),
+        ],
+        ids=["success-then-failure", "failure-then-success", "compare-then-scalar"],
+    )
+    def test_directory_holds_only_the_last_run(self, tmp_path, first, second, expected):
+        (tmp_path / "notes.txt").write_text("kept\n")
+        run(small_config(tmp_path, max_outer_iter=3, **first))
+        run(small_config(tmp_path, max_outer_iter=3, **second))
+        assert {p.name for p in tmp_path.iterdir()} == expected | {"notes.txt"}
 
 
 class TestMain:

@@ -137,10 +137,7 @@ class TestSolverConfig:
         [
             {"tol": float("inf")},
             {"tol": 0.0},
-            {"support_tol": float("inf")},
             {"tol": float("nan")},
-            {"support_tol": float("nan")},
-            {"support_tol": 0.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,20 @@ OUTPUT_CHECK_NAMES = [
     ("glassotune.linalg", "cholesky"),
     ("glassotune.linalg", "logdet"),
 ]
+
+# What perfbench/run.py reads from each mode's summary.json, by section.
+SUMMARY_FIELDS = {
+    "config": {"p", "n", "density", "split_ratio"},
+    "grid": {"seconds", "criterion", "lambda_best", "points", "failed_points"},
+    "scalar": {"seconds", "criterion", "outer_iterations", "stop_reason", "lambda_opt"},
+    "matrix": {"seconds", "criterion", "outer_iterations", "stop_reason"},
+}
+SECTIONS = {
+    "grid": ("config", "grid"),
+    "scalar": ("config", "scalar"),
+    "matrix": ("config", "scalar", "matrix"),
+    "compare": ("config", "grid", "scalar"),
+}
 
 
 def load_tracer():
@@ -81,3 +96,15 @@ def test_output_check_fields_exist():
     fields = {f.name for f in dataclasses.fields(gt.PrecisionEstimate)}
     assert {"theta", "reg", "gamma", "support", "fixed_point_residual",
             "iterations"} <= fields
+
+
+@pytest.mark.parametrize("mode", sorted(SECTIONS))
+def test_summary_carries_the_fields_the_benchmark_reads(tmp_path, mode):
+    import glassotune.cli as cli
+
+    config = cli.ExperimentConfig(mode=mode, p=6, n=200, density=0.3, grid_points=5,
+                                  max_outer_iter=3, output_dir=str(tmp_path))
+    assert cli.run(config) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="ascii"))
+    for section in SECTIONS[mode]:
+        assert SUMMARY_FIELDS[section] <= summary[section].keys(), section
