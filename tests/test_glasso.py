@@ -137,6 +137,7 @@ class TestSolverConfig:
         [
             {"tol": float("inf")},
             {"tol": 0.0},
+            {"tol": -1.0},
             {"tol": float("nan")},
         ],
     )
