@@ -9,9 +9,10 @@ an entrywise nonnegative symmetric weight matrix.  Each iteration takes a
 gradient step on the smooth part, whose gradient is S - theta^{-1}, and
 applies entrywise soft-thresholding.  The step gamma follows G-ISTA (Rolfs,
 Rajaratnam, Guillot, Wong & Chaudhary, NeurIPS 2012): after each accepted
-step a Barzilai-Borwein quotient proposes the next one, so the step grows
-back after backtracking, and backtracking halves it until the candidate is
-SPD and passes a sufficient-decrease test.  A converged iterate satisfies
+prox step a Barzilai-Borwein quotient proposes the next one, so the step
+grows back after backtracking, and backtracking halves it until the
+candidate is SPD and passes a sufficient-decrease test.  A converged
+iterate satisfies
 the fixed-point equation
 
     theta = soft_threshold(theta - gamma * (S - theta^{-1}), gamma * T)
@@ -19,9 +20,17 @@ the fixed-point equation
 for any gamma > 0, and the solver's residual is the sup-norm defect of that
 equation at the step in effect when it stopped.
 
+Once the support settles the prox iteration converges only linearly.
+There, after a prox step, when the next prox map keeps theta's sign
+pattern, the solver tries one inexact Newton step on the problem with that
+pattern held (Oztoprak, Nocedal, Rennie & Olsen, NeurIPS 2012), projected
+onto theta's orthant face as in OWL-QN (Andrew & Gao, ICML 2007); the Notes
+of :func:`solve` give the details.  Only prox steps change the support, and
+only the prox map certifies convergence.
+
 Every iterate is exactly symmetric without being re-symmetrized: the start,
-S, T and the mirrored inverse are exactly symmetric, and the prox applies
-the same entrywise operations to entries (i, j) and (j, i).
+S, T and the mirrored inverse are exactly symmetric, and the prox and the
+Newton direction treat entries (i, j) and (j, i) alike.
 """
 
 from __future__ import annotations
@@ -32,10 +41,20 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import NotConverged, NotPositiveDefinite
-from .linalg import SupportSet, cholesky, logdet, spd_inverse, symmetrize
+from .exceptions import NotConverged, NotPositiveDefinite, SingularSystem
+from .linalg import (
+    SupportSet,
+    cholesky,
+    kron_restricted,
+    logdet,
+    solve_symmetric,
+    spd_inverse,
+    symmetrize,
+    unvec,
+    vec,
+)
 
-# Accepted proximal steps before solve gives up with NotConverged.
+# Accepted steps, proximal or Newton, before solve gives up with NotConverged.
 MAX_ITER = 10000
 
 # Backtracking shrinks the step by BACKTRACK_FACTOR after each rejected
@@ -47,6 +66,14 @@ BACKTRACK_FACTOR = 0.5
 # Relative slack on the sufficient-decrease test, needed once the candidate
 # step is so small that the two objective values agree to round-off.
 DECREASE_SLACK = 1e-12
+
+# Newton steps: conjugate gradients stop at the forcing term
+# min(NEWTON_FORCING, sqrt|g|) of the sign-fixed gradient g, and the step
+# is halved at most NEWTON_HALVINGS times until the Armijo test with
+# constant NEWTON_ARMIJO, and the slack of the prox test, passes.
+NEWTON_FORCING = 0.1
+NEWTON_HALVINGS = 10
+NEWTON_ARMIJO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -127,7 +154,7 @@ class PrecisionEstimate:
     ``gamma`` is the prox step in effect when the solver stopped, and
     ``fixed_point_residual`` was measured with exactly that step.
     ``support`` holds the entries with ``|theta| > support_tol``, diagonal
-    included.  ``iterations`` counts accepted proximal steps.
+    included.  ``iterations`` counts accepted steps, proximal or Newton.
     """
 
     theta: np.ndarray = field(repr=False)
@@ -210,7 +237,8 @@ def solve(
     Raises
     ------
     NotConverged
-        After MAX_ITER accepted steps with the residual still above tol.
+        After MAX_ITER accepted steps, proximal or Newton, with the residual
+        still above tol.
         Carries the iteration count and last residual.
     NotPositiveDefinite
         If the penalty is identically zero and cov is singular (the
@@ -224,12 +252,28 @@ def solve(
     termination requires ``residual <= tol * min(1, gamma)``; this keeps the
     stationarity violation of the result on the order of tol even after
     heavy backtracking.  The step grows back after backtracking: each
-    accepted step proposes the next by a Barzilai-Borwein quotient, kept
-    only under positive curvature.  The returned theta is exactly symmetric,
-    ``array_equal(theta, theta.T)``, with no re-symmetrizing in the loop:
-    cov and the warm start are symmetrized once, the inverse is mirrored,
-    and the prox treats entries (i, j) and (j, i) alike.  Its inverse comes
-    back with it as ``theta_inv``.
+    accepted prox step proposes the next by a Barzilai-Borwein quotient,
+    kept only under positive curvature.
+
+    When the previous accepted step was a prox step and the prox map at
+    the current gamma keeps theta's sign pattern, the solver first tries a
+    Newton step.  With W = theta^{-1}, g = S - W + T * sign(theta) and S
+    the support of theta, it solves (W kron W)_SS d = -g_S by conjugate
+    gradients preconditioned with (theta kron theta)_SS, to the relative
+    residual min(NEWTON_FORCING, sqrt|g_S|); projects theta + t d onto
+    theta's orthant face (entries that cross zero become 0); and accepts
+    the first t in 1, 1/2, ..., 2**-NEWTON_HALVINGS whose candidate is SPD
+    and passes an Armijo test with constant NEWTON_ARMIJO.  If that fails
+    the prox step is taken as usual.  Newton steps count towards MAX_ITER
+    and ``iterations`` and leave gamma as it was.
+
+    The returned theta is exactly symmetric, ``array_equal(theta,
+    theta.T)``, with no re-symmetrizing in the loop: cov and the warm start
+    are symmetrized once, the inverse is mirrored, the prox treats entries
+    (i, j) and (j, i) alike, and every vector conjugate gradients form from
+    the symmetrizing Kronecker products is equal on each such pair, so the
+    Newton direction is too.  Its inverse comes back with it as
+    ``theta_inv``.
     """
     if config is None:
         config = SolverConfig()
@@ -260,6 +304,7 @@ def solve(
     f_theta = -logdet(lower) + float(np.vdot(cov, theta))
 
     gamma = _default_gamma(cov)
+    after_prox = False
 
     for it in range(MAX_ITER + 1):
         grad = cov - theta_inv
@@ -276,6 +321,15 @@ def solve(
                 iterations=it,
                 residual=residual,
             )
+
+        if after_prox and np.array_equal(np.sign(cand), np.sign(theta)):
+            newton = _newton_step(cov, thr, theta, theta_inv, grad, f_theta)
+            if newton is not None:
+                theta, lower, f_theta = newton
+                theta_inv = spd_inverse(lower)
+                after_prox = False
+                continue
+        after_prox = True
 
         for attempt in range(MAX_BACKTRACKS):
             if attempt:
@@ -312,6 +366,60 @@ def solve(
         theta_inv = cand_inv
 
     raise AssertionError("unreachable")
+
+
+def _newton_step(
+    cov: np.ndarray,
+    thr: float | np.ndarray,
+    theta: np.ndarray,
+    theta_inv: np.ndarray,
+    grad: np.ndarray,
+    f_theta: float,
+) -> Optional[tuple]:
+    """One inexact Newton step with theta's signs held (see :func:`solve`).
+
+    Returns the accepted ``(theta, lower, f_theta)`` or None on any failure.
+    With the signs held the penalty is the linear <T * sign(theta), theta>,
+    so on the support the objective is smooth with gradient ``grad + T *
+    sign(theta)`` and Hessian (W kron W)_SS; its preconditioner
+    (theta kron theta)_SS is the same block of the Hessian's exact inverse.
+    """
+    support = SupportSet.from_matrix_mask(theta != 0.0)
+    idx = support.indices
+    p = theta.shape[0]
+    sign_thr = thr * np.sign(theta)
+    g_mat = grad + sign_thr
+    g = vec(g_mat)[idx]
+    try:
+        d = solve_symmetric(
+            kron_restricted(theta_inv, support),
+            -g,
+            precondition=kron_restricted(theta, support),
+            rtol=min(NEWTON_FORCING, np.sqrt(float(np.linalg.norm(g)))),
+        )
+    except SingularSystem:
+        return None
+    flat = np.zeros(p * p)
+    flat[idx] = d
+    direction = unvec(flat, p)
+    slack = DECREASE_SLACK * max(1.0, abs(f_theta))
+    t = 1.0
+    for _ in range(NEWTON_HALVINGS + 1):
+        trial = theta + t * direction
+        # Project onto theta's orthant face: entries that cross zero stop at it.
+        trial[trial * theta < 0.0] = 0.0
+        t *= 0.5
+        try:
+            lower = cholesky(trial)
+        except NotPositiveDefinite:
+            continue
+        f_trial = -logdet(lower) + float(np.vdot(cov, trial))
+        # On the face the full objective is f + <T * sign(theta), theta>.
+        step = trial - theta
+        if (f_trial + float(np.vdot(sign_thr, step))
+                <= f_theta + NEWTON_ARMIJO * float(np.vdot(g_mat, step)) + slack):
+            return trial, lower, f_trial
+    return None
 
 
 def _finalize(

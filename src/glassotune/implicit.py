@@ -5,8 +5,10 @@ smooth in the penalty, and differentiating it on the support of theta
 yields a linear system whose coefficient matrix is the Kronecker square of
 theta^{-1} restricted to support coordinates.  That matrix is SPD and its
 product with a vector is theta^{-1} X theta^{-1}, so the system is solved by
-conjugate gradients without ever forming it.  The derivative with respect
-to a scalar penalty solves that system against -sign(theta) on the support;
+conjugate gradients without ever forming it, preconditioned by the same
+restriction of the Kronecker square of theta, whose unrestricted form is
+the exact inverse.  The derivative with respect to a scalar penalty
+solves that system against -sign(theta) on the support;
 per-entry weight derivatives share the same coefficient matrix, so their
 contraction against a criterion gradient collapses into a single adjoint
 solve.  Off-support derivatives are exactly zero.
@@ -173,7 +175,8 @@ def hypergradient_weighted(
     The derivative of the solution in weight (k, l) solves the restricted
     system against a one-hot right-hand side -sign(theta_kl) * e_pos(k,l),
     so contracting all of them against grad_c only needs the single adjoint
-    solve y = K^{-1} vec(grad_c)_S (K is symmetric):
+    solve y = K^{-1} vec(grad_c)_S (K is symmetric), by conjugate gradients
+    preconditioned with the restricted Kronecker square of theta:
 
         out[k, l] = -sign(theta_kl) * y[pos(k, l)]   on support, else 0.
 
@@ -186,7 +189,11 @@ def hypergradient_weighted(
     if grad_c.shape != (p, p):
         raise ValueError("criterion gradient shape does not match the estimate")
     idx = support.indices
-    y = solve_symmetric(_restricted_kron(est, support), vec(grad_c)[idx])
+    y = solve_symmetric(
+        _restricted_kron(est, support),
+        vec(grad_c)[idx],
+        precondition=kron_restricted(est.theta, support),
+    )
     sign_s = np.sign(vec(est.theta))[idx]
     return WeightedHypergradient(values=_on_support(-sign_s * y, support, p), y=y)
 

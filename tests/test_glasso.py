@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glassotune.glasso
-from glassotune.exceptions import NotConverged, NotPositiveDefinite
+from glassotune.exceptions import NotConverged, NotPositiveDefinite, SingularSystem
 from glassotune.glasso import (
     PrecisionEstimate,
     Regularization,
@@ -206,6 +206,21 @@ class TestSolveExactSymmetry:
         np.testing.assert_array_equal(est.theta, est.theta.T)
 
 
+def count_newton_steps(monkeypatch):
+    """Count the Newton steps solve tries and the ones it accepts."""
+    real = glassotune.glasso._newton_step
+    calls = {"tried": 0, "accepted": 0}
+
+    def counted(*args):
+        step = real(*args)
+        calls["tried"] += 1
+        calls["accepted"] += step is not None
+        return step
+
+    monkeypatch.setattr(glassotune.glasso, "_newton_step", counted)
+    return calls
+
+
 class TestSolveCallCounts:
     def _count(self, monkeypatch, name):
         real = getattr(glassotune.glasso, name)
@@ -222,19 +237,44 @@ class TestSolveCallCounts:
     def test_one_factor_per_candidate_one_inverse_per_step(
         self, rng, monkeypatch, first_step
     ):
-        # The benchmark reads backtracks as Cholesky calls minus inverses.
-        chol = self._count(monkeypatch, "cholesky")
+        # The benchmark reads backtracks as Cholesky calls minus inverses, so
+        # a rejected candidate of either step kind counts as one backtrack.
+        prox_out, factored = [], []
+        real_prox = glassotune.glasso.soft_threshold
+        real_chol = glassotune.glasso.cholesky
+
+        def prox(*args):
+            prox_out.append(real_prox(*args))
+            return prox_out[-1]
+
+        def chol(a):
+            factored.append(a)
+            return real_chol(a)
+
+        monkeypatch.setattr(glassotune.glasso, "soft_threshold", prox)
+        monkeypatch.setattr(glassotune.glasso, "cholesky", chol)
+        newton = count_newton_steps(monkeypatch)
         inv = self._count(monkeypatch, "spd_inverse")
-        prox = self._count(monkeypatch, "soft_threshold")
         if first_step is not None:
             monkeypatch.setattr(glassotune.glasso, "_default_gamma", lambda cov: first_step)
         est = solve(random_spd(rng, 8), Regularization.scalar(0.2))
-        # One factor for the start and one per candidate; the last prox
-        # only measures the residual and is never factored.
-        assert chol["n"] == prox["n"]
+        assert newton["accepted"] > 0
+        # One factor for the start and one per candidate: a prox map is
+        # factored at most once, and every other factor is a Newton trial.
+        prox_ids = [id(c) for c in prox_out]
+        factored_ids = [id(a) for a in factored[1:]]
+        assert id(factored[0]) not in prox_ids
+        prox_factored = sum(i in factored_ids for i in prox_ids)
+        assert all(factored_ids.count(i) <= 1 for i in prox_ids)
+        newton_trials = len(factored) - 1 - prox_factored
+        assert newton_trials >= newton["accepted"]
+        # The last prox map only measures the residual, and so does the one
+        # of each iteration that took a Newton step.
+        assert len(prox_out) - prox_factored == 1 + newton["accepted"]
+        # One inverse for the start and one per accepted step of either kind.
         assert inv["n"] == 1 + est.iterations
         if first_step is not None:  # a huge first step must backtrack
-            assert chol["n"] - inv["n"] > 0
+            assert len(factored) - inv["n"] > 0
 
     def test_inverse_comes_back_without_refactoring(self, rng, monkeypatch):
         est = solve(random_spd(rng, 6), Regularization.scalar(0.2))
@@ -417,3 +457,54 @@ class TestSolveP100:
         est = solve(cov, Regularization.scalar(0.0224751))
         assert est.fixed_point_residual <= 1e-8
         assert check_optimality(est, cov) <= 1e-6
+
+
+class TestNewtonSteps:
+    # Newton steps on the sign-fixed smooth problem take over the linear
+    # tail of the prox iteration; the prox map still decides convergence.
+    @pytest.fixture(scope="class")
+    def references(self, cov_p100_seed0):
+        return {lam: solve(cov_p100_seed0, Regularization.scalar(lam),
+                           SolverConfig(tol=1e-12)).theta
+                for lam in (0.1, 0.018, 0.005)}
+
+    @pytest.mark.parametrize("lam", [0.1, 0.018, 0.005])
+    def test_fire_and_reach_the_fixed_point(
+        self, cov_p100_seed0, references, monkeypatch, lam
+    ):
+        newton = count_newton_steps(monkeypatch)
+        est = solve(cov_p100_seed0, Regularization.scalar(lam))
+        assert newton["accepted"] > 0
+        assert np.max(np.abs(est.theta - references[lam])) <= 1e-6
+        assert check_optimality(est, cov_p100_seed0) <= 1e-6
+        np.testing.assert_array_equal(est.theta, est.theta.T)
+
+    @pytest.mark.parametrize("lam", [0.1, 0.018, 0.005])
+    def test_failed_newton_falls_back_to_prox(
+        self, cov_p100_seed0, references, monkeypatch, lam
+    ):
+        def singular(*args, **kwargs):
+            raise SingularSystem("simulated failure")
+
+        monkeypatch.setattr(glassotune.glasso, "solve_symmetric", singular)
+        newton = count_newton_steps(monkeypatch)
+        est = solve(cov_p100_seed0, Regularization.scalar(lam))
+        assert newton["tried"] > 0 and newton["accepted"] == 0
+        assert est.fixed_point_residual <= 1e-8 * min(1.0, est.gamma)
+        assert np.max(np.abs(est.theta - references[lam])) <= 1e-6
+        assert check_optimality(est, cov_p100_seed0) <= 1e-6
+
+    def test_weighted_unpenalized_diagonal_from_warm_start(
+        self, cov_p100_seed0, monkeypatch
+    ):
+        weights = np.full((100, 100), 0.018)
+        np.fill_diagonal(weights, 0.0)
+        reg = Regularization.matrix(weights)
+        warm = solve(cov_p100_seed0, Regularization.scalar(0.1)).theta
+        reference = solve(cov_p100_seed0, reg, SolverConfig(tol=1e-12), warm_start=warm)
+        newton = count_newton_steps(monkeypatch)
+        est = solve(cov_p100_seed0, reg, warm_start=warm)
+        assert newton["accepted"] > 0
+        assert np.max(np.abs(est.theta - reference.theta)) <= 1e-6
+        assert check_optimality(est, cov_p100_seed0) <= 1e-6
+        np.testing.assert_array_equal(est.theta, est.theta.T)

@@ -324,6 +324,82 @@ class TestSolveSymmetric:
             solve_symmetric(matrix_operator(m), np.array([1.0, 2.0]))
 
 
+def counting(apply):
+    """Wrap an operator so the test can read how many products it took."""
+    calls = {"n": 0}
+
+    def counted(v):
+        calls["n"] += 1
+        return apply(v)
+
+    return counted, calls
+
+
+class TestPreconditionedSolve:
+    # K = (W kron W)_SS with W = theta^{-1}; (theta kron theta)_SS, a block
+    # of the exact inverse of the unrestricted matrix, preconditions it.
+    P = 20
+
+    def _system(self, rng, which):
+        theta = random_spd(rng, self.P)
+        w = spd_inverse(cholesky(theta))
+        if which == "diagonal":
+            s = SupportSet.from_matrix_mask(np.eye(self.P, dtype=bool))
+        elif which == "partial":
+            s = symmetric_support(rng, self.P)
+        else:
+            s = SupportSet.from_mask(np.ones(self.P**2, dtype=bool))
+        return theta, w, s, pair_symmetric(rng, s)
+
+    @pytest.mark.parametrize("which", ["diagonal", "partial", "full"])
+    def test_matches_plain_cg_with_fewer_products(self, rng, which):
+        for _ in range(3):
+            theta, w, s, b = self._system(rng, which)
+            plain_op, plain = counting(kron_restricted(w, s))
+            pre_op, pre = counting(kron_restricted(w, s))
+            x = solve_symmetric(plain_op, b)
+            y = solve_symmetric(pre_op, b, precondition=kron_restricted(theta, s))
+            assert np.linalg.norm(y - x) <= 1e-9 * np.linalg.norm(x)
+            assert pre["n"] < plain["n"]
+
+    def test_loose_rtol_honoured(self, rng):
+        theta, w, s, b = self._system(rng, "full")
+        k = kron_restricted(w, s)
+        for rtol in (0.5, 0.1, 1e-3):
+            for pre in (None, kron_restricted(theta, s)):
+                x = solve_symmetric(k, b, precondition=pre, rtol=rtol)
+                assert np.linalg.norm(b - k(x)) <= rtol * np.linalg.norm(b)
+
+    def test_loose_rtol_takes_fewer_products(self, rng):
+        theta, w, s, b = self._system(rng, "full")
+        loose_op, loose = counting(kron_restricted(w, s))
+        tight_op, tight = counting(kron_restricted(w, s))
+        solve_symmetric(tight_op, b)
+        solve_symmetric(loose_op, b, rtol=0.1)
+        assert loose["n"] < tight["n"]
+
+    def test_indefinite_system_raises(self):
+        m = np.array([[1.0, 0.0], [0.0, -1.0]])
+        with pytest.raises(SingularSystem):
+            solve_symmetric(matrix_operator(m), np.array([1.0, 2.0]),
+                            precondition=matrix_operator(np.diag([1.0, 0.5])))
+
+    def test_indefinite_preconditioner_raises(self):
+        m = np.diag([1.0, 2.0])
+        with pytest.raises(SingularSystem):
+            solve_symmetric(matrix_operator(m), np.array([1.0, 0.0]),
+                            precondition=matrix_operator(np.diag([-1.0, 1.0])))
+
+    def test_budget_exhausted_raises(self, rng):
+        # condition number 1e10 and a preconditioner that only rescales it
+        n = 20
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        m = (q * np.logspace(0, 10, n)) @ q.T
+        with pytest.raises(SingularSystem, match="after 20 iterations"):
+            solve_symmetric(matrix_operator(m), np.ones(n),
+                            precondition=lambda v: 2.0 * v)
+
+
 def test_symmetrize(rng):
     a = rng.standard_normal((4, 4))
     s = symmetrize(a)
