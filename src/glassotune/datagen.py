@@ -207,10 +207,5 @@ def save_matrix_csv(a: np.ndarray, path, header: str = "") -> None:
 
 def load_matrix_csv(path) -> np.ndarray:
     """Read a matrix written by :func:`save_matrix_csv`."""
-    a = np.loadtxt(path, delimiter=",", dtype=float)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
-    elif a.ndim == 1:
-        a = a.reshape(1, -1) if a.size > 1 else a.reshape(1, 1)
-    return a
+    return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
 

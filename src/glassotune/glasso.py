@@ -24,9 +24,10 @@ Once the support settles the prox iteration converges only linearly.
 There, after a prox step, when the next prox map keeps theta's sign
 pattern, the solver tries one inexact Newton step on the problem with that
 pattern held (Oztoprak, Nocedal, Rennie & Olsen, NeurIPS 2012), projected
-onto theta's orthant face as in OWL-QN (Andrew & Gao, ICML 2007); the Notes
-of :func:`solve` give the details.  Only prox steps change the support, and
-only the prox map certifies convergence.
+onto theta's orthant face as in OWL-QN (Andrew & Gao, ICML 2007), and takes
+either the full projected step or the prox step; the Notes of :func:`solve`
+give the details.  Only prox steps change the support, and only the prox
+map certifies convergence.
 
 Every iterate is exactly symmetric without being re-symmetrized: the start,
 S, T and the mirrored inverse are exactly symmetric, and the prox and the
@@ -68,11 +69,10 @@ BACKTRACK_FACTOR = 0.5
 DECREASE_SLACK = 1e-12
 
 # Newton steps: conjugate gradients stop at the forcing term
-# min(NEWTON_FORCING, sqrt|g|) of the sign-fixed gradient g, and the step
-# is halved at most NEWTON_HALVINGS times until the Armijo test with
-# constant NEWTON_ARMIJO, and the slack of the prox test, passes.
+# min(NEWTON_FORCING, sqrt|g|) of the sign-fixed gradient g, and the solver
+# takes the full projected step if it passes the Armijo test with constant
+# NEWTON_ARMIJO, and the slack of the prox test, or the prox step if not.
 NEWTON_FORCING = 0.1
-NEWTON_HALVINGS = 10
 NEWTON_ARMIJO = 1e-4
 
 
@@ -260,12 +260,12 @@ def solve(
     Newton step.  With W = theta^{-1}, g = S - W + T * sign(theta) and S
     the support of theta, it solves (W kron W)_SS d = -g_S by conjugate
     gradients preconditioned with (theta kron theta)_SS, to the relative
-    residual min(NEWTON_FORCING, sqrt|g_S|); projects theta + t d onto
+    residual min(NEWTON_FORCING, sqrt|g_S|); projects theta + d onto
     theta's orthant face (entries that cross zero become 0); and accepts
-    the first t in 1, 1/2, ..., 2**-NEWTON_HALVINGS whose candidate is SPD
-    and passes an Armijo test with constant NEWTON_ARMIJO.  If that fails
-    the prox step is taken as usual.  Newton steps count towards MAX_ITER
-    and ``iterations`` and leave gamma as it was.
+    that full step if it is SPD and passes an Armijo test with constant
+    NEWTON_ARMIJO.  Otherwise the prox step is taken as usual.  Newton
+    steps count towards MAX_ITER and ``iterations`` and leave gamma as it
+    was.
 
     The returned theta is exactly symmetric, ``array_equal(theta,
     theta.T)``, with no re-symmetrizing in the loop: cov and the warm start
@@ -378,7 +378,8 @@ def _newton_step(
 ) -> Optional[tuple]:
     """One inexact Newton step with theta's signs held (see :func:`solve`).
 
-    Returns the accepted ``(theta, lower, f_theta)`` or None on any failure.
+    Returns the accepted ``(theta, lower, f_theta)`` of the full projected
+    step, or None if it fails, so that the prox step runs instead.
     With the signs held the penalty is the linear <T * sign(theta), theta>,
     so on the support the objective is smooth with gradient ``grad + T *
     sign(theta)`` and Hessian (W kron W)_SS; its preconditioner
@@ -401,24 +402,20 @@ def _newton_step(
         return None
     flat = np.zeros(p * p)
     flat[idx] = d
-    direction = unvec(flat, p)
+    trial = theta + unvec(flat, p)
+    # Project onto theta's orthant face: entries that cross zero stop at it.
+    trial[trial * theta < 0.0] = 0.0
+    try:
+        lower = cholesky(trial)
+    except NotPositiveDefinite:
+        return None
+    f_trial = -logdet(lower) + float(np.vdot(cov, trial))
+    # On the face the full objective is f + <T * sign(theta), theta>.
+    step = trial - theta
     slack = DECREASE_SLACK * max(1.0, abs(f_theta))
-    t = 1.0
-    for _ in range(NEWTON_HALVINGS + 1):
-        trial = theta + t * direction
-        # Project onto theta's orthant face: entries that cross zero stop at it.
-        trial[trial * theta < 0.0] = 0.0
-        t *= 0.5
-        try:
-            lower = cholesky(trial)
-        except NotPositiveDefinite:
-            continue
-        f_trial = -logdet(lower) + float(np.vdot(cov, trial))
-        # On the face the full objective is f + <T * sign(theta), theta>.
-        step = trial - theta
-        if (f_trial + float(np.vdot(sign_thr, step))
-                <= f_theta + NEWTON_ARMIJO * float(np.vdot(g_mat, step)) + slack):
-            return trial, lower, f_trial
+    if (f_trial + float(np.vdot(sign_thr, step))
+            <= f_theta + NEWTON_ARMIJO * float(np.vdot(g_mat, step)) + slack):
+        return trial, lower, f_trial
     return None
 
 

@@ -18,7 +18,8 @@ Conventions, fixed package-wide:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -129,50 +130,37 @@ def unvec(v: np.ndarray, p: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SupportSet:
-    """Ordered subset of ``[p**2)`` indexing nonzero entries of a vectorized
-    symmetric matrix.
+    """A set of entries of a p x p matrix, held as a read-only boolean mask.
 
-    ``indices`` is sorted and unique; ``mask`` is a dense boolean array of
-    length ``dim2`` for O(1) membership, with ``mask[k]`` true iff
-    ``k in indices``.
+    ``indices`` lists the set's positions under the column-major
+    :func:`vec`, in increasing order, and ``len()`` counts its entries.
+    Raises ValueError unless the mask is a square 2-d array.
     """
 
-    dim2: int
-    indices: np.ndarray = field(repr=False)
     mask: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        p = int(round(np.sqrt(self.dim2)))
-        if p * p != self.dim2 or self.dim2 < 1:
-            raise ValueError(f"dim2 must be a positive perfect square, got {self.dim2}")
-        idx = np.asarray(self.indices, dtype=np.intp)
-        if idx.ndim != 1:
-            raise ValueError("indices must be 1-d")
-        if idx.size and (idx[0] < 0 or idx[-1] >= self.dim2):
-            raise ValueError("indices out of range")
-        if idx.size > 1 and not np.all(np.diff(idx) > 0):
-            raise ValueError("indices must be strictly increasing")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray) -> "SupportSet":
-        """Build from a flat boolean mask of length ``p**2``."""
-        mask = np.asarray(mask, dtype=bool).ravel()
-        return cls(dim2=mask.size, indices=np.flatnonzero(mask), mask=mask)
+        mask = np.array(self.mask, dtype=bool)
+        if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
+            raise ValueError(f"mask must be a square 2-d array, got shape {mask.shape}")
+        mask.flags.writeable = False
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def from_matrix_mask(cls, mask2d: np.ndarray) -> "SupportSet":
-        """Build from a ``(p, p)`` boolean mask, vectorized column-major."""
-        return cls.from_mask(np.asarray(mask2d, dtype=bool).ravel(order="F"))
+        """Build from a ``(p, p)`` boolean mask."""
+        return cls(mask2d)
 
     def as_matrix_mask(self) -> np.ndarray:
-        """The ``(p, p)`` boolean mask this set vectorizes."""
-        p = int(round(np.sqrt(self.dim2)))
-        return self.mask.reshape((p, p), order="F")
+        """The ``(p, p)`` boolean mask."""
+        return self.mask
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        return np.flatnonzero(self.mask.ravel(order="F"))
 
     def __len__(self) -> int:
-        return int(self.indices.size)
+        return int(np.count_nonzero(self.mask))
 
 
 def kron_restricted(w: np.ndarray, support: SupportSet) -> Operator:
@@ -184,12 +172,13 @@ def kron_restricted(w: np.ndarray, support: SupportSet) -> Operator:
     symmetric in each ``(i, j)``, ``(j, i)`` pair, this is
     ``(w kron w)[support, support] @ v``; the symmetrize makes the paired
     outputs exactly equal.  Each product costs two p x p matrix products
-    and O(p**2) memory, against O(|S|**2) for the explicit block.
+    and O(p**2) memory, against O(|S|**2) for the explicit block.  Raises
+    ValueError unless the support's mask has the shape of ``w``.
     """
     w = _as_square(w, "w")
     p = w.shape[0]
-    if support.dim2 != p * p:
-        raise ValueError("support dimension does not match the matrix")
+    if support.mask.shape != w.shape:
+        raise ValueError("support shape does not match the matrix")
     idx = support.indices
 
     def apply(v: np.ndarray) -> np.ndarray:
@@ -203,18 +192,19 @@ def kron_restricted(w: np.ndarray, support: SupportSet) -> Operator:
 def solve_symmetric(
     apply: Operator,
     rhs: np.ndarray,
-    precondition: Optional[Operator] = None,
+    precondition: Operator,
     rtol: float = CG_RTOL,
 ) -> np.ndarray:
     """Solve ``K x = rhs`` by preconditioned conjugate gradients for SPD ``K``.
 
     ``K`` is given only through its product ``apply(v) == K @ v``, so it is
-    never formed.  ``precondition``, if given, is the product with an SPD
-    approximation of ``K^{-1}``; the closer it is, the fewer products with
-    ``K`` the solve takes.  Without one this is plain conjugate gradients.
-    Iterates until the residual norm ``|rhs - K x|`` is at most
-    ``rtol * |rhs|``; in exact arithmetic that takes at most ``len(rhs)``
-    steps, which is the iteration budget.
+    never formed.  ``precondition`` is the product with an SPD approximation
+    ``M`` of ``K^{-1}``; the closer it is, the fewer products with ``K`` the
+    solve takes.  For ``K = (W kron W)_SS`` with ``W = theta^{-1}`` the
+    package passes ``(theta kron theta)_SS``, the same block of the exact
+    inverse of the unrestricted ``W kron W``.  Iterates until the residual
+    norm ``|rhs - K x|`` is at most ``rtol * |rhs|``; in exact arithmetic
+    that takes at most ``len(rhs)`` steps, which is the iteration budget.
 
     Raises
     ------
@@ -229,7 +219,7 @@ def solve_symmetric(
         raise ValueError("rhs must be a vector")
     x = np.zeros_like(b)
     r = b.copy()
-    z = r if precondition is None else precondition(r)
+    z = precondition(r)
     d = z.copy()
     rz = float(r @ z)
     rr = bb = float(b @ b)
@@ -252,7 +242,7 @@ def solve_symmetric(
         x += alpha * d
         r -= alpha * kd
         rr = float(r @ r)
-        z = r if precondition is None else precondition(r)
+        z = precondition(r)
         rz_next = float(r @ z)
         d = z + (rz_next / rz) * d
         rz = rz_next

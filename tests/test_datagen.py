@@ -207,6 +207,15 @@ class TestCsvRoundTrip:
         save_matrix_csv(a, path)
         np.testing.assert_array_equal(load_matrix_csv(path), a)
 
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 3), (1, 1), (2, 2)])
+    def test_shape_round_trip(self, tmp_path, shape):
+        a = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape) / 7.0
+        path = tmp_path / "m.csv"
+        save_matrix_csv(a, path)
+        b = load_matrix_csv(path)
+        assert b.shape == shape
+        np.testing.assert_array_equal(b, a)
+
     def test_matrix_scalar(self, tmp_path):
         path = tmp_path / "s.csv"
         save_matrix_csv(np.array([[0.3]]), path)

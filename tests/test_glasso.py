@@ -207,16 +207,31 @@ class TestSolveExactSymmetry:
 
 
 def count_newton_steps(monkeypatch):
-    """Count the Newton steps solve tries and the ones it accepts."""
+    """Count the Newton steps solve tries, the ones it accepts and the
+    trials it rejects for not being positive definite."""
     real = glassotune.glasso._newton_step
-    calls = {"tried": 0, "accepted": 0}
+    real_cholesky = glassotune.glasso.cholesky
+    calls = {"tried": 0, "accepted": 0, "not_spd": 0}
+    inside = [False]
+
+    def cholesky(a):
+        try:
+            return real_cholesky(a)
+        except NotPositiveDefinite:
+            calls["not_spd"] += inside[0]
+            raise
 
     def counted(*args):
-        step = real(*args)
+        inside[0] = True
+        try:
+            step = real(*args)
+        finally:
+            inside[0] = False
         calls["tried"] += 1
         calls["accepted"] += step is not None
         return step
 
+    monkeypatch.setattr(glassotune.glasso, "cholesky", cholesky)
     monkeypatch.setattr(glassotune.glasso, "_newton_step", counted)
     return calls
 
@@ -491,6 +506,38 @@ class TestNewtonSteps:
         est = solve(cov_p100_seed0, Regularization.scalar(lam))
         assert newton["tried"] > 0 and newton["accepted"] == 0
         assert est.fixed_point_residual <= 1e-8 * min(1.0, est.gamma)
+        assert np.max(np.abs(est.theta - references[lam])) <= 1e-6
+        assert check_optimality(est, cov_p100_seed0) <= 1e-6
+
+    @pytest.mark.parametrize("lam", [0.1, 0.018, 0.005])
+    def test_armijo_rejection_falls_back_to_prox(
+        self, cov_p100_seed0, references, monkeypatch, lam
+    ):
+        # No step can decrease the objective by 1e6 times its slope.
+        monkeypatch.setattr(glassotune.glasso, "NEWTON_ARMIJO", 1e6)
+        newton = count_newton_steps(monkeypatch)
+        est = solve(cov_p100_seed0, Regularization.scalar(lam))
+        assert newton["tried"] > 0 and newton["accepted"] == 0
+        assert newton["not_spd"] == 0
+        assert np.max(np.abs(est.theta - references[lam])) <= 1e-6
+        assert check_optimality(est, cov_p100_seed0) <= 1e-6
+
+    @pytest.mark.parametrize("lam", [0.1, 0.018, 0.005])
+    def test_indefinite_trial_falls_back_to_prox(
+        self, cov_p100_seed0, references, monkeypatch, lam
+    ):
+        # Overshooting by 1e6 leaves the positive definite cone on most
+        # trials; the others fail the Armijo test.
+        real = glassotune.glasso.solve_symmetric
+
+        def overshoot(*args, **kwargs):
+            return 1e6 * real(*args, **kwargs)
+
+        monkeypatch.setattr(glassotune.glasso, "solve_symmetric", overshoot)
+        newton = count_newton_steps(monkeypatch)
+        est = solve(cov_p100_seed0, Regularization.scalar(lam))
+        assert newton["tried"] > 0 and newton["accepted"] == 0
+        assert newton["not_spd"] > 0
         assert np.max(np.abs(est.theta - references[lam])) <= 1e-6
         assert check_optimality(est, cov_p100_seed0) <= 1e-6
 

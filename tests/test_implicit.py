@@ -186,7 +186,7 @@ class TestJacobianScalar:
             theta=theta,
             reg=Regularization.scalar(0.1),
             gamma=1.0,
-            support=SupportSet.from_mask(np.ones(p * p, dtype=bool)),
+            support=SupportSet.from_matrix_mask(np.ones((p, p), dtype=bool)),
             fixed_point_residual=0.0,
             iterations=0,
         )
@@ -198,7 +198,7 @@ class TestJacobianScalar:
     def test_rejects_mismatched_support(self, rng):
         est, data, _ = solved_instance(seed=1)
         with pytest.raises(ValueError):
-            jacobian_scalar(est, SupportSet.from_mask(np.ones(16, dtype=bool)))
+            jacobian_scalar(est, SupportSet.from_matrix_mask(np.ones((4, 4), dtype=bool)))
 
 
 class TestHypergradientScalar:

@@ -192,13 +192,6 @@ class TestVec:
 
 
 class TestSupportSet:
-    def test_from_mask_round_trip(self):
-        mask = np.array([True, False, False, True])
-        s = SupportSet.from_mask(mask)
-        assert list(s.indices) == [0, 3]
-        assert len(s) == 2
-        np.testing.assert_array_equal(s.mask, mask)
-
     def test_matrix_mask_round_trip(self, rng):
         m = rng.random((4, 4)) > 0.5
         s = SupportSet.from_matrix_mask(m)
@@ -211,36 +204,42 @@ class TestSupportSet:
         s = SupportSet.from_matrix_mask(m)
         assert list(s.indices) == [1 + 2 * 3]
 
-    def test_rejects_unsorted_indices(self):
-        with pytest.raises(ValueError):
-            SupportSet(
-                dim2=4,
-                indices=np.array([3, 0]),
-                mask=np.array([True, False, False, True]),
-            )
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square 2-d"):
+            SupportSet.from_matrix_mask(np.ones((2, 3), dtype=bool))
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            SupportSet.from_mask(np.array([True] * 3))  # length not a square
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+    def test_rejects_non_2d(self, shape):
+        # A flat mask of length 4 is not read as 2 x 2.
+        with pytest.raises(ValueError, match="square 2-d"):
+            SupportSet.from_matrix_mask(np.ones(shape, dtype=bool))
+
+    def test_mask_is_a_read_only_copy(self):
+        m = np.eye(3, dtype=bool)
+        s = SupportSet.from_matrix_mask(m)
+        m[0, 1] = True
+        assert len(s) == 3
+        assert not s.as_matrix_mask().flags.writeable
 
 
 class TestKronRestricted:
     def test_identity_pair(self):
-        s = SupportSet.from_mask(np.array([True, False, False, True]))
+        s = SupportSet.from_matrix_mask(np.eye(2, dtype=bool))
         v = np.array([2.0, -3.0])
         np.testing.assert_array_equal(kron_restricted(np.eye(2), s)(v), v)
 
     def test_full_support_equals_dense(self, rng):
         w = random_spd(rng, 3)
-        s = SupportSet.from_mask(np.ones(9, dtype=bool))
+        s = SupportSet.from_matrix_mask(np.ones((3, 3), dtype=bool))
         v = pair_symmetric(rng, s)
         assert_rel_close(kron_restricted(w, s)(v), dense_kron(w, w) @ v)
 
     def test_single_index(self, rng):
         w = random_spd(rng, 3)
         for i in range(3):
-            k = i + 3 * i  # diagonal entries are their own transpose pair
-            s = SupportSet.from_mask(np.eye(9, dtype=bool)[k])
+            m = np.zeros((3, 3), dtype=bool)
+            m[i, i] = True  # diagonal entries are their own transpose pair
+            s = SupportSet.from_matrix_mask(m)
             assert kron_restricted(w, s)(np.ones(1))[0] == w[i, i] * w[i, i]
 
     @pytest.mark.parametrize("p", [2, 3, 4])
@@ -255,7 +254,7 @@ class TestKronRestricted:
         # vec(W X W) == (W kron W) vec(X) under the column-major vec
         w = random_spd(rng, 3)
         x = symmetrize(rng.standard_normal((3, 3)))
-        s = SupportSet.from_mask(np.ones(9, dtype=bool))
+        s = SupportSet.from_matrix_mask(np.ones((3, 3), dtype=bool))
         assert_rel_close(kron_restricted(w, s)(vec(x)), vec(w @ x @ w))
 
     def test_pairs_exactly_symmetric(self, rng):
@@ -270,30 +269,38 @@ class TestKronRestricted:
 
     def test_rejects_mismatched_support(self, rng):
         with pytest.raises(ValueError):
-            kron_restricted(random_spd(rng, 3), SupportSet.from_mask(np.ones(4, dtype=bool)))
+            kron_restricted(random_spd(rng, 3),
+                            SupportSet.from_matrix_mask(np.ones((2, 2), dtype=bool)))
 
 
 def matrix_operator(m: np.ndarray):
     return lambda v: m @ v
 
 
+def identity(v: np.ndarray) -> np.ndarray:
+    """The trivial preconditioner: plain conjugate gradients."""
+    return v
+
+
 class TestSolveSymmetric:
     def test_identity(self):
         b = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(solve_symmetric(matrix_operator(np.eye(3)), b), b)
+        x = solve_symmetric(matrix_operator(np.eye(3)), b, identity)
+        np.testing.assert_array_equal(x, b)
 
     def test_diagonal(self):
-        x = solve_symmetric(matrix_operator(np.diag([2.0, 5.0])), np.array([4.0, 10.0]))
+        x = solve_symmetric(matrix_operator(np.diag([2.0, 5.0])), np.array([4.0, 10.0]),
+                            identity)
         np.testing.assert_allclose(x, [2.0, 2.0])
 
     def test_residual(self, rng):
         m = random_spd(rng, 6)
         b = rng.standard_normal(6)
-        x = solve_symmetric(matrix_operator(m), b)
+        x = solve_symmetric(matrix_operator(m), b, identity)
         assert np.max(np.abs(m @ x - b)) <= 1e-10
 
     def test_zero_rhs(self, rng):
-        x = solve_symmetric(matrix_operator(random_spd(rng, 4)), np.zeros(4))
+        x = solve_symmetric(matrix_operator(random_spd(rng, 4)), np.zeros(4), identity)
         np.testing.assert_array_equal(x, np.zeros(4))
 
     def test_restricted_kron_system(self, rng):
@@ -301,14 +308,14 @@ class TestSolveSymmetric:
         w = spd_inverse(cholesky(random_spd(rng, p)))
         s = symmetric_support(rng, p)
         b = pair_symmetric(rng, s)
-        x = solve_symmetric(kron_restricted(w, s), b)
+        x = solve_symmetric(kron_restricted(w, s), b, identity)
         assert np.linalg.norm(restricted_product(w, s, x) - b) <= 1e-11 * np.linalg.norm(b)
 
     def test_singular_raises(self):
         # rank one: the direction (1, -1, 0) has zero curvature
         m = np.ones((3, 3))
         with pytest.raises(SingularSystem):
-            solve_symmetric(matrix_operator(m), np.array([1.0, -1.0, 0.0]))
+            solve_symmetric(matrix_operator(m), np.array([1.0, -1.0, 0.0]), identity)
 
     def test_budget_exhausted_raises(self, rng):
         # condition number 1e10: in floating point, len(rhs) steps fall short
@@ -316,12 +323,12 @@ class TestSolveSymmetric:
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         m = (q * np.logspace(0, 10, n)) @ q.T
         with pytest.raises(SingularSystem):
-            solve_symmetric(matrix_operator(m), np.ones(n))
+            solve_symmetric(matrix_operator(m), np.ones(n), identity)
 
     def test_indefinite_raises(self):
         m = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(SingularSystem):
-            solve_symmetric(matrix_operator(m), np.array([1.0, 2.0]))
+            solve_symmetric(matrix_operator(m), np.array([1.0, 2.0]), identity)
 
 
 def counting(apply):
@@ -348,7 +355,7 @@ class TestPreconditionedSolve:
         elif which == "partial":
             s = symmetric_support(rng, self.P)
         else:
-            s = SupportSet.from_mask(np.ones(self.P**2, dtype=bool))
+            s = SupportSet.from_matrix_mask(np.ones((self.P, self.P), dtype=bool))
         return theta, w, s, pair_symmetric(rng, s)
 
     @pytest.mark.parametrize("which", ["diagonal", "partial", "full"])
@@ -357,7 +364,7 @@ class TestPreconditionedSolve:
             theta, w, s, b = self._system(rng, which)
             plain_op, plain = counting(kron_restricted(w, s))
             pre_op, pre = counting(kron_restricted(w, s))
-            x = solve_symmetric(plain_op, b)
+            x = solve_symmetric(plain_op, b, identity)
             y = solve_symmetric(pre_op, b, precondition=kron_restricted(theta, s))
             assert np.linalg.norm(y - x) <= 1e-9 * np.linalg.norm(x)
             assert pre["n"] < plain["n"]
@@ -366,7 +373,7 @@ class TestPreconditionedSolve:
         theta, w, s, b = self._system(rng, "full")
         k = kron_restricted(w, s)
         for rtol in (0.5, 0.1, 1e-3):
-            for pre in (None, kron_restricted(theta, s)):
+            for pre in (identity, kron_restricted(theta, s)):
                 x = solve_symmetric(k, b, precondition=pre, rtol=rtol)
                 assert np.linalg.norm(b - k(x)) <= rtol * np.linalg.norm(b)
 
@@ -374,8 +381,8 @@ class TestPreconditionedSolve:
         theta, w, s, b = self._system(rng, "full")
         loose_op, loose = counting(kron_restricted(w, s))
         tight_op, tight = counting(kron_restricted(w, s))
-        solve_symmetric(tight_op, b)
-        solve_symmetric(loose_op, b, rtol=0.1)
+        solve_symmetric(tight_op, b, identity)
+        solve_symmetric(loose_op, b, identity, rtol=0.1)
         assert loose["n"] < tight["n"]
 
     def test_indefinite_system_raises(self):

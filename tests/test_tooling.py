@@ -98,6 +98,20 @@ def test_output_check_fields_exist():
             "iterations"} <= fields
 
 
+def test_support_length_counts_mask_entries():
+    # The tracer reads len() of the support handed to _restricted_kron for
+    # implicit.support_size.*, and _descend subtracts two of them for
+    # kink_entries.
+    import numpy as np
+
+    import glassotune as gt
+
+    for m in (np.eye(4, dtype=bool), np.ones((3, 3), dtype=bool),
+              np.zeros((2, 2), dtype=bool),
+              np.random.default_rng(0).random((6, 6)) > 0.5):
+        assert len(gt.SupportSet.from_matrix_mask(m)) == m.sum()
+
+
 @pytest.mark.parametrize("mode", sorted(SECTIONS))
 def test_summary_carries_the_fields_the_benchmark_reads(tmp_path, mode):
     import glassotune.cli as cli
