@@ -88,6 +88,7 @@ class TrajectoryRecord:
     rel_error: Optional[float]
     seconds: float
     kink_entries: int = 0  # support entries put on the zero branch
+    newton_steps: int = 0  # accepted Newton steps among inner_iterations
 
 
 @dataclass
@@ -262,6 +263,7 @@ def _descend(
     alpha,
     config: BilevelConfig,
     theta_true: Optional[np.ndarray],
+    warm: Optional[np.ndarray],
 ) -> Trajectory:
     """The outer loop of both tuners, over alpha = log(penalty).
 
@@ -269,7 +271,9 @@ def _descend(
     array (one weight per entry).  Both take the per-entry hypergradient
     from one adjoint solve; a tied level moves every weight at once, so
     its derivative is the sum of the per-entry ones.  The weight matrix
-    gradient is symmetrized so the weights stay symmetric.
+    gradient is symmetrized so the weights stay symmetric.  The first solve
+    starts from ``warm`` (None: the solver's cold start), every later one
+    from the previous solution.
 
     Any GlassoTuneError of the solve, the criterion, the support check or
     the adjoint solve propagates at the first iterate, annotated with the
@@ -280,7 +284,6 @@ def _descend(
     scalar = np.ndim(alpha) == 0
     free = np.isfinite(alpha)
     traj = Trajectory(scalar=scalar)
-    warm: Optional[np.ndarray] = None
 
     for k in range(config.max_outer_iter + 1):
         t0 = time.perf_counter()
@@ -321,6 +324,7 @@ def _descend(
                 rel_error=re_val,
                 seconds=seconds,
                 kink_entries=len(est.support) - len(support),
+                newton_steps=est.newton_steps,
             )
         )
         traj.estimate = est
@@ -376,7 +380,7 @@ def tune_scalar(
         if lam <= 0.0:
             raise ValueError("init must be > 0 for the log parametrization")
 
-    traj = _descend(cov_train, cov_test, float(np.log(lam)), config, theta_true)
+    traj = _descend(cov_train, cov_test, float(np.log(lam)), config, theta_true, None)
     return traj.final.reg.lam, traj
 
 
@@ -385,6 +389,7 @@ def tune_matrix(
     cov_test: np.ndarray,
     config: Optional[BilevelConfig] = None,
     theta_true: Optional[np.ndarray] = None,
+    warm_start: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Trajectory]:
     """Descend the hold-out criterion over a full matrix of penalty weights.
 
@@ -392,7 +397,9 @@ def tune_matrix(
     hypergradient's zero off-support pattern freezes those entries for the
     step.  When no init is given the scalar tuner runs first and its
     optimum fills the starting weight matrix, making the matrix run a pure
-    refinement.
+    refinement; its estimate then replaces ``warm_start``, so the first
+    solve starts at its own solution.  A caller that passes the scalar
+    optimum as init should pass that estimate as ``warm_start`` too.
 
     Returns the last evaluated weight matrix and the trajectory.
     """
@@ -403,8 +410,9 @@ def tune_matrix(
     p = cov_train.shape[0]
 
     if config.init is None:
-        lam_opt, _ = tune_scalar(cov_train, cov_test, config)
+        lam_opt, scalar_traj = tune_scalar(cov_train, cov_test, config)
         weights = np.full((p, p), lam_opt)
+        warm_start = scalar_traj.estimate.theta
     elif config.init.is_scalar:
         if config.init.lam <= 0.0:
             raise ValueError("init must be > 0 for the log parametrization")
@@ -414,5 +422,5 @@ def tune_matrix(
     with np.errstate(divide="ignore"):
         alpha = np.log(weights)  # zero weights pin their alpha at -inf
 
-    traj = _descend(cov_train, cov_test, alpha, config, theta_true)
+    traj = _descend(cov_train, cov_test, alpha, config, theta_true, warm_start)
     return traj.final.reg.weights, traj

@@ -9,8 +9,8 @@ output directory:
 * ``trajectory.csv``     one row per outer descent iteration
                          (modes scalar, matrix, compare)
 * ``summary.json``       the full config echoed back plus final levels,
-                         criteria, errors, iteration and kink counts,
-                         abort flags and timings
+                         criteria, errors, iteration, Newton-step and kink
+                         counts, abort flags and timings
 * ``lambda_opt.csv``, ``theta_true.csv``, ``theta_hat.csv``
                          with ``--emit-matrices``
 * ``error.json``         written instead of summary.json when a numerical
@@ -35,6 +35,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import List, Optional
 
@@ -242,6 +243,7 @@ def _descent_stage(summary: dict, stage: str, tune, init: Regularization,
         "rel_error": final.rel_error,
         "outer_iterations": len(traj),
         "inner_iterations_total": int(sum(r.inner_iterations for r in traj.records)),
+        "newton_steps_total": int(sum(r.newton_steps for r in traj.records)),
         "kink_entries": int(sum(r.kink_entries for r in traj.records)),
         "converged": traj.converged,
         "aborted": traj.aborted,
@@ -306,7 +308,9 @@ def run(config: ExperimentConfig) -> int:
                                      Regularization.scalar(lam_start), config, data, truth)
             lam_opt = descent.final.reg.lam
             if config.mode == "matrix":
-                descent = _descent_stage(summary, "matrix", tune_matrix,
+                # the matrix stage's first problem is the scalar stage's last one
+                tune = partial(tune_matrix, warm_start=descent.estimate.theta)
+                descent = _descent_stage(summary, "matrix", tune,
                                          Regularization.scalar(lam_opt), config, data, truth)
             descent.to_csv(out / "trajectory.csv")
             final = (descent.estimate.reg, descent.estimate.theta)

@@ -20,14 +20,14 @@ the fixed-point equation
 for any gamma > 0, and the solver's residual is the sup-norm defect of that
 equation at the step in effect when it stopped.
 
-Once the support settles the prox iteration converges only linearly.
-There, after a prox step, when the next prox map keeps theta's sign
-pattern, the solver tries one inexact Newton step on the problem with that
-pattern held (Oztoprak, Nocedal, Rennie & Olsen, NeurIPS 2012), projected
-onto theta's orthant face as in OWL-QN (Andrew & Gao, ICML 2007), and takes
-either the full projected step or the prox step; the Notes of :func:`solve`
-give the details.  Only prox steps change the support, and only the prox
-map certifies convergence.
+The prox iteration converges only linearly.  So after every accepted prox
+step the solver tries one inexact Newton step on the problem with theta's
+sign pattern held (Oztoprak, Nocedal, Rennie & Olsen, NeurIPS 2012),
+projected onto theta's orthant face as in OWL-QN (Andrew & Gao, ICML 2007),
+where the objective is smooth and exact, and takes either the full
+projected step or the prox step; the Notes of :func:`solve` give the
+details.  Only prox steps change the support, and only the prox map
+certifies convergence.
 
 Every iterate is exactly symmetric without being re-symmetrized: the start,
 S, T and the mirrored inverse are exactly symmetric, and the prox and the
@@ -68,10 +68,11 @@ BACKTRACK_FACTOR = 0.5
 # step is so small that the two objective values agree to round-off.
 DECREASE_SLACK = 1e-12
 
-# Newton steps: conjugate gradients stop at the forcing term
-# min(NEWTON_FORCING, sqrt|g|) of the sign-fixed gradient g, and the solver
-# takes the full projected step if it passes the Armijo test with constant
-# NEWTON_ARMIJO, and the slack of the prox test, or the prox step if not.
+# Newton steps, tried after every accepted prox step: conjugate gradients
+# stop at the forcing term min(NEWTON_FORCING, sqrt|g|) of the sign-fixed
+# gradient g, and the solver takes the full projected step if it passes the
+# Armijo test with constant NEWTON_ARMIJO, and the slack of the prox test,
+# or the prox step if not.
 NEWTON_FORCING = 0.1
 NEWTON_ARMIJO = 1e-4
 
@@ -154,7 +155,8 @@ class PrecisionEstimate:
     ``gamma`` is the prox step in effect when the solver stopped, and
     ``fixed_point_residual`` was measured with exactly that step.
     ``support`` holds the entries with ``|theta| > support_tol``, diagonal
-    included.  ``iterations`` counts accepted steps, proximal or Newton.
+    included.  ``iterations`` counts accepted steps, proximal or Newton;
+    ``newton_steps`` counts the Newton ones among them.
     """
 
     theta: np.ndarray = field(repr=False)
@@ -163,6 +165,7 @@ class PrecisionEstimate:
     support: SupportSet
     fixed_point_residual: float
     iterations: int
+    newton_steps: int = 0
 
     @property
     def dim(self) -> int:
@@ -255,17 +258,20 @@ def solve(
     accepted prox step proposes the next by a Barzilai-Borwein quotient,
     kept only under positive curvature.
 
-    When the previous accepted step was a prox step and the prox map at
-    the current gamma keeps theta's sign pattern, the solver first tries a
-    Newton step.  With W = theta^{-1}, g = S - W + T * sign(theta) and S
-    the support of theta, it solves (W kron W)_SS d = -g_S by conjugate
-    gradients preconditioned with (theta kron theta)_SS, to the relative
-    residual min(NEWTON_FORCING, sqrt|g_S|); projects theta + d onto
-    theta's orthant face (entries that cross zero become 0); and accepts
+    After every accepted prox step that does not end the solve, the solver
+    first tries a Newton step.  With W = theta^{-1},
+    g = S - W + T * sign(theta) and S the support of theta, it solves
+    (W kron W)_SS d = -g_S by conjugate gradients preconditioned with
+    (theta kron theta)_SS, to the relative residual
+    min(NEWTON_FORCING, sqrt|g_S|); projects theta + d onto theta's
+    orthant face (entries that cross zero become 0); and accepts
     that full step if it is SPD and passes an Armijo test with constant
     NEWTON_ARMIJO.  Otherwise the prox step is taken as usual.  Newton
-    steps count towards MAX_ITER and ``iterations`` and leave gamma as it
-    was.
+    steps count towards MAX_ITER, ``iterations`` and ``newton_steps`` and
+    leave gamma as it was.  The step needs no test of the next prox map's
+    sign pattern: on theta's face the penalty is linear, so the Armijo test
+    there is on the exact objective, and the prox step that follows can
+    still grow or shrink the support.
 
     The returned theta is exactly symmetric, ``array_equal(theta,
     theta.T)``, with no re-symmetrizing in the loop: cov and the warm start
@@ -305,6 +311,7 @@ def solve(
 
     gamma = _default_gamma(cov)
     after_prox = False
+    newton_steps = 0
 
     for it in range(MAX_ITER + 1):
         grad = cov - theta_inv
@@ -314,7 +321,8 @@ def solve(
         delta = cand - theta
         residual = float(np.max(np.abs(delta)))
         if residual <= config.tol * min(1.0, gamma):
-            return _finalize(theta, theta_inv, reg, gamma, residual, it, config)
+            return _finalize(theta, theta_inv, reg, gamma, residual, it, newton_steps,
+                             config)
         if it == MAX_ITER:
             raise NotConverged(
                 f"no fixed point after {it} iterations, residual {residual:.3e}",
@@ -322,12 +330,13 @@ def solve(
                 residual=residual,
             )
 
-        if after_prox and np.array_equal(np.sign(cand), np.sign(theta)):
+        if after_prox:
             newton = _newton_step(cov, thr, theta, theta_inv, grad, f_theta)
             if newton is not None:
                 theta, lower, f_theta = newton
                 theta_inv = spd_inverse(lower)
                 after_prox = False
+                newton_steps += 1
                 continue
         after_prox = True
 
@@ -426,6 +435,7 @@ def _finalize(
     gamma: float,
     residual: float,
     iterations: int,
+    newton_steps: int,
     config: SolverConfig,
 ) -> PrecisionEstimate:
     mask = np.abs(theta) > config.support_tol
@@ -436,6 +446,7 @@ def _finalize(
         support=SupportSet.from_matrix_mask(mask),
         fixed_point_residual=residual,
         iterations=iterations,
+        newton_steps=newton_steps,
     )
     # theta_inv is spd_inverse(cholesky(theta)), the value the cached
     # property would compute, so seeding the cache saves a factorization.

@@ -420,6 +420,21 @@ class TestTuneMatrix:
         _, traj = tune_matrix(data.cov_train, data.cov_test, cfg)
         w0 = traj.records[0].reg.weights
         assert np.ptp(w0) == 0.0  # constant matrix seeded by the scalar stage
+        # and its first solve starts at the scalar stage's solution
+        assert traj.records[0].inner_iterations == 0
+
+    def test_warm_start_at_the_scalar_optimum_needs_no_iteration(self):
+        _, data = make_instance(20, 500, seed=0, density=0.05)
+        lam, straj = tune_scalar(data.cov_train, data.cov_test)
+        cfg = BilevelConfig(init=Regularization.scalar(lam), max_outer_iter=2)
+        _, cold = tune_matrix(data.cov_train, data.cov_test, cfg)
+        _, warm = tune_matrix(data.cov_train, data.cov_test, cfg,
+                              warm_start=straj.estimate.theta)
+        assert cold.records[0].inner_iterations > 0
+        assert warm.records[0].inner_iterations == 0
+        assert warm.records[0].criterion == pytest.approx(straj.final.criterion, abs=1e-9)
+        for r in warm.records:
+            assert 0 <= r.newton_steps <= r.inner_iterations
 
     def test_rejects_zero_scalar_init(self):
         _, data = make_instance(3, 100, seed=1)

@@ -217,6 +217,27 @@ class TestRunMatrix:
         assert m["criterion"] <= summary["scalar"]["criterion"] + 1e-8
         assert load_matrix_csv(tmp_path / "lambda_opt.csv").shape == (4, 4)
 
+    def test_first_solve_starts_at_the_scalar_estimate(self, tmp_path):
+        assert run(small_config(tmp_path, mode="matrix", p=4, n=100,
+                                max_outer_iter=3)) == 0
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        first = dict(zip(header, rows[1].split(",")))
+        assert first["inner_iters"] == "0"
+        summary = read_summary(tmp_path)
+        assert float(first["criterion"]) == pytest.approx(summary["scalar"]["criterion"],
+                                                          abs=1e-9)
+
+
+class TestNewtonStepsReported:
+    def test_counted_within_inner_iterations_at_p100(self, tmp_path):
+        cfg = ExperimentConfig(mode="compare", p=100, n=2000, density=0.05, seed=0,
+                               grid_points=10, max_outer_iter=10,
+                               output_dir=str(tmp_path))
+        assert run(cfg) == 0
+        scalar = read_summary(tmp_path)["scalar"]
+        assert 0 < scalar["newton_steps_total"] <= scalar["inner_iterations_total"]
+
 
 class TestRunCompare:
     def test_outputs(self, tmp_path):

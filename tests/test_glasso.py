@@ -555,3 +555,51 @@ class TestNewtonSteps:
         assert np.max(np.abs(est.theta - reference.theta)) <= 1e-6
         assert check_optimality(est, cov_p100_seed0) <= 1e-6
         np.testing.assert_array_equal(est.theta, est.theta.T)
+
+    def test_tried_after_every_prox_step(self, cov_p100_seed0, monkeypatch):
+        # Newton follows every accepted prox step that does not end the
+        # solve, including those whose next prox map changes theta's sign
+        # pattern; the face projection keeps zero entries at zero.
+        events, prox_out = [], []
+        sign_changes = 0
+        real_prox = glassotune.glasso.soft_threshold
+        real_inverse = glassotune.glasso.spd_inverse
+        real_newton = glassotune.glasso._newton_step
+
+        def prox(*args):
+            prox_out.append(real_prox(*args))
+            return prox_out[-1]
+
+        def inverse(*args):
+            events.append("inverse")
+            return real_inverse(*args)
+
+        def newton(*args):
+            nonlocal sign_changes
+            theta = args[2]
+            # the last prox map is the one taken at theta to measure the residual
+            sign_changes += not np.array_equal(np.sign(prox_out[-1]), np.sign(theta))
+            step = real_newton(*args)
+            if step is not None:
+                assert not np.any((theta == 0.0) & (step[0] != 0.0))
+            events.append("newton" if step is None else "newton accepted")
+            return step
+
+        monkeypatch.setattr(glassotune.glasso, "soft_threshold", prox)
+        monkeypatch.setattr(glassotune.glasso, "spd_inverse", inverse)
+        monkeypatch.setattr(glassotune.glasso, "_newton_step", newton)
+        est = solve(cov_p100_seed0, Regularization.scalar(0.005))
+        # One inverse for the start and one per accepted step; the one right
+        # after an accepted trial is the Newton step's, every other a prox step's.
+        prox_steps = [k for k, e in enumerate(events)
+                      if k > 0 and e == "inverse" and events[k - 1] != "newton accepted"]
+        accepted = events.count("newton accepted")
+        assert events[0] == "inverse" and not events[1].startswith("newton")
+        assert accepted == est.newton_steps > 0
+        assert len(prox_steps) + accepted == est.iterations
+        for k in prox_steps:
+            assert k == len(events) - 1 or events[k + 1].startswith("newton")
+        assert sum(e.startswith("newton") for e in events) == len(prox_steps) - (
+            prox_steps[-1] == len(events) - 1)
+        assert sign_changes > 0
+        assert check_optimality(est, cov_p100_seed0) <= 1e-6

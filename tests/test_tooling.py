@@ -98,6 +98,20 @@ def test_output_check_fields_exist():
             "iterations"} <= fields
 
 
+def test_estimate_builds_from_the_output_check_keywords():
+    # perfbench/run.py's output check builds an estimate from exactly these
+    # keywords, so every later field needs a default.
+    import numpy as np
+
+    import glassotune as gt
+
+    est = gt.PrecisionEstimate(theta=np.eye(3), reg=gt.Regularization.scalar(0.1),
+                               gamma=float("nan"),
+                               support=gt.SupportSet.from_matrix_mask(np.eye(3, dtype=bool)),
+                               fixed_point_residual=float("nan"), iterations=0)
+    assert est.newton_steps == 0
+
+
 def test_support_length_counts_mask_entries():
     # The tracer reads len() of the support handed to _restricted_kron for
     # implicit.support_size.*, and _descend subtracts two of them for
