@@ -234,7 +234,7 @@ def grid_search(
             points[int(i)] = GridPoint(lam, float("nan"), float("nan"), True)
             continue
         warm = est.theta
-        crit = criterion_holdout(est.theta, cov_test).value
+        crit = criterion_holdout(est, cov_test).value
         re_val = (
             relative_error(est.theta, theta_true)
             if theta_true is not None
@@ -298,7 +298,7 @@ def _descend(
         )
         try:
             est = solve(cov_train, reg, config.solver, warm_start=warm)
-            crit = criterion_holdout(est.theta, cov_test)
+            crit = criterion_holdout(est, cov_test)
             support = support_from_estimate(est, cov_train)
             values = hypergradient_weighted(est, support, crit.gradient).values
         except GlassoTuneError as exc:

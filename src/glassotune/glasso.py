@@ -183,6 +183,11 @@ class PrecisionEstimate:
         inv.flags.writeable = False
         return inv
 
+    @cached_property
+    def logdet(self) -> float:
+        """``log det theta``, kept with the estimate like ``theta_inv``."""
+        return logdet(cholesky(self.theta))
+
 
 def soft_threshold(z: np.ndarray, thresholds: float | np.ndarray) -> np.ndarray:
     """Entrywise sign(z) * max(|z| - t, 0).  Thresholds must be >= 0.
@@ -321,8 +326,8 @@ def solve(
         delta = cand - theta
         residual = float(np.max(np.abs(delta)))
         if residual <= config.tol * min(1.0, gamma):
-            return _finalize(theta, theta_inv, reg, gamma, residual, it, newton_steps,
-                             config)
+            return _finalize(theta, lower, theta_inv, reg, gamma, residual, it,
+                             newton_steps, config)
         if it == MAX_ITER:
             raise NotConverged(
                 f"no fixed point after {it} iterations, residual {residual:.3e}",
@@ -430,6 +435,7 @@ def _newton_step(
 
 def _finalize(
     theta: np.ndarray,
+    lower: np.ndarray,
     theta_inv: np.ndarray,
     reg: Regularization,
     gamma: float,
@@ -448,10 +454,12 @@ def _finalize(
         iterations=iterations,
         newton_steps=newton_steps,
     )
-    # theta_inv is spd_inverse(cholesky(theta)), the value the cached
-    # property would compute, so seeding the cache saves a factorization.
+    # lower is cholesky(theta) and theta_inv is spd_inverse(lower), the
+    # values the cached properties would compute, so seeding their caches
+    # saves a factorization.
     theta_inv.flags.writeable = False
     object.__setattr__(est, "theta_inv", theta_inv)
+    object.__setattr__(est, "logdet", logdet(lower))
     return est
 
 

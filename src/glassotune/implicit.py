@@ -198,17 +198,27 @@ def hypergradient_weighted(
     return WeightedHypergradient(values=_on_support(-sign_s * y, support, p), y=y)
 
 
-def criterion_holdout(theta: np.ndarray, cov_test: np.ndarray) -> CriterionValue:
+def criterion_holdout(
+    theta: np.ndarray | PrecisionEstimate, cov_test: np.ndarray
+) -> CriterionValue:
     """Unpenalized negative log-likelihood of theta on held-out data.
 
     value = -logdet(theta) + <cov_test, theta>, gradient = cov_test -
     theta^{-1}.  The gradient vanishes exactly at theta = cov_test^{-1}.
+    ``theta`` is a matrix, factorized here, or an estimate, whose
+    ``logdet`` and ``theta_inv`` are read instead: :func:`solve` seeds
+    both, so its estimates give the same values, bit for bit, with no
+    factorization.
     """
-    theta = np.asarray(theta, dtype=float)
     cov_test = symmetrize(np.asarray(cov_test, dtype=float))
-    lower = cholesky(theta)
-    value = -logdet(lower) + float(np.sum(cov_test * theta))
-    gradient = symmetrize(cov_test - spd_inverse(lower))
+    if isinstance(theta, PrecisionEstimate):
+        neg_logdet, theta_inv, theta = -theta.logdet, theta.theta_inv, theta.theta
+    else:
+        theta = np.asarray(theta, dtype=float)
+        lower = cholesky(theta)
+        neg_logdet, theta_inv = -logdet(lower), spd_inverse(lower)
+    value = neg_logdet + float(np.sum(cov_test * theta))
+    gradient = symmetrize(cov_test - theta_inv)
     return CriterionValue(value=value, gradient=gradient)
 
 

@@ -170,21 +170,30 @@ def kron_restricted(w: np.ndarray, support: SupportSet) -> Operator:
     ``unvec_S`` scatters ``v`` into a p x p zero matrix at the support.  For
     symmetric ``w``, a support closed under transposition and ``v``
     symmetric in each ``(i, j)``, ``(j, i)`` pair, this is
-    ``(w kron w)[support, support] @ v``; the symmetrize makes the paired
-    outputs exactly equal.  Each product costs two p x p matrix products
-    and O(p**2) memory, against O(|S|**2) for the explicit block.  Raises
-    ValueError unless the support's mask has the shape of ``w``.
+    ``(w kron w)[support, support] @ v``; the symmetrizing makes the paired
+    outputs exactly equal.  It is applied to the gathered entries only:
+    with ``C = w @ unvec_S(v) @ w``, each output is ``(C_ij + C_ji) / 2``,
+    read from ``C`` at the entry and at its mirror, the value
+    ``symmetrize`` gives (float addition commutes), without its p x p
+    transpose-add, divide and copy.  Each product costs two p x p matrix
+    products and O(p**2) memory, against O(|S|**2) for the explicit block.
+    Raises ValueError unless the support's mask has the shape of ``w``.
     """
     w = _as_square(w, "w")
     p = w.shape[0]
     if support.mask.shape != w.shape:
         raise ValueError("support shape does not match the matrix")
     idx = support.indices
+    # Read in C order, flat position i + j * p of a p x p matrix holds
+    # entry (j, i), the transpose of its column-major entry (i, j), and
+    # ``mirror`` holds (i, j).
+    mirror = (idx % p) * p + idx // p
 
     def apply(v: np.ndarray) -> np.ndarray:
         flat = np.zeros(p * p)
         flat[idx] = v
-        return vec(symmetrize(w @ unvec(flat, p) @ w))[idx]
+        c = (w @ unvec(flat, p) @ w).ravel()
+        return (c[idx] + c[mirror]) / 2.0
 
     return apply
 
@@ -205,6 +214,9 @@ def solve_symmetric(
     inverse of the unrestricted ``W kron W``.  Iterates until the residual
     norm ``|rhs - K x|`` is at most ``rtol * |rhs|``; in exact arithmetic
     that takes at most ``len(rhs)`` steps, which is the iteration budget.
+    Each iteration takes one product with ``K`` and one with ``M``; a
+    residual that has met the tolerance (the last one, or that of a zero
+    ``rhs``) is never preconditioned.
 
     Raises
     ------
@@ -219,9 +231,6 @@ def solve_symmetric(
         raise ValueError("rhs must be a vector")
     x = np.zeros_like(b)
     r = b.copy()
-    z = precondition(r)
-    d = z.copy()
-    rz = float(r @ z)
     rr = bb = float(b @ b)
     stop = rtol**2 * bb
     it = 0
@@ -231,6 +240,12 @@ def solve_symmetric(
                 f"conjugate gradients left relative residual {np.sqrt(rr / bb):.3e} "
                 f"after {it} iterations"
             )
+        z = precondition(r)
+        rz_next = float(r @ z)
+        # The first direction is a copy: an identity preconditioner returns
+        # r itself, which the loop updates in place.
+        d = z.copy() if it == 0 else z + (rz_next / rz) * d
+        rz = rz_next
         kd = apply(d)
         curvature = float(d @ kd)
         if not (curvature > 0.0 and rz > 0.0):
@@ -242,9 +257,5 @@ def solve_symmetric(
         x += alpha * d
         r -= alpha * kd
         rr = float(r @ r)
-        z = precondition(r)
-        rz_next = float(r @ z)
-        d = z + (rz_next / rz) * d
-        rz = rz_next
         it += 1
     return x

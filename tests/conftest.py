@@ -48,6 +48,24 @@ def naive_weighted_hypergradient(est, support, grad_c) -> np.ndarray:
     return unvec(flat, p)
 
 
+def reference_kron_restricted(w, support):
+    """Oracle for ``linalg.kron_restricted``: symmetrize, then gather.
+
+    The map ``v -> vec(symmetrize(w @ unvec_S(v) @ w))[idx]``, which
+    symmetrizes the whole p x p product before cutting the support out of
+    it.  The package's operator must give the same values, bit for bit.
+    """
+    p = w.shape[0]
+    idx = support.indices
+
+    def apply(v):
+        flat = np.zeros(p * p)
+        flat[idx] = v
+        return vec(symmetrize(w @ unvec(flat, p) @ w))[idx]
+
+    return apply
+
+
 def fail_support_check(monkeypatch, failing):
     """Make the tuners' support check raise on the calls ``failing`` picks.
 

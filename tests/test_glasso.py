@@ -15,7 +15,7 @@ from glassotune.glasso import (
     soft_threshold,
     solve,
 )
-from glassotune.linalg import SupportSet, cholesky, spd_inverse
+from glassotune.linalg import SupportSet, cholesky, logdet, spd_inverse
 
 from conftest import make_instance, random_spd
 
@@ -449,6 +449,14 @@ class TestThetaInv:
     def test_not_a_constructor_field(self):
         names = {f.name for f in dataclasses.fields(PrecisionEstimate)}
         assert "theta_inv" not in names
+
+    def test_logdet_matches_fresh_factor_bitwise(self, rng):
+        # Seeded by solve; computed on first use by an estimate built otherwise.
+        est = solve(random_spd(rng, 5), Regularization.scalar(0.5))
+        assert est.logdet == logdet(cholesky(est.theta))
+        moved = dataclasses.replace(est, theta=2.0 * est.theta)
+        assert moved.logdet == logdet(cholesky(moved.theta))
+        assert "logdet" not in {f.name for f in dataclasses.fields(PrecisionEstimate)}
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import glassotune.glasso
+import glassotune.implicit
 from glassotune.exceptions import DegenerateSupport
 from glassotune.glasso import (
     PrecisionEstimate,
@@ -20,7 +22,12 @@ from glassotune.implicit import (
 )
 from glassotune.linalg import SupportSet, symmetrize, vec
 
-from conftest import make_instance, naive_weighted_hypergradient, random_spd
+from conftest import (
+    make_instance,
+    naive_weighted_hypergradient,
+    random_spd,
+    reference_kron_restricted,
+)
 
 TIGHT = SolverConfig(tol=1e-11)
 
@@ -318,6 +325,55 @@ class TestCriterionHoldout:
             - criterion_holdout(theta - h * delta, cov).value
         ) / (2.0 * h)
         assert abs(float(np.sum(out.gradient * delta)) - fd) <= 1e-5 * max(1.0, abs(fd))
+
+    def test_estimate_form_bit_identical_without_factorizing(self, monkeypatch):
+        # Warm-started solves, as in a grid sweep or a descent.
+        _, data = make_instance(30, 600, seed=3, density=0.1)
+        warm = None
+        for lam in (0.2, 0.05, 0.02):
+            est = solve(data.cov_train, Regularization.scalar(lam), warm_start=warm)
+            warm = est.theta
+            by_matrix = criterion_holdout(est.theta, data.cov_test)
+            with monkeypatch.context() as m:
+                for module in (glassotune.glasso, glassotune.implicit):
+                    m.setattr(module, "cholesky", _no_factorization)
+                by_estimate = criterion_holdout(est, data.cov_test)
+            assert by_estimate.value == by_matrix.value
+            assert np.array_equal(by_estimate.gradient, by_matrix.gradient)
+
+
+def _no_factorization(a):
+    raise AssertionError("theta was factorized again")
+
+
+@pytest.fixture(scope="module")
+def data_p100_seed0():
+    """Train and test split of the CLI's default p=100 data (seed 0)."""
+    return make_instance(100, 2000, seed=0, density=0.05)[1]
+
+
+class TestSymmetrizeReferenceEndToEnd:
+    # The solver's Newton step and the adjoint solve give the same bits
+    # with the symmetrize-then-gather reference product patched in.
+    @pytest.mark.parametrize("lam", [0.1, 0.018, 0.005])
+    def test_solve_and_adjoint_bit_identical(self, data_p100_seed0, monkeypatch, lam):
+        data = data_p100_seed0
+
+        def run():
+            est = solve(data.cov_train, Regularization.scalar(lam))
+            support = support_from_estimate(est, data.cov_train)
+            grad_c = criterion_holdout(est, data.cov_test).gradient
+            return est, hypergradient_weighted(est, support, grad_c).y
+
+        est, y = run()
+        for module in (glassotune.glasso, glassotune.implicit):
+            monkeypatch.setattr(module, "kron_restricted", reference_kron_restricted)
+        ref, y_ref = run()
+        assert est.newton_steps > 0
+        assert np.array_equal(est.theta, ref.theta)
+        assert est.iterations == ref.iterations
+        assert est.newton_steps == ref.newton_steps
+        assert np.array_equal(y, y_ref)
 
 
 class TestRelativeError:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from glassotune.exceptions import NotPositiveDefinite, SingularSystem
 from glassotune.linalg import (
+    CG_RTOL,
     SupportSet,
     cholesky,
     kron_restricted,
@@ -18,7 +19,7 @@ from glassotune.linalg import (
     vec,
 )
 
-from conftest import random_spd
+from conftest import random_spd, reference_kron_restricted
 
 
 def brute_force_det(a: np.ndarray) -> float:
@@ -267,6 +268,24 @@ class TestKronRestricted:
         m = unvec(out, p)
         np.testing.assert_array_equal(m, m.T)
 
+    @pytest.mark.parametrize("p", [1, 2, 7, 100])
+    @pytest.mark.parametrize("kind", ["diagonal", "symmetric", "full"])
+    def test_bit_identical_to_symmetrize_reference(self, rng, p, kind):
+        w = spd_inverse(cholesky(random_spd(rng, p)))
+        if kind == "diagonal":
+            s = SupportSet.from_matrix_mask(np.eye(p, dtype=bool))
+        elif kind == "symmetric":
+            s = symmetric_support(rng, p)
+        else:
+            s = SupportSet.from_matrix_mask(np.ones((p, p), dtype=bool))
+        for v in (pair_symmetric(rng, s), rng.standard_normal(len(s))):
+            got = kron_restricted(w, s)(v)
+            assert np.array_equal(got, reference_kron_restricted(w, s)(v))
+            out = np.zeros(p * p)
+            out[s.indices] = got
+            m = unvec(out, p)
+            assert np.array_equal(m, m.T)
+
     def test_rejects_mismatched_support(self, rng):
         with pytest.raises(ValueError):
             kron_restricted(random_spd(rng, 3),
@@ -384,6 +403,26 @@ class TestPreconditionedSolve:
         solve_symmetric(tight_op, b, identity)
         solve_symmetric(loose_op, b, identity, rtol=0.1)
         assert loose["n"] < tight["n"]
+
+    @pytest.mark.parametrize("which", ["diagonal", "partial", "full"])
+    @pytest.mark.parametrize("rtol", [CG_RTOL, 1e-3])
+    def test_one_product_with_each_operator_per_iteration(self, rng, which, rtol):
+        # k iterations take k products with K and k with M: the residual
+        # that meets the tolerance is not preconditioned.
+        theta, w, s, b = self._system(rng, which)
+        k_op, k = counting(kron_restricted(w, s))
+        m_op, m = counting(kron_restricted(theta, s))
+        solve_symmetric(k_op, b, m_op, rtol=rtol)
+        assert k["n"] > 0
+        assert m["n"] == k["n"]
+
+    def test_zero_rhs_takes_no_products(self, rng):
+        theta, w, s, _ = self._system(rng, "partial")
+        k_op, k = counting(kron_restricted(w, s))
+        m_op, m = counting(kron_restricted(theta, s))
+        x = solve_symmetric(k_op, np.zeros(len(s)), m_op)
+        np.testing.assert_array_equal(x, np.zeros(len(s)))
+        assert k["n"] == m["n"] == 0
 
     def test_indefinite_system_raises(self):
         m = np.array([[1.0, 0.0], [0.0, -1.0]])
