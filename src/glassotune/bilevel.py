@@ -89,6 +89,7 @@ class TrajectoryRecord:
     seconds: float
     kink_entries: int = 0  # support entries put on the zero branch
     newton_steps: int = 0  # accepted Newton steps among inner_iterations
+    newton_trials: int = 0  # Newton steps tried, accepted or not
 
 
 @dataclass
@@ -325,6 +326,7 @@ def _descend(
                 seconds=seconds,
                 kink_entries=len(est.support) - len(support),
                 newton_steps=est.newton_steps,
+                newton_trials=est.newton_trials,
             )
         )
         traj.estimate = est

@@ -244,6 +244,7 @@ def _descent_stage(summary: dict, stage: str, tune, init: Regularization,
         "outer_iterations": len(traj),
         "inner_iterations_total": int(sum(r.inner_iterations for r in traj.records)),
         "newton_steps_total": int(sum(r.newton_steps for r in traj.records)),
+        "newton_trials_total": int(sum(r.newton_trials for r in traj.records)),
         "kink_entries": int(sum(r.kink_entries for r in traj.records)),
         "converged": traj.converged,
         "aborted": traj.aborted,

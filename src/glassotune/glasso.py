@@ -51,8 +51,6 @@ from .linalg import (
     solve_symmetric,
     spd_inverse,
     symmetrize,
-    unvec,
-    vec,
 )
 
 # Accepted steps, proximal or Newton, before solve gives up with NotConverged.
@@ -156,7 +154,8 @@ class PrecisionEstimate:
     ``fixed_point_residual`` was measured with exactly that step.
     ``support`` holds the entries with ``|theta| > support_tol``, diagonal
     included.  ``iterations`` counts accepted steps, proximal or Newton;
-    ``newton_steps`` counts the Newton ones among them.
+    ``newton_steps`` counts the Newton ones among them, and
+    ``newton_trials`` the Newton steps tried, accepted or not.
     """
 
     theta: np.ndarray = field(repr=False)
@@ -166,6 +165,7 @@ class PrecisionEstimate:
     fixed_point_residual: float
     iterations: int
     newton_steps: int = 0
+    newton_trials: int = 0
 
     @property
     def dim(self) -> int:
@@ -273,17 +273,18 @@ def solve(
     that full step if it is SPD and passes an Armijo test with constant
     NEWTON_ARMIJO.  Otherwise the prox step is taken as usual.  Newton
     steps count towards MAX_ITER, ``iterations`` and ``newton_steps`` and
-    leave gamma as it was.  The step needs no test of the next prox map's
-    sign pattern: on theta's face the penalty is linear, so the Armijo test
-    there is on the exact objective, and the prox step that follows can
-    still grow or shrink the support.
+    leave gamma as it was; ``newton_trials`` counts the rejected ones too.
+    The step needs no test of the next prox map's sign pattern: on theta's
+    face the penalty is linear, so the Armijo test there is on the exact
+    objective, and the prox step that follows can still grow or shrink the
+    support.
 
     The returned theta is exactly symmetric, ``array_equal(theta,
     theta.T)``, with no re-symmetrizing in the loop: cov and the warm start
     are symmetrized once, the inverse is mirrored, the prox treats entries
-    (i, j) and (j, i) alike, and every vector conjugate gradients form from
-    the symmetrizing Kronecker products is equal on each such pair, so the
-    Newton direction is too.  Its inverse comes back with it as
+    (i, j) and (j, i) alike, and every matrix conjugate gradients form from
+    the Kronecker products is exactly symmetric and zero off the support,
+    so the Newton direction is too.  Its inverse comes back with it as
     ``theta_inv``.
     """
     if config is None:
@@ -316,7 +317,7 @@ def solve(
 
     gamma = _default_gamma(cov)
     after_prox = False
-    newton_steps = 0
+    newton_steps = newton_trials = 0
 
     for it in range(MAX_ITER + 1):
         grad = cov - theta_inv
@@ -327,7 +328,7 @@ def solve(
         residual = float(np.max(np.abs(delta)))
         if residual <= config.tol * min(1.0, gamma):
             return _finalize(theta, lower, theta_inv, reg, gamma, residual, it,
-                             newton_steps, config)
+                             newton_steps, newton_trials, config)
         if it == MAX_ITER:
             raise NotConverged(
                 f"no fixed point after {it} iterations, residual {residual:.3e}",
@@ -336,6 +337,7 @@ def solve(
             )
 
         if after_prox:
+            newton_trials += 1
             newton = _newton_step(cov, thr, theta, theta_inv, grad, f_theta)
             if newton is not None:
                 theta, lower, f_theta = newton
@@ -398,25 +400,24 @@ def _newton_step(
     so on the support the objective is smooth with gradient ``grad + T *
     sign(theta)`` and Hessian (W kron W)_SS; its preconditioner
     (theta kron theta)_SS is the same block of the Hessian's exact inverse.
+    The gradient, the direction d and every conjugate-gradient iterate are
+    p x p matrices, zero off the support, so the trial is ``theta + d``.
     """
     support = SupportSet.from_matrix_mask(theta != 0.0)
-    idx = support.indices
-    p = theta.shape[0]
     sign_thr = thr * np.sign(theta)
     g_mat = grad + sign_thr
-    g = vec(g_mat)[idx]
+    g = np.where(support.mask, g_mat, 0.0)
     try:
         d = solve_symmetric(
             kron_restricted(theta_inv, support),
             -g,
             precondition=kron_restricted(theta, support),
             rtol=min(NEWTON_FORCING, np.sqrt(float(np.linalg.norm(g)))),
+            dim=len(support),
         )
     except SingularSystem:
         return None
-    flat = np.zeros(p * p)
-    flat[idx] = d
-    trial = theta + unvec(flat, p)
+    trial = theta + d
     # Project onto theta's orthant face: entries that cross zero stop at it.
     trial[trial * theta < 0.0] = 0.0
     try:
@@ -442,6 +443,7 @@ def _finalize(
     residual: float,
     iterations: int,
     newton_steps: int,
+    newton_trials: int,
     config: SolverConfig,
 ) -> PrecisionEstimate:
     mask = np.abs(theta) > config.support_tol
@@ -453,6 +455,7 @@ def _finalize(
         fixed_point_residual=residual,
         iterations=iterations,
         newton_steps=newton_steps,
+        newton_trials=newton_trials,
     )
     # lower is cholesky(theta) and theta_inv is spd_inverse(lower), the
     # values the cached properties would compute, so seeding their caches

@@ -35,9 +35,9 @@ from .linalg import (
     solve_symmetric,
     spd_inverse,
     symmetrize,
-    unvec,
-    vec,
 )
+# Not called here; perfbench/tracer.py wraps these names in this module.
+from .linalg import unvec, vec  # noqa: F401
 
 # Entries whose fixed-point argument sits within this relative distance of
 # its threshold count as at a kink; support_from_estimate puts them on the
@@ -61,8 +61,10 @@ class WeightedHypergradient:
     """Gradient of an outer criterion with respect to per-entry weights.
 
     ``values[k, l]`` is d C(theta_hat(weights)) / d weights[k, l], exactly
-    zero off-support.  ``y`` keeps the adjoint solve vector (one entry per
-    support coordinate) for diagnostics.
+    zero off-support.  ``y`` keeps the adjoint solution for diagnostics: a
+    p x p matrix like ``values``, exactly symmetric and zero off the
+    support, so its entries on the support are the |S| coordinates of the
+    restricted system.
     """
 
     values: np.ndarray = field(repr=False)
@@ -133,19 +135,12 @@ def _restricted_kron(est: PrecisionEstimate, support: SupportSet) -> Operator:
     return kron_restricted(est.theta_inv, support)
 
 
-def _on_support(values: np.ndarray, support: SupportSet, p: int) -> np.ndarray:
-    """Scatter one value per support coordinate into a p x p zero matrix."""
-    flat = np.zeros(p * p)
-    flat[support.indices] = values
-    return unvec(flat, p)
-
-
 def jacobian_scalar(est: PrecisionEstimate, support: SupportSet) -> ScalarJacobian:
     """Derivative of the solution with respect to its scalar penalty level.
 
     Solves the support-restricted system K y = -sign(vec theta)_S with
-    K the restricted Kronecker square of theta^{-1}, and scatters y back
-    to a p x p matrix with zeros off-support.  K is symmetric, so this is
+    K the restricted Kronecker square of theta^{-1}, with y held as a
+    p x p matrix with zeros off-support.  K is symmetric, so this is
     the adjoint solve of :func:`hypergradient_weighted` against
     -sign(theta).  The result does not depend on the prox step gamma: the
     step scales both sides of the system and cancels.
@@ -154,7 +149,7 @@ def jacobian_scalar(est: PrecisionEstimate, support: SupportSet) -> ScalarJacobi
     coefficient matrix not positive definite or do not converge.
     """
     y = hypergradient_weighted(est, support, -np.sign(est.theta)).y
-    return ScalarJacobian(values=_on_support(y, support, est.dim))
+    return ScalarJacobian(values=y)
 
 
 def hypergradient_scalar(jac: ScalarJacobian, grad_c: np.ndarray) -> float:
@@ -176,9 +171,11 @@ def hypergradient_weighted(
     system against a one-hot right-hand side -sign(theta_kl) * e_pos(k,l),
     so contracting all of them against grad_c only needs the single adjoint
     solve y = K^{-1} vec(grad_c)_S (K is symmetric), by conjugate gradients
-    preconditioned with the restricted Kronecker square of theta:
+    preconditioned with the restricted Kronecker square of theta.  The
+    solve runs on p x p matrices zero off the support: its right-hand side
+    is grad_c masked to the support, its solution Y is y put back on it, and
 
-        out[k, l] = -sign(theta_kl) * y[pos(k, l)]   on support, else 0.
+        out = -sign(theta) * Y,   zero off the support.
 
     Tying every weight to one level makes its derivative the sum of the
     per-entry ones, so the sum of ``values`` is the scalar-penalty
@@ -188,14 +185,13 @@ def hypergradient_weighted(
     grad_c = symmetrize(np.asarray(grad_c, dtype=float))
     if grad_c.shape != (p, p):
         raise ValueError("criterion gradient shape does not match the estimate")
-    idx = support.indices
     y = solve_symmetric(
         _restricted_kron(est, support),
-        vec(grad_c)[idx],
+        np.where(support.mask, grad_c, 0.0),
         precondition=kron_restricted(est.theta, support),
+        dim=len(support),
     )
-    sign_s = np.sign(vec(est.theta))[idx]
-    return WeightedHypergradient(values=_on_support(-sign_s * y, support, p), y=y)
+    return WeightedHypergradient(values=-np.sign(est.theta) * y, y=y)
 
 
 def criterion_holdout(

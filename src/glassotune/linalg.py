@@ -7,8 +7,9 @@ Conventions, fixed package-wide:
   after any operation that could break it.
 * ``vec`` is column-major: matrix entry ``(i, j)`` maps to flat index
   ``k = i + j * p`` and back via ``i = k % p``, ``j = k // p``.  This is
-  the single place the index map is defined; every support set and
-  Kronecker computation in the package uses it.
+  the single place the index map is defined.  No solve uses it: the
+  restricted systems hold their vectors as p x p matrices zero off the
+  support; it orders the explicit blocks the tests compare them with.
 * The Kronecker product uses the standard block layout,
   ``(A kron B)[r, c] = A[r // p, c // p] * B[r % p, c % p]``, so that
   ``vec(B @ X @ A.T) == (A kron B) @ vec(X)`` under the column-major
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -132,9 +133,8 @@ def unvec(v: np.ndarray, p: int) -> np.ndarray:
 class SupportSet:
     """A set of entries of a p x p matrix, held as a read-only boolean mask.
 
-    ``indices`` lists the set's positions under the column-major
-    :func:`vec`, in increasing order, and ``len()`` counts its entries.
-    Raises ValueError unless the mask is a square 2-d array.
+    ``len()`` counts its entries.  Raises ValueError unless the mask is a
+    square 2-d array.
     """
 
     mask: np.ndarray = field(repr=False)
@@ -156,8 +156,9 @@ class SupportSet:
         return self.mask
 
     @cached_property
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.mask.ravel(order="F"))
+    def _half(self) -> np.ndarray:
+        # 0.5 on the set, 0 off it: shared by every kron_restricted on the set
+        return np.where(self.mask, 0.5, 0.0)
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.mask))
@@ -166,34 +167,24 @@ class SupportSet:
 def kron_restricted(w: np.ndarray, support: SupportSet) -> Operator:
     """Product with rows and columns ``support`` of ``w kron w``, matrix-free.
 
-    Returns the map ``v -> vec(symmetrize(w @ unvec_S(v) @ w))_S``, where
-    ``unvec_S`` scatters ``v`` into a p x p zero matrix at the support.  For
-    symmetric ``w``, a support closed under transposition and ``v``
-    symmetric in each ``(i, j)``, ``(j, i)`` pair, this is
-    ``(w kron w)[support, support] @ v``; the symmetrizing makes the paired
-    outputs exactly equal.  It is applied to the gathered entries only:
-    with ``C = w @ unvec_S(v) @ w``, each output is ``(C_ij + C_ji) / 2``,
-    read from ``C`` at the entry and at its mirror, the value
-    ``symmetrize`` gives (float addition commutes), without its p x p
-    transpose-add, divide and copy.  Each product costs two p x p matrix
-    products and O(p**2) memory, against O(|S|**2) for the explicit block.
-    Raises ValueError unless the support's mask has the shape of ``w``.
+    Acts on p x p matrices that are zero off the support, one entry per
+    coordinate of the restricted system, and returns the map
+    ``X -> mask * (C + C.T) / 2`` with ``C = w @ X @ w``.  For symmetric
+    ``w``, a support closed under transposition and symmetric ``X``, this
+    is ``(w kron w)[support, support] @ vec(X)[support]`` put back on the
+    support; ``C + C.T`` makes the output exactly symmetric.  Each product
+    costs two p x p matrix products and O(p**2) memory, against O(|S|**2)
+    for the explicit block.  Raises ValueError unless the support's mask
+    has the shape of ``w``.
     """
     w = _as_square(w, "w")
-    p = w.shape[0]
     if support.mask.shape != w.shape:
         raise ValueError("support shape does not match the matrix")
-    idx = support.indices
-    # Read in C order, flat position i + j * p of a p x p matrix holds
-    # entry (j, i), the transpose of its column-major entry (i, j), and
-    # ``mirror`` holds (i, j).
-    mirror = (idx % p) * p + idx // p
+    half = support._half
 
-    def apply(v: np.ndarray) -> np.ndarray:
-        flat = np.zeros(p * p)
-        flat[idx] = v
-        c = (w @ unvec(flat, p) @ w).ravel()
-        return (c[idx] + c[mirror]) / 2.0
+    def apply(x: np.ndarray) -> np.ndarray:
+        c = w @ x @ w
+        return half * (c + c.T)
 
     return apply
 
@@ -203,51 +194,58 @@ def solve_symmetric(
     rhs: np.ndarray,
     precondition: Operator,
     rtol: float = CG_RTOL,
+    dim: Optional[int] = None,
 ) -> np.ndarray:
     """Solve ``K x = rhs`` by preconditioned conjugate gradients for SPD ``K``.
 
     ``K`` is given only through its product ``apply(v) == K @ v``, so it is
-    never formed.  ``precondition`` is the product with an SPD approximation
-    ``M`` of ``K^{-1}``; the closer it is, the fewer products with ``K`` the
-    solve takes.  For ``K = (W kron W)_SS`` with ``W = theta^{-1}`` the
-    package passes ``(theta kron theta)_SS``, the same block of the exact
-    inverse of the unrestricted ``W kron W``.  Iterates until the residual
-    norm ``|rhs - K x|`` is at most ``rtol * |rhs|``; in exact arithmetic
-    that takes at most ``len(rhs)`` steps, which is the iteration budget.
-    Each iteration takes one product with ``K`` and one with ``M``; a
-    residual that has met the tolerance (the last one, or that of a zero
-    ``rhs``) is never preconditioned.
+    never formed.  ``rhs`` and the solution are vectors, or p x p matrices
+    zero off a support, the form :func:`kron_restricted` acts on; inner
+    products are ``np.vdot`` either way.  ``precondition`` is the product
+    with an SPD approximation ``M`` of ``K^{-1}``; the closer it is, the
+    fewer products with ``K`` the solve takes.  For ``K = (W kron W)_SS``
+    with ``W = theta^{-1}`` the package passes ``(theta kron theta)_SS``,
+    the same block of the exact inverse of the unrestricted ``W kron W``.
+    Iterates until the residual norm ``|rhs - K x|`` is at most
+    ``rtol * |rhs|``; in exact arithmetic that takes at most ``dim`` steps,
+    the dimension of the system and the iteration budget: the length of a
+    vector ``rhs`` by default, the support's size for a matrix one, which
+    must pass it.  Each iteration takes one product with ``K`` and one with
+    ``M``; a residual that has met the tolerance (the last one, or that of
+    a zero ``rhs``) is never preconditioned.
 
     Raises
     ------
     SingularSystem
-        When a search direction has ``d @ K d <= 0`` or a residual has
-        ``r @ M r <= 0`` for the preconditioner ``M`` (``K`` or ``M`` is not
+        When a search direction has ``d . K d <= 0`` or a residual has
+        ``r . M r <= 0`` for the preconditioner ``M`` (``K`` or ``M`` is not
         positive definite), or when the budget runs out before the
         tolerance.
     """
     b = np.asarray(rhs, dtype=float)
-    if b.ndim != 1:
-        raise ValueError("rhs must be a vector")
+    if dim is None:
+        if b.ndim != 1:
+            raise ValueError("a matrix rhs needs dim, the size of its support")
+        dim = b.size
     x = np.zeros_like(b)
     r = b.copy()
-    rr = bb = float(b @ b)
+    rr = bb = float(np.vdot(b, b))
     stop = rtol**2 * bb
     it = 0
     while not rr <= stop:  # a NaN residual keeps iterating and then raises
-        if it == b.size:
+        if it == dim:
             raise SingularSystem(
                 f"conjugate gradients left relative residual {np.sqrt(rr / bb):.3e} "
                 f"after {it} iterations"
             )
         z = precondition(r)
-        rz_next = float(r @ z)
+        rz_next = float(np.vdot(r, z))
         # The first direction is a copy: an identity preconditioner returns
         # r itself, which the loop updates in place.
         d = z.copy() if it == 0 else z + (rz_next / rz) * d
         rz = rz_next
         kd = apply(d)
-        curvature = float(d @ kd)
+        curvature = float(np.vdot(d, kd))
         if not (curvature > 0.0 and rz > 0.0):
             raise SingularSystem(
                 f"system or preconditioner is not positive definite: d.Kd = "
@@ -256,6 +254,6 @@ def solve_symmetric(
         alpha = rz / curvature
         x += alpha * d
         r -= alpha * kd
-        rr = float(r @ r)
+        rr = float(np.vdot(r, r))
         it += 1
     return x

@@ -24,6 +24,12 @@ def random_spd(rng: np.random.Generator, p: int, jitter: float = 0.5) -> np.ndar
     return a @ a.T + (p + jitter) * np.eye(p)
 
 
+def support_indices(support) -> np.ndarray:
+    """Positions of a support's entries under the column-major ``vec``:
+    the rows and columns of the explicit restricted block."""
+    return np.flatnonzero(vec(support.as_matrix_mask()))
+
+
 def naive_weighted_hypergradient(est, support, grad_c) -> np.ndarray:
     """Per-entry oracle for ``hypergradient_weighted(...).values``.
 
@@ -35,7 +41,7 @@ def naive_weighted_hypergradient(est, support, grad_c) -> np.ndarray:
     shares no code with the matrix-free conjugate-gradient path.
     """
     p = est.dim
-    idx = support.indices
+    idx = support_indices(support)
     k = np.kron(est.theta_inv, est.theta_inv)[np.ix_(idx, idx)]
     k_inv = scipy.linalg.solve(k, np.eye(len(idx)), assume_a="pos")
     sign_s = np.sign(vec(est.theta))[idx]
@@ -49,19 +55,17 @@ def naive_weighted_hypergradient(est, support, grad_c) -> np.ndarray:
 
 
 def reference_kron_restricted(w, support):
-    """Oracle for ``linalg.kron_restricted``: symmetrize, then gather.
+    """Oracle for ``linalg.kron_restricted``: symmetrize, then mask.
 
-    The map ``v -> vec(symmetrize(w @ unvec_S(v) @ w))[idx]``, which
-    symmetrizes the whole p x p product before cutting the support out of
-    it.  The package's operator must give the same values, bit for bit.
+    The map ``X -> where(mask, symmetrize(w @ X @ w), 0)`` on p x p
+    matrices zero off the support, which symmetrizes the whole product and
+    then zeroes it off the support.  The package's operator must give the
+    same values, bit for bit.
     """
-    p = w.shape[0]
-    idx = support.indices
+    mask = support.as_matrix_mask()
 
-    def apply(v):
-        flat = np.zeros(p * p)
-        flat[idx] = v
-        return vec(symmetrize(w @ unvec(flat, p) @ w))[idx]
+    def apply(x):
+        return np.where(mask, symmetrize(w @ x @ w), 0.0)
 
     return apply
 

@@ -435,6 +435,7 @@ class TestTuneMatrix:
         assert warm.records[0].criterion == pytest.approx(straj.final.criterion, abs=1e-9)
         for r in warm.records:
             assert 0 <= r.newton_steps <= r.inner_iterations
+            assert r.newton_steps <= r.newton_trials
 
     def test_rejects_zero_scalar_init(self):
         _, data = make_instance(3, 100, seed=1)

@@ -239,6 +239,29 @@ class TestNewtonStepsReported:
         assert 0 < scalar["newton_steps_total"] <= scalar["inner_iterations_total"]
 
 
+class TestNewtonTrialsReported:
+    # The new counter sits beside the stage fields the summary already had
+    # and leaves trajectory.csv as it was.
+    STAGE_FIELDS = {"criterion", "rel_error", "outer_iterations",
+                    "inner_iterations_total", "newton_steps_total", "kink_entries",
+                    "converged", "aborted", "stop_reason", "seconds"}
+    LEVELS = {"scalar": {"lambda_opt"},
+              "matrix": {"lambda_min", "lambda_max", "lambda_mean"}}
+
+    def test_beside_unchanged_fields(self, tmp_path):
+        cfg = ExperimentConfig(mode="matrix", p=30, n=600, density=0.1, seed=2,
+                               max_outer_iter=5, output_dir=str(tmp_path))
+        assert run(cfg) == 0
+        summary = read_summary(tmp_path)
+        for stage, levels in self.LEVELS.items():
+            record = summary[stage]
+            assert set(record) == self.STAGE_FIELDS | levels | {"newton_trials_total"}
+            assert 0 < record["newton_steps_total"] <= record["newton_trials_total"]
+        header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
+        assert header == ("iter,lambda_min,lambda_max,lambda_mean,criterion,"
+                          "hypergrad_norm,inner_iters,rel_error,seconds")
+
+
 class TestRunCompare:
     def test_outputs(self, tmp_path):
         cfg = small_config(tmp_path, mode="compare")

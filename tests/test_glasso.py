@@ -564,6 +564,58 @@ class TestNewtonSteps:
         assert check_optimality(est, cov_p100_seed0) <= 1e-6
         np.testing.assert_array_equal(est.theta, est.theta.T)
 
+    @pytest.mark.parametrize("fallback", [None, "singular", "not_spd", "armijo"])
+    def test_trials_count_every_fallback(self, cov_p100_seed0, monkeypatch, fallback):
+        # newton_trials - newton_steps counts the trials that fell back to
+        # a prox step, each for one reason: a singular restricted system, a
+        # trial that is not SPD, or a factored trial that fails Armijo.
+        real_system = glassotune.glasso.solve_symmetric
+        real_cholesky = glassotune.glasso.cholesky
+        real_newton = glassotune.glasso._newton_step
+        events, kinds = [], []
+
+        def system(*args, **kwargs):
+            if fallback == "singular":
+                events.append("singular")
+                raise SingularSystem("simulated failure")
+            d = real_system(*args, **kwargs)
+            return 1e6 * d if fallback == "not_spd" else d
+
+        def cholesky(a):
+            try:
+                lower = real_cholesky(a)
+            except NotPositiveDefinite:
+                events.append("not_spd")
+                raise
+            events.append("factored")
+            return lower
+
+        def newton(*args):
+            events.clear()
+            step = real_newton(*args)
+            if step is not None:
+                kinds.append("accepted")
+            elif events == ["factored"]:
+                kinds.append("armijo")
+            else:
+                assert len(events) == 1 and events[0] in ("singular", "not_spd")
+                kinds.append(events[0])
+            return step
+
+        monkeypatch.setattr(glassotune.glasso, "solve_symmetric", system)
+        monkeypatch.setattr(glassotune.glasso, "cholesky", cholesky)
+        monkeypatch.setattr(glassotune.glasso, "_newton_step", newton)
+        if fallback == "armijo":
+            monkeypatch.setattr(glassotune.glasso, "NEWTON_ARMIJO", 1e6)
+        est = solve(cov_p100_seed0, Regularization.scalar(0.005))
+        assert est.newton_trials == len(kinds) > 0
+        assert est.newton_steps == kinds.count("accepted") <= est.newton_trials
+        assert est.newton_trials - est.newton_steps == (
+            kinds.count("singular") + kinds.count("not_spd") + kinds.count("armijo"))
+        if fallback is not None:
+            assert kinds.count(fallback) > 0 and est.newton_steps == 0
+        assert check_optimality(est, cov_p100_seed0) <= 1e-6
+
     def test_tried_after_every_prox_step(self, cov_p100_seed0, monkeypatch):
         # Newton follows every accepted prox step that does not end the
         # solve, including those whose next prox map changes theta's sign

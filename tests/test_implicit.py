@@ -27,6 +27,7 @@ from conftest import (
     naive_weighted_hypergradient,
     random_spd,
     reference_kron_restricted,
+    support_indices,
 )
 
 TIGHT = SolverConfig(tol=1e-11)
@@ -177,7 +178,7 @@ class TestJacobianScalar:
         jac = jacobian_scalar(est, support)
         theta_inv = np.linalg.inv(est.theta)
         k_full = np.kron(theta_inv, theta_inv)
-        idx = support.indices
+        idx = support_indices(support)
         lhs = k_full[np.ix_(idx, idx)] @ vec(jac.values)[idx]
         rhs = -np.sign(vec(est.theta))[idx]
         np.testing.assert_allclose(lhs, rhs, atol=1e-8)
@@ -251,7 +252,10 @@ class TestHypergradientWeighted:
             fast = hypergradient_weighted(est, support, grad_c)
             slow = naive_weighted_hypergradient(est, support, grad_c)
             assert np.max(np.abs(fast.values - slow)) <= 1e-10
-            assert len(fast.y) == len(support)
+            # y holds one entry per coordinate of the restricted system, as
+            # a p x p matrix that is zero off the support.
+            assert fast.y.shape == fast.values.shape
+            assert np.all(fast.y[~support.as_matrix_mask()] == 0.0)
 
     def test_matches_finite_differences(self):
         est, data, lam = solved_instance(seed=8)
@@ -354,7 +358,8 @@ def data_p100_seed0():
 
 class TestSymmetrizeReferenceEndToEnd:
     # The solver's Newton step and the adjoint solve give the same bits
-    # with the symmetrize-then-gather reference product patched in.
+    # with the symmetrize-then-mask reference product patched in where
+    # glasso and implicit look the operator up.
     @pytest.mark.parametrize("lam", [0.1, 0.018, 0.005])
     def test_solve_and_adjoint_bit_identical(self, data_p100_seed0, monkeypatch, lam):
         data = data_p100_seed0
@@ -366,14 +371,36 @@ class TestSymmetrizeReferenceEndToEnd:
             return est, hypergradient_weighted(est, support, grad_c).y
 
         est, y = run()
+        products = {}
         for module in (glassotune.glasso, glassotune.implicit):
-            monkeypatch.setattr(module, "kron_restricted", reference_kron_restricted)
+            monkeypatch.setattr(module, "kron_restricted",
+                                _counting_reference(products, module.__name__))
         ref, y_ref = run()
+        # Both modules multiply by the patched reference, so the equalities
+        # below compare two product implementations.
+        assert products["glassotune.glasso"] > 0
+        assert products["glassotune.implicit"] > 0
         assert est.newton_steps > 0
         assert np.array_equal(est.theta, ref.theta)
         assert est.iterations == ref.iterations
         assert est.newton_steps == ref.newton_steps
         assert np.array_equal(y, y_ref)
+
+
+def _counting_reference(products, name):
+    """The reference operator factory, counting the products it makes."""
+    products[name] = 0
+
+    def factory(w, support):
+        apply = reference_kron_restricted(w, support)
+
+        def counted(x):
+            products[name] += 1
+            return apply(x)
+
+        return counted
+
+    return factory
 
 
 class TestRelativeError:

@@ -19,7 +19,7 @@ from glassotune.linalg import (
     vec,
 )
 
-from conftest import random_spd, reference_kron_restricted
+from conftest import random_spd, reference_kron_restricted, support_indices
 
 
 def brute_force_det(a: np.ndarray) -> float:
@@ -44,10 +44,14 @@ def dense_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def on_support(support: SupportSet, x: np.ndarray) -> np.ndarray:
+    """``x`` with its entries off the support set to zero."""
+    return np.where(support.as_matrix_mask(), x, 0.0)
+
+
 def pair_symmetric(rng: np.random.Generator, support: SupportSet) -> np.ndarray:
-    """Random vector on a symmetric support, equal on each (i, j), (j, i) pair."""
-    x = symmetrize(rng.standard_normal(support.as_matrix_mask().shape))
-    return vec(x)[support.indices]
+    """Random symmetric matrix, zero off a symmetric support."""
+    return on_support(support, symmetrize(rng.standard_normal(support.mask.shape)))
 
 
 def symmetric_support(rng: np.random.Generator, p: int) -> SupportSet:
@@ -55,10 +59,33 @@ def symmetric_support(rng: np.random.Generator, p: int) -> SupportSet:
     return SupportSet.from_matrix_mask(mask | mask.T | np.eye(p, dtype=bool))
 
 
-def restricted_product(w: np.ndarray, s: SupportSet, v: np.ndarray) -> np.ndarray:
-    """Oracle: the support rows and columns cut out of the dense kron."""
-    idx = s.indices
-    return dense_kron(w, w)[np.ix_(idx, idx)] @ v
+def support_of_kind(rng: np.random.Generator, p: int, kind: str) -> SupportSet:
+    if kind == "diagonal":
+        return SupportSet.from_matrix_mask(np.eye(p, dtype=bool))
+    if kind == "symmetric":
+        return symmetric_support(rng, p)
+    return SupportSet.from_matrix_mask(np.ones((p, p), dtype=bool))
+
+
+def restricted_product(w: np.ndarray, s: SupportSet, x: np.ndarray) -> np.ndarray:
+    """Oracle: the block ``(w kron w)[S, S]`` times ``vec(x)[S]``, on the support.
+
+    The block's entries come from the layout rule, entry (k, l) of
+    ``w kron w`` is ``w[k // p, l // p] * w[k % p, l % p]``, a few hundred
+    rows at a time, so it is never held whole.
+    """
+    p = w.shape[0]
+    idx = support_indices(s)
+    rows, cols = idx % p, idx // p
+    xs = vec(x)[idx]
+    out = np.empty(len(idx))
+    for start in range(0, len(idx), 200):
+        k = slice(start, start + 200)
+        block = w[np.ix_(cols[k], cols)] * w[np.ix_(rows[k], rows)]
+        out[k] = block @ xs
+    flat = np.zeros(p * p)
+    flat[idx] = out
+    return unvec(flat, p)
 
 
 def assert_rel_close(got: np.ndarray, expected: np.ndarray, rtol: float = 1e-12):
@@ -203,7 +230,7 @@ class TestSupportSet:
         m = np.zeros((3, 3), dtype=bool)
         m[1, 2] = True
         s = SupportSet.from_matrix_mask(m)
-        assert list(s.indices) == [1 + 2 * 3]
+        assert list(np.flatnonzero(vec(s.as_matrix_mask()))) == [1 + 2 * 3]
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square 2-d"):
@@ -226,14 +253,14 @@ class TestSupportSet:
 class TestKronRestricted:
     def test_identity_pair(self):
         s = SupportSet.from_matrix_mask(np.eye(2, dtype=bool))
-        v = np.array([2.0, -3.0])
-        np.testing.assert_array_equal(kron_restricted(np.eye(2), s)(v), v)
+        x = np.diag([2.0, -3.0])
+        np.testing.assert_array_equal(kron_restricted(np.eye(2), s)(x), x)
 
     def test_full_support_equals_dense(self, rng):
         w = random_spd(rng, 3)
         s = SupportSet.from_matrix_mask(np.ones((3, 3), dtype=bool))
-        v = pair_symmetric(rng, s)
-        assert_rel_close(kron_restricted(w, s)(v), dense_kron(w, w) @ v)
+        x = pair_symmetric(rng, s)
+        assert_rel_close(vec(kron_restricted(w, s)(x)), dense_kron(w, w) @ vec(x))
 
     def test_single_index(self, rng):
         w = random_spd(rng, 3)
@@ -241,50 +268,56 @@ class TestKronRestricted:
             m = np.zeros((3, 3), dtype=bool)
             m[i, i] = True  # diagonal entries are their own transpose pair
             s = SupportSet.from_matrix_mask(m)
-            assert kron_restricted(w, s)(np.ones(1))[0] == w[i, i] * w[i, i]
+            out = kron_restricted(w, s)(m.astype(float))
+            assert out[i, i] == w[i, i] * w[i, i]
+            assert np.all(out[~m] == 0.0)
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_arbitrary_support_matches_extraction(self, p, rng):
         w = spd_inverse(cholesky(random_spd(rng, p)))
         for _ in range(5):
             s = symmetric_support(rng, p)
-            v = pair_symmetric(rng, s)
-            assert_rel_close(kron_restricted(w, s)(v), restricted_product(w, s, v))
+            x = pair_symmetric(rng, s)
+            assert_rel_close(kron_restricted(w, s)(x), restricted_product(w, s, x))
 
     def test_matches_kron_vec_identity(self, rng):
         # vec(W X W) == (W kron W) vec(X) under the column-major vec
         w = random_spd(rng, 3)
         x = symmetrize(rng.standard_normal((3, 3)))
         s = SupportSet.from_matrix_mask(np.ones((3, 3), dtype=bool))
-        assert_rel_close(kron_restricted(w, s)(vec(x)), vec(w @ x @ w))
+        assert_rel_close(vec(kron_restricted(w, s)(x)), vec(w @ x @ w))
 
     def test_pairs_exactly_symmetric(self, rng):
         # Any input, pair-symmetric or not, maps to equal (i, j), (j, i) outputs.
         p = 6
         w = random_spd(rng, p)
         s = symmetric_support(rng, p)
-        out = np.zeros(p * p)
-        out[s.indices] = kron_restricted(w, s)(rng.standard_normal(len(s)))
-        m = unvec(out, p)
+        m = kron_restricted(w, s)(on_support(s, rng.standard_normal((p, p))))
         np.testing.assert_array_equal(m, m.T)
 
     @pytest.mark.parametrize("p", [1, 2, 7, 100])
     @pytest.mark.parametrize("kind", ["diagonal", "symmetric", "full"])
     def test_bit_identical_to_symmetrize_reference(self, rng, p, kind):
         w = spd_inverse(cholesky(random_spd(rng, p)))
-        if kind == "diagonal":
-            s = SupportSet.from_matrix_mask(np.eye(p, dtype=bool))
-        elif kind == "symmetric":
-            s = symmetric_support(rng, p)
-        else:
-            s = SupportSet.from_matrix_mask(np.ones((p, p), dtype=bool))
-        for v in (pair_symmetric(rng, s), rng.standard_normal(len(s))):
-            got = kron_restricted(w, s)(v)
-            assert np.array_equal(got, reference_kron_restricted(w, s)(v))
-            out = np.zeros(p * p)
-            out[s.indices] = got
-            m = unvec(out, p)
+        s = support_of_kind(rng, p, kind)
+        for x in (pair_symmetric(rng, s), on_support(s, rng.standard_normal((p, p)))):
+            m = kron_restricted(w, s)(x)
+            assert np.array_equal(m, reference_kron_restricted(w, s)(x))
             assert np.array_equal(m, m.T)
+
+    @pytest.mark.parametrize("p", [1, 2, 7, 100])
+    @pytest.mark.parametrize("kind", ["diagonal", "symmetric", "full"])
+    def test_equals_explicit_block(self, rng, p, kind):
+        # The masked product is the explicit block (W kron W)[S, S] applied
+        # to the support entries, exactly zero off the support and exactly
+        # symmetric.
+        w = spd_inverse(cholesky(random_spd(rng, p)))
+        s = support_of_kind(rng, p, kind)
+        x = pair_symmetric(rng, s)
+        m = kron_restricted(w, s)(x)
+        assert_rel_close(m, restricted_product(w, s, x))
+        assert np.all(m[~s.as_matrix_mask()] == 0.0)
+        assert np.array_equal(m, m.T)
 
     def test_rejects_mismatched_support(self, rng):
         with pytest.raises(ValueError):
@@ -327,7 +360,7 @@ class TestSolveSymmetric:
         w = spd_inverse(cholesky(random_spd(rng, p)))
         s = symmetric_support(rng, p)
         b = pair_symmetric(rng, s)
-        x = solve_symmetric(kron_restricted(w, s), b, identity)
+        x = solve_symmetric(kron_restricted(w, s), b, identity, dim=len(s))
         assert np.linalg.norm(restricted_product(w, s, x) - b) <= 1e-11 * np.linalg.norm(b)
 
     def test_singular_raises(self):
@@ -383,8 +416,9 @@ class TestPreconditionedSolve:
             theta, w, s, b = self._system(rng, which)
             plain_op, plain = counting(kron_restricted(w, s))
             pre_op, pre = counting(kron_restricted(w, s))
-            x = solve_symmetric(plain_op, b, identity)
-            y = solve_symmetric(pre_op, b, precondition=kron_restricted(theta, s))
+            x = solve_symmetric(plain_op, b, identity, dim=len(s))
+            y = solve_symmetric(pre_op, b, precondition=kron_restricted(theta, s),
+                                dim=len(s))
             assert np.linalg.norm(y - x) <= 1e-9 * np.linalg.norm(x)
             assert pre["n"] < plain["n"]
 
@@ -393,15 +427,15 @@ class TestPreconditionedSolve:
         k = kron_restricted(w, s)
         for rtol in (0.5, 0.1, 1e-3):
             for pre in (identity, kron_restricted(theta, s)):
-                x = solve_symmetric(k, b, precondition=pre, rtol=rtol)
+                x = solve_symmetric(k, b, precondition=pre, rtol=rtol, dim=len(s))
                 assert np.linalg.norm(b - k(x)) <= rtol * np.linalg.norm(b)
 
     def test_loose_rtol_takes_fewer_products(self, rng):
         theta, w, s, b = self._system(rng, "full")
         loose_op, loose = counting(kron_restricted(w, s))
         tight_op, tight = counting(kron_restricted(w, s))
-        solve_symmetric(tight_op, b, identity)
-        solve_symmetric(loose_op, b, identity, rtol=0.1)
+        solve_symmetric(tight_op, b, identity, dim=len(s))
+        solve_symmetric(loose_op, b, identity, rtol=0.1, dim=len(s))
         assert loose["n"] < tight["n"]
 
     @pytest.mark.parametrize("which", ["diagonal", "partial", "full"])
@@ -412,7 +446,7 @@ class TestPreconditionedSolve:
         theta, w, s, b = self._system(rng, which)
         k_op, k = counting(kron_restricted(w, s))
         m_op, m = counting(kron_restricted(theta, s))
-        solve_symmetric(k_op, b, m_op, rtol=rtol)
+        solve_symmetric(k_op, b, m_op, rtol=rtol, dim=len(s))
         assert k["n"] > 0
         assert m["n"] == k["n"]
 
@@ -420,8 +454,8 @@ class TestPreconditionedSolve:
         theta, w, s, _ = self._system(rng, "partial")
         k_op, k = counting(kron_restricted(w, s))
         m_op, m = counting(kron_restricted(theta, s))
-        x = solve_symmetric(k_op, np.zeros(len(s)), m_op)
-        np.testing.assert_array_equal(x, np.zeros(len(s)))
+        x = solve_symmetric(k_op, np.zeros((self.P, self.P)), m_op, dim=len(s))
+        np.testing.assert_array_equal(x, np.zeros((self.P, self.P)))
         assert k["n"] == m["n"] == 0
 
     def test_indefinite_system_raises(self):
@@ -444,6 +478,93 @@ class TestPreconditionedSolve:
         with pytest.raises(SingularSystem, match="after 20 iterations"):
             solve_symmetric(matrix_operator(m), np.ones(n),
                             precondition=lambda v: 2.0 * v)
+
+
+def vector_cg(apply, rhs, precondition, rtol=CG_RTOL):
+    """Reference: conjugate gradients on vectors alone, with ``@`` inner
+    products and a budget of ``rhs.size`` iterations."""
+    b = np.asarray(rhs, dtype=float)
+    x = np.zeros_like(b)
+    r = b.copy()
+    rr = bb = float(b @ b)
+    stop = rtol**2 * bb
+    it = 0
+    while not rr <= stop:
+        if it == b.size:
+            raise SingularSystem(
+                f"conjugate gradients left relative residual {np.sqrt(rr / bb):.3e} "
+                f"after {it} iterations"
+            )
+        z = precondition(r)
+        rz_next = float(r @ z)
+        d = z.copy() if it == 0 else z + (rz_next / rz) * d
+        rz = rz_next
+        kd = apply(d)
+        curvature = float(d @ kd)
+        if not (curvature > 0.0 and rz > 0.0):
+            raise SingularSystem(
+                f"system or preconditioner is not positive definite: d.Kd = "
+                f"{curvature:.3e}, r.Mr = {rz:.3e} at conjugate-gradient iteration {it}"
+            )
+        alpha = rz / curvature
+        x += alpha * d
+        r -= alpha * kd
+        rr = float(r @ r)
+        it += 1
+    return x
+
+
+class TestMatrixRightHandSides:
+    # The restricted system's vectors are p x p matrices zero off a support
+    # S; its dimension, and so the iteration budget, is |S|, which is
+    # neither len(rhs) = p nor rhs.size = p**2.
+    def test_needs_dim(self, rng):
+        s = symmetric_support(rng, 4)
+        with pytest.raises(ValueError, match="needs dim"):
+            solve_symmetric(kron_restricted(random_spd(rng, 4), s),
+                            pair_symmetric(rng, s), identity)
+
+    def test_singular_operator_raises_within_support_size(self, rng):
+        # K acts on the off-diagonal support entries only and maps the
+        # diagonal ones to zero: positive semidefinite, not definite, and
+        # the diagonal part of the rhs is out of its range.
+        p = 12
+        s = symmetric_support(rng, p)
+        off = s.as_matrix_mask() & ~np.eye(p, dtype=bool)
+        k = kron_restricted(spd_inverse(cholesky(random_spd(rng, p))),
+                            SupportSet.from_matrix_mask(off))
+        op, products = counting(lambda x: k(np.where(off, x, 0.0)))
+        assert p < len(s) < p * p
+        with pytest.raises(SingularSystem, match=f"after {len(s)} iterations"):
+            solve_symmetric(op, pair_symmetric(rng, s), identity, dim=len(s))
+        assert products["n"] == len(s)
+
+    def test_vector_callers_unchanged(self, rng):
+        # Bit for bit the same solutions, products and failures as the
+        # vector-only solver, with and without a preconditioner.
+        n = 30
+        for rtol in (CG_RTOL, 1e-3):
+            m = random_spd(rng, n)
+            pre = np.diag(1.0 / np.diagonal(m))
+            b = rng.standard_normal(n)
+            for precondition in (identity, matrix_operator(pre)):
+                got_op, got = counting(matrix_operator(m))
+                ref_op, ref = counting(matrix_operator(m))
+                x = solve_symmetric(got_op, b, precondition, rtol=rtol)
+                assert np.array_equal(x, vector_cg(ref_op, b, precondition, rtol=rtol))
+                assert got["n"] == ref["n"] > 0
+        q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+        failing = [
+            (matrix_operator((q * np.logspace(0, 10, 20)) @ q.T), np.ones(20)),
+            (matrix_operator(np.diag([1.0, -1.0])), np.array([1.0, 2.0])),
+            (matrix_operator(np.ones((3, 3))), np.array([1.0, -1.0, 0.0])),
+        ]
+        for op, b in failing:
+            with pytest.raises(SingularSystem) as got:
+                solve_symmetric(op, b, identity)
+            with pytest.raises(SingularSystem) as ref:
+                vector_cg(op, b, identity)
+            assert str(got.value) == str(ref.value)
 
 
 def test_symmetrize(rng):

@@ -110,6 +110,7 @@ def test_estimate_builds_from_the_output_check_keywords():
                                support=gt.SupportSet.from_matrix_mask(np.eye(3, dtype=bool)),
                                fixed_point_residual=float("nan"), iterations=0)
     assert est.newton_steps == 0
+    assert est.newton_trials == 0
 
 
 def test_support_length_counts_mask_entries():
