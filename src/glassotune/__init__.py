@@ -45,7 +45,6 @@ from .glasso import (
 )
 from .implicit import (
     CriterionValue,
-    ScalarJacobian,
     WeightedHypergradient,
     criterion_holdout,
     hypergradient_scalar,
@@ -72,7 +71,6 @@ __all__ = [
     "NotPositiveDefinite",
     "PrecisionEstimate",
     "Regularization",
-    "ScalarJacobian",
     "SingularSystem",
     "SolverConfig",
     "SupportSet",

@@ -271,8 +271,7 @@ def _descend(
     ``alpha`` is a float (one level tied across every entry) or a p x p
     array (one weight per entry).  Both take the per-entry hypergradient
     from one adjoint solve; a tied level moves every weight at once, so
-    its derivative is the sum of the per-entry ones.  The weight matrix
-    gradient is symmetrized so the weights stay symmetric.  The first solve
+    its derivative is the sum of the per-entry ones.  The first solve
     starts from ``warm`` (None: the solver's cold start), every later one
     from the previous solution.
 
@@ -309,7 +308,7 @@ def _descend(
                 raise
             return _abort(traj, k, exc)
         # chain rule through the exponential: d/dalpha = penalty * d/dpenalty
-        galpha = penalty * (np.sum(values) if scalar else symmetrize(values))
+        galpha = penalty * (np.sum(values) if scalar else values)
         seconds = time.perf_counter() - t0
         norm = float(np.max(np.abs(galpha)))
         re_val = (

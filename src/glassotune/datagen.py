@@ -122,8 +122,7 @@ def make_sparse_spd(p: int, density: float, seed: int) -> GroundTruth:
         raise ValueError("density must lie in (0, 1]")
     rng = _generator(seed)
     factor = sparse_cholesky_factor(p, density, rng)
-    theta = symmetrize(factor @ factor.T)
-    return GroundTruth.from_matrix(theta)
+    return GroundTruth.from_matrix(factor @ factor.T)
 
 
 def sample_gaussian(truth: GroundTruth, n: int, seed: int) -> np.ndarray:

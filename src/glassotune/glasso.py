@@ -327,8 +327,23 @@ def solve(
         delta = cand - theta
         residual = float(np.max(np.abs(delta)))
         if residual <= config.tol * min(1.0, gamma):
-            return _finalize(theta, lower, theta_inv, reg, gamma, residual, it,
-                             newton_steps, newton_trials, config)
+            est = PrecisionEstimate(
+                theta=theta,
+                reg=reg,
+                gamma=gamma,
+                support=SupportSet.from_matrix_mask(np.abs(theta) > config.support_tol),
+                fixed_point_residual=residual,
+                iterations=it,
+                newton_steps=newton_steps,
+                newton_trials=newton_trials,
+            )
+            # lower is cholesky(theta) and theta_inv is spd_inverse(lower),
+            # the values the cached properties would compute, so seeding
+            # their caches saves a factorization.
+            theta_inv.flags.writeable = False
+            object.__setattr__(est, "theta_inv", theta_inv)
+            object.__setattr__(est, "logdet", logdet(lower))
+            return est
         if it == MAX_ITER:
             raise NotConverged(
                 f"no fixed point after {it} iterations, residual {residual:.3e}",
@@ -434,38 +449,6 @@ def _newton_step(
     return None
 
 
-def _finalize(
-    theta: np.ndarray,
-    lower: np.ndarray,
-    theta_inv: np.ndarray,
-    reg: Regularization,
-    gamma: float,
-    residual: float,
-    iterations: int,
-    newton_steps: int,
-    newton_trials: int,
-    config: SolverConfig,
-) -> PrecisionEstimate:
-    mask = np.abs(theta) > config.support_tol
-    est = PrecisionEstimate(
-        theta=theta,
-        reg=reg,
-        gamma=gamma,
-        support=SupportSet.from_matrix_mask(mask),
-        fixed_point_residual=residual,
-        iterations=iterations,
-        newton_steps=newton_steps,
-        newton_trials=newton_trials,
-    )
-    # lower is cholesky(theta) and theta_inv is spd_inverse(lower), the
-    # values the cached properties would compute, so seeding their caches
-    # saves a factorization.
-    theta_inv.flags.writeable = False
-    object.__setattr__(est, "theta_inv", theta_inv)
-    object.__setattr__(est, "logdet", logdet(lower))
-    return est
-
-
 def check_optimality(est: PrecisionEstimate, cov: np.ndarray) -> float:
     """Largest violation of the stationarity conditions of the solved problem.
 
@@ -473,11 +456,14 @@ def check_optimality(est: PrecisionEstimate, cov: np.ndarray) -> float:
     R_ij = T_ij * sign(theta_ij) wherever theta_ij is nonzero and
     |R_ij| <= T_ij elsewhere.  Returns the max over entries of the distance
     to those conditions; near zero certifies the estimate independently of
-    how it was computed.
+    how it was computed.  Raises ValueError unless cov has the shape of
+    theta.
     """
-    r = est.theta_inv - symmetrize(np.asarray(cov, dtype=float))
+    if np.shape(cov) != est.theta.shape:
+        raise ValueError("covariance shape does not match the estimate")
+    r = est.theta_inv - symmetrize(cov)
     thr = est.reg.as_matrix(est.dim)
-    on = est.support.as_matrix_mask()
+    on = est.support.mask
     violation = np.where(
         on,
         np.abs(r - thr * np.sign(est.theta)),

@@ -46,17 +46,6 @@ BOUNDARY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class ScalarJacobian:
-    """Entrywise derivative of the solution with respect to a scalar penalty.
-
-    ``values[i, j]`` is d theta_hat[i, j] / d lam; exactly zero off the
-    support the Jacobian was built on.
-    """
-
-    values: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
 class WeightedHypergradient:
     """Gradient of an outer criterion with respect to per-entry weights.
 
@@ -108,7 +97,9 @@ def support_from_estimate(est: PrecisionEstimate, cov: np.ndarray) -> SupportSet
     """
     theta = est.theta
     theta_inv = est.theta_inv
-    cov = symmetrize(np.asarray(cov, dtype=float))
+    if np.shape(cov) != theta.shape:
+        raise ValueError("covariance shape does not match the estimate")
+    cov = symmetrize(cov)
     thr = est.reg.as_matrix(est.dim)
 
     diag = np.diagonal(theta_inv)
@@ -118,7 +109,7 @@ def support_from_estimate(est: PrecisionEstimate, cov: np.ndarray) -> SupportSet
     gap = np.abs(np.abs(zhat) - t)
     near = gap < BOUNDARY_TOL * t  # vacuous where the threshold is zero
 
-    mask_theta = est.support.as_matrix_mask()
+    mask_theta = est.support.mask
     mask_z = np.abs(zhat) > t
     if np.any((mask_theta != mask_z) & ~near):
         raise DegenerateSupport(
@@ -135,29 +126,29 @@ def _restricted_kron(est: PrecisionEstimate, support: SupportSet) -> Operator:
     return kron_restricted(est.theta_inv, support)
 
 
-def jacobian_scalar(est: PrecisionEstimate, support: SupportSet) -> ScalarJacobian:
+def jacobian_scalar(est: PrecisionEstimate, support: SupportSet) -> np.ndarray:
     """Derivative of the solution with respect to its scalar penalty level.
 
-    Solves the support-restricted system K y = -sign(vec theta)_S with
-    K the restricted Kronecker square of theta^{-1}, with y held as a
-    p x p matrix with zeros off-support.  K is symmetric, so this is
-    the adjoint solve of :func:`hypergradient_weighted` against
-    -sign(theta).  The result does not depend on the prox step gamma: the
-    step scales both sides of the system and cancels.
+    Returns the p x p array of d theta_hat[i, j] / d lam, exactly zero off
+    ``support``: the solution y of the restricted system
+    K y = -sign(theta)_S, with K the restricted Kronecker square of
+    theta^{-1}.  K is symmetric, so this is the ``y`` of
+    :func:`hypergradient_weighted` against -sign(theta).  It does not
+    depend on the prox step gamma: the step scales both sides of the
+    system and cancels.
 
     Raises SingularSystem if conjugate gradients find the restricted
     coefficient matrix not positive definite or do not converge.
     """
-    y = hypergradient_weighted(est, support, -np.sign(est.theta)).y
-    return ScalarJacobian(values=y)
+    return hypergradient_weighted(est, support, -np.sign(est.theta)).y
 
 
-def hypergradient_scalar(jac: ScalarJacobian, grad_c: np.ndarray) -> float:
+def hypergradient_scalar(jac: np.ndarray, grad_c: np.ndarray) -> float:
     """Chain rule for the scalar penalty: <jacobian, criterion gradient>."""
     grad_c = np.asarray(grad_c, dtype=float)
-    if grad_c.shape != jac.values.shape:
+    if grad_c.shape != jac.shape:
         raise ValueError("criterion gradient shape does not match the Jacobian")
-    return float(np.sum(jac.values * grad_c))
+    return float(np.sum(jac * grad_c))
 
 
 def hypergradient_weighted(
@@ -181,10 +172,9 @@ def hypergradient_weighted(
     per-entry ones, so the sum of ``values`` is the scalar-penalty
     hypergradient.
     """
-    p = est.dim
-    grad_c = symmetrize(np.asarray(grad_c, dtype=float))
-    if grad_c.shape != (p, p):
+    if np.shape(grad_c) != est.theta.shape:
         raise ValueError("criterion gradient shape does not match the estimate")
+    grad_c = symmetrize(grad_c)
     y = solve_symmetric(
         _restricted_kron(est, support),
         np.where(support.mask, grad_c, 0.0),
@@ -204,17 +194,21 @@ def criterion_holdout(
     ``theta`` is a matrix, factorized here, or an estimate, whose
     ``logdet`` and ``theta_inv`` are read instead: :func:`solve` seeds
     both, so its estimates give the same values, bit for bit, with no
-    factorization.
+    factorization.  The gradient is exactly symmetric, as cov_test is
+    symmetrized and theta^{-1} is mirrored.  Raises ValueError unless
+    cov_test has the shape of theta.
     """
-    cov_test = symmetrize(np.asarray(cov_test, dtype=float))
     if isinstance(theta, PrecisionEstimate):
         neg_logdet, theta_inv, theta = -theta.logdet, theta.theta_inv, theta.theta
     else:
         theta = np.asarray(theta, dtype=float)
         lower = cholesky(theta)
         neg_logdet, theta_inv = -logdet(lower), spd_inverse(lower)
+    if np.shape(cov_test) != theta.shape:
+        raise ValueError("covariance shape does not match theta")
+    cov_test = symmetrize(cov_test)
     value = neg_logdet + float(np.sum(cov_test * theta))
-    gradient = symmetrize(cov_test - theta_inv)
+    gradient = cov_test - theta_inv
     return CriterionValue(value=value, gradient=gradient)
 
 

@@ -3,8 +3,10 @@
 Conventions, fixed package-wide:
 
 * Matrices are dense float64 ``numpy`` arrays of shape ``(p, p)``.
-  Symmetry is maintained by symmetrizing writes, ``A <- (A + A.T) / 2``,
-  after any operation that could break it.
+  Public entry points symmetrize a matrix from outside the package once,
+  ``A <- (A + A.T) / 2``; the symmetric matrices computed from it are
+  exactly symmetric by construction (mirrored inverses, entrywise maps,
+  products of the form ``C + C.T``) and are never symmetrized again.
 * ``vec`` is column-major: matrix entry ``(i, j)`` maps to flat index
   ``k = i + j * p`` and back via ``i = k % p``, ``j = k // p``.  This is
   the single place the index map is defined.  No solve uses it: the
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -151,10 +153,6 @@ class SupportSet:
         """Build from a ``(p, p)`` boolean mask."""
         return cls(mask2d)
 
-    def as_matrix_mask(self) -> np.ndarray:
-        """The ``(p, p)`` boolean mask."""
-        return self.mask
-
     @cached_property
     def _half(self) -> np.ndarray:
         # 0.5 on the set, 0 off it: shared by every kron_restricted on the set
@@ -194,25 +192,25 @@ def solve_symmetric(
     rhs: np.ndarray,
     precondition: Operator,
     rtol: float = CG_RTOL,
-    dim: Optional[int] = None,
+    *,
+    dim: int,
 ) -> np.ndarray:
     """Solve ``K x = rhs`` by preconditioned conjugate gradients for SPD ``K``.
 
     ``K`` is given only through its product ``apply(v) == K @ v``, so it is
-    never formed.  ``rhs`` and the solution are vectors, or p x p matrices
-    zero off a support, the form :func:`kron_restricted` acts on; inner
-    products are ``np.vdot`` either way.  ``precondition`` is the product
-    with an SPD approximation ``M`` of ``K^{-1}``; the closer it is, the
-    fewer products with ``K`` the solve takes.  For ``K = (W kron W)_SS``
-    with ``W = theta^{-1}`` the package passes ``(theta kron theta)_SS``,
-    the same block of the exact inverse of the unrestricted ``W kron W``.
+    never formed.  ``rhs`` and the solution are p x p matrices zero off a
+    support, the form :func:`kron_restricted` acts on, and inner products
+    are ``np.vdot``.  ``precondition`` is the product with an SPD
+    approximation ``M`` of ``K^{-1}``; the closer it is, the fewer products
+    with ``K`` the solve takes.  For ``K = (W kron W)_SS`` with
+    ``W = theta^{-1}`` the package passes ``(theta kron theta)_SS``, the
+    same block of the exact inverse of the unrestricted ``W kron W``.
     Iterates until the residual norm ``|rhs - K x|`` is at most
     ``rtol * |rhs|``; in exact arithmetic that takes at most ``dim`` steps,
-    the dimension of the system and the iteration budget: the length of a
-    vector ``rhs`` by default, the support's size for a matrix one, which
-    must pass it.  Each iteration takes one product with ``K`` and one with
-    ``M``; a residual that has met the tolerance (the last one, or that of
-    a zero ``rhs``) is never preconditioned.
+    the dimension of the system (the support's size), which is also the
+    iteration budget.  Each iteration takes one product with ``K`` and one
+    with ``M``; a residual that has met the tolerance (the last one, or
+    that of a zero ``rhs``) is never preconditioned.
 
     Raises
     ------
@@ -223,10 +221,6 @@ def solve_symmetric(
         tolerance.
     """
     b = np.asarray(rhs, dtype=float)
-    if dim is None:
-        if b.ndim != 1:
-            raise ValueError("a matrix rhs needs dim, the size of its support")
-        dim = b.size
     x = np.zeros_like(b)
     r = b.copy()
     rr = bb = float(np.vdot(b, b))

@@ -1,5 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,6 +20,14 @@ def make_instance(p: int, n: int, seed: int, density: float = 0.3):
     return truth, data
 
 
+def cli_env() -> dict:
+    """Environment for a ``python -m glassotune.cli`` subprocess that imports
+    the package the tests import, with or without PYTHONPATH set."""
+    src = os.path.dirname(os.path.dirname(gt.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 def random_spd(rng: np.random.Generator, p: int, jitter: float = 0.5) -> np.ndarray:
     """Well-conditioned random SPD matrix."""
     a = rng.standard_normal((p, p))
@@ -27,7 +37,7 @@ def random_spd(rng: np.random.Generator, p: int, jitter: float = 0.5) -> np.ndar
 def support_indices(support) -> np.ndarray:
     """Positions of a support's entries under the column-major ``vec``:
     the rows and columns of the explicit restricted block."""
-    return np.flatnonzero(vec(support.as_matrix_mask()))
+    return np.flatnonzero(vec(support.mask))
 
 
 def naive_weighted_hypergradient(est, support, grad_c) -> np.ndarray:
@@ -62,7 +72,7 @@ def reference_kron_restricted(w, support):
     then zeroes it off the support.  The package's operator must give the
     same values, bit for bit.
     """
-    mask = support.as_matrix_mask()
+    mask = support.mask
 
     def apply(x):
         return np.where(mask, symmetrize(w @ x @ w), 0.0)

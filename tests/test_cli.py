@@ -9,7 +9,7 @@ import glassotune as gt
 from glassotune.cli import ExperimentConfig, main, parse_config, run
 from glassotune.datagen import load_matrix_csv
 
-from conftest import fail_support_check
+from conftest import cli_env, fail_support_check
 
 
 def small_config(tmp_path, **overrides):
@@ -401,7 +401,7 @@ class TestMain:
              "--mode", "grid", "--p", "4", "--n", "60", "--density", "0.4",
              "--seed", "1", "--grid-points", "5",
              "--output-dir", str(tmp_path)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=cli_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "summary.json").exists()

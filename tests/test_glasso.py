@@ -166,7 +166,7 @@ class TestSolveDiagonal:
         lam = 2.0 * np.max(np.abs(cov - np.diag(np.diagonal(cov))))
         est = solve(cov, Regularization.scalar(lam))
         assert est.iterations == 0
-        assert est.support.as_matrix_mask().tolist() == np.eye(3, dtype=bool).tolist()
+        assert est.support.mask.tolist() == np.eye(3, dtype=bool).tolist()
 
 
 class TestSolveTwoByTwo:
@@ -180,7 +180,7 @@ class TestSolveTwoByTwo:
         cov = np.array([[2.0, 0.8], [0.8, 1.5]])
         est = solve(cov, Regularization.scalar(0.9), SolverConfig(tol=1e-10))
         np.testing.assert_allclose(est.theta, two_by_two_oracle(cov, 0.9), atol=1e-8)
-        assert est.support.as_matrix_mask().tolist() == [[True, False], [False, True]]
+        assert est.support.mask.tolist() == [[True, False], [False, True]]
 
     def test_negative_coupling(self):
         cov = np.array([[1.2, -0.6], [-0.6, 2.0]])
@@ -378,7 +378,7 @@ class TestSolveProperties:
         cov = random_spd(np.random.default_rng(seed), 3)
         est = solve(cov, Regularization.scalar(lam))
         assert check_optimality(est, cov) <= 1e-6
-        assert np.all(np.diagonal(est.support.as_matrix_mask()))
+        assert np.all(np.diagonal(est.support.mask))
 
 
 class TestSolveErrors:

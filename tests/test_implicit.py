@@ -10,6 +10,7 @@ from glassotune.glasso import (
     PrecisionEstimate,
     Regularization,
     SolverConfig,
+    check_optimality,
     solve,
 )
 from glassotune.implicit import (
@@ -85,12 +86,12 @@ class TestSupportFromEstimate:
         lam0 = float(np.max(off))
         est = solve(data.cov_train, Regularization.scalar(lam0), TIGHT)
         support = support_from_estimate(est, data.cov_train)
-        mask = support.as_matrix_mask()
+        mask = support.mask
         np.testing.assert_array_equal(mask, np.eye(4, dtype=bool))
         np.testing.assert_array_equal(mask, mask.T)
-        assert np.all(est.support.as_matrix_mask()[mask])
+        assert np.all(est.support.mask[mask])
 
-        jac = jacobian_scalar(est, support).values
+        jac = jacobian_scalar(est, support)
         np.testing.assert_allclose(jac, np.diag(-np.diagonal(est.theta) ** 2), atol=1e-12)
         h = 1e-5
         right = solve(data.cov_train, Regularization.scalar(lam0 + h), TIGHT)
@@ -109,7 +110,7 @@ class TestSupportFromEstimate:
         est = solve(data.cov_train, Regularization.scalar(lam0 - 1e-8), TIGHT)
         assert len(est.support) == 6
         support = support_from_estimate(est, data.cov_train)
-        np.testing.assert_array_equal(support.as_matrix_mask(), np.eye(4, dtype=bool))
+        np.testing.assert_array_equal(support.mask, np.eye(4, dtype=bool))
 
     def test_small_backoff_clears_the_kink(self):
         _, data = make_instance(4, 100, seed=2)
@@ -141,22 +142,22 @@ class TestJacobianScalar:
         jac = jacobian_scalar(est, support)
         cov_sym = symmetrize(cov)
         expected = np.diag(-1.0 / (np.diagonal(cov_sym) + lam) ** 2)
-        np.testing.assert_allclose(jac.values, expected, atol=1e-10)
+        np.testing.assert_allclose(jac, expected, atol=1e-10)
 
     def test_matches_finite_differences(self):
         est, data, lam = solved_instance(seed=1)
         support = support_from_estimate(est, data.cov_train)
         jac = jacobian_scalar(est, support)
         fd = fd_scalar_jacobian(data.cov_train, lam)
-        on = support.as_matrix_mask()
-        np.testing.assert_allclose(jac.values[on], fd[on], rtol=1e-3, atol=1e-9)
+        on = support.mask
+        np.testing.assert_allclose(jac[on], fd[on], rtol=1e-3, atol=1e-9)
 
     def test_zero_off_support(self):
         est, data, _ = solved_instance(seed=3)
         support = support_from_estimate(est, data.cov_train)
         jac = jacobian_scalar(est, support)
-        off = ~support.as_matrix_mask()
-        assert np.all(jac.values[off] == 0.0)
+        off = ~support.mask
+        assert np.all(jac[off] == 0.0)
 
     def test_independent_of_gamma(self):
         # The prox step scales both sides of the restricted system, so the
@@ -164,7 +165,7 @@ class TestJacobianScalar:
         est, data, _ = solved_instance(seed=4)
         support = support_from_estimate(est, data.cov_train)
         values = [
-            jacobian_scalar(dataclasses.replace(est, gamma=g), support).values
+            jacobian_scalar(dataclasses.replace(est, gamma=g), support)
             for g in (0.1, 1.0, 10.0)
         ]
         assert np.max(np.abs(values[0] - values[1])) <= 1e-12
@@ -179,7 +180,7 @@ class TestJacobianScalar:
         theta_inv = np.linalg.inv(est.theta)
         k_full = np.kron(theta_inv, theta_inv)
         idx = support_indices(support)
-        lhs = k_full[np.ix_(idx, idx)] @ vec(jac.values)[idx]
+        lhs = k_full[np.ix_(idx, idx)] @ vec(jac)[idx]
         rhs = -np.sign(vec(est.theta))[idx]
         np.testing.assert_allclose(lhs, rhs, atol=1e-8)
 
@@ -200,7 +201,7 @@ class TestJacobianScalar:
         )
         expected = -theta @ np.sign(theta) @ theta
         jac = jacobian_scalar(est, est.support)
-        err = np.linalg.norm(jac.values - expected) / np.linalg.norm(expected)
+        err = np.linalg.norm(jac - expected) / np.linalg.norm(expected)
         assert err <= 1e-10
 
     def test_rejects_mismatched_support(self, rng):
@@ -215,7 +216,7 @@ class TestHypergradientScalar:
         support = support_from_estimate(est, data.cov_train)
         jac = jacobian_scalar(est, support)
         grad_c = criterion_holdout(est.theta, data.cov_test).gradient
-        expected = float(np.sum(jac.values * grad_c))
+        expected = float(np.sum(jac * grad_c))
         assert hypergradient_scalar(jac, grad_c) == expected
 
     def test_matches_finite_differences(self):
@@ -255,7 +256,7 @@ class TestHypergradientWeighted:
             # y holds one entry per coordinate of the restricted system, as
             # a p x p matrix that is zero off the support.
             assert fast.y.shape == fast.values.shape
-            assert np.all(fast.y[~support.as_matrix_mask()] == 0.0)
+            assert np.all(fast.y[~support.mask] == 0.0)
 
     def test_matches_finite_differences(self):
         est, data, lam = solved_instance(seed=8)
@@ -263,7 +264,7 @@ class TestHypergradientWeighted:
         grad_c = criterion_holdout(est.theta, data.cov_test).gradient
         hyper = hypergradient_weighted(est, support, grad_c)
         weights = np.full((3, 3), lam)
-        mask = support.as_matrix_mask()
+        mask = support.mask
         checked = 0
         for k in range(3):
             for l in range(k, 3):
@@ -279,7 +280,7 @@ class TestHypergradientWeighted:
         support = support_from_estimate(est, data.cov_train)
         grad_c = criterion_holdout(est.theta, data.cov_test).gradient
         hyper = hypergradient_weighted(est, support, grad_c)
-        off = ~support.as_matrix_mask()
+        off = ~support.mask
         assert np.all(hyper.values[off] == 0.0)
 
     def test_entries_sum_to_scalar_hypergradient(self):
@@ -293,12 +294,20 @@ class TestHypergradientWeighted:
         scalar = hypergradient_scalar(jacobian_scalar(est, support), grad_c)
         assert abs(total - scalar) <= 1e-10 * max(1.0, abs(scalar))
 
-    def test_symmetric_output(self):
-        est, data, _ = solved_instance(seed=11)
-        support = support_from_estimate(est, data.cov_train)
-        grad_c = criterion_holdout(est.theta, data.cov_test).gradient
-        hyper = hypergradient_weighted(est, support, grad_c)
-        np.testing.assert_array_equal(hyper.values, hyper.values.T)
+    def test_symmetric_output(self, data_p100_seed0):
+        # Neither the criterion gradient nor the hypergradient is
+        # symmetrized: both are exactly symmetric by construction.  On a
+        # p=3 instance (the matrix form of the criterion) and on the CLI's
+        # p=100 seed-0 data near its best level (the estimate form).
+        est3, data3, _ = solved_instance(seed=11)
+        est100 = solve(data_p100_seed0.cov_train, Regularization.scalar(0.018))
+        for est, data, theta in ((est3, data3, est3.theta),
+                                 (est100, data_p100_seed0, est100)):
+            support = support_from_estimate(est, data.cov_train)
+            grad_c = criterion_holdout(theta, data.cov_test).gradient
+            assert np.array_equal(grad_c, grad_c.T)
+            hyper = hypergradient_weighted(est, support, grad_c)
+            np.testing.assert_array_equal(hyper.values, hyper.values.T)
 
     def test_shape_mismatch(self):
         est, data, _ = solved_instance(seed=9)
@@ -348,6 +357,22 @@ class TestCriterionHoldout:
 
 def _no_factorization(a):
     raise AssertionError("theta was factorized again")
+
+
+@pytest.mark.parametrize("check", [
+    criterion_holdout,
+    lambda est, cov: criterion_holdout(est.theta, cov),
+    check_optimality,
+    support_from_estimate,
+    lambda est, grad_c: hypergradient_weighted(est, est.support, grad_c),
+], ids=["criterion_holdout", "criterion_holdout-matrix", "check_optimality",
+        "support_from_estimate", "hypergradient_weighted"])
+def test_input_of_another_shape_raises(check):
+    # Each of these shapes would broadcast against a 5 x 5 theta.
+    est, _, _ = solved_instance(p=5, seed=0)
+    for cov in ([[1.0]], np.ones(5), np.ones((1, 5)), np.ones((5, 1))):
+        with pytest.raises(ValueError, match="shape"):
+            check(est, cov)
 
 
 @pytest.fixture(scope="module")

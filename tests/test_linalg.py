@@ -46,7 +46,7 @@ def dense_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def on_support(support: SupportSet, x: np.ndarray) -> np.ndarray:
     """``x`` with its entries off the support set to zero."""
-    return np.where(support.as_matrix_mask(), x, 0.0)
+    return np.where(support.mask, x, 0.0)
 
 
 def pair_symmetric(rng: np.random.Generator, support: SupportSet) -> np.ndarray:
@@ -223,14 +223,14 @@ class TestSupportSet:
     def test_matrix_mask_round_trip(self, rng):
         m = rng.random((4, 4)) > 0.5
         s = SupportSet.from_matrix_mask(m)
-        np.testing.assert_array_equal(s.as_matrix_mask(), m)
+        np.testing.assert_array_equal(s.mask, m)
 
     def test_column_major_indexing(self):
         # entry (i, j) lives at flat index i + j*p
         m = np.zeros((3, 3), dtype=bool)
         m[1, 2] = True
         s = SupportSet.from_matrix_mask(m)
-        assert list(np.flatnonzero(vec(s.as_matrix_mask()))) == [1 + 2 * 3]
+        assert list(np.flatnonzero(vec(s.mask))) == [1 + 2 * 3]
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square 2-d"):
@@ -247,7 +247,7 @@ class TestSupportSet:
         s = SupportSet.from_matrix_mask(m)
         m[0, 1] = True
         assert len(s) == 3
-        assert not s.as_matrix_mask().flags.writeable
+        assert not s.mask.flags.writeable
 
 
 class TestKronRestricted:
@@ -316,7 +316,7 @@ class TestKronRestricted:
         x = pair_symmetric(rng, s)
         m = kron_restricted(w, s)(x)
         assert_rel_close(m, restricted_product(w, s, x))
-        assert np.all(m[~s.as_matrix_mask()] == 0.0)
+        assert np.all(m[~s.mask] == 0.0)
         assert np.array_equal(m, m.T)
 
     def test_rejects_mismatched_support(self, rng):
@@ -337,22 +337,23 @@ def identity(v: np.ndarray) -> np.ndarray:
 class TestSolveSymmetric:
     def test_identity(self):
         b = np.array([1.0, 2.0, 3.0])
-        x = solve_symmetric(matrix_operator(np.eye(3)), b, identity)
+        x = solve_symmetric(matrix_operator(np.eye(3)), b, identity, dim=b.size)
         np.testing.assert_array_equal(x, b)
 
     def test_diagonal(self):
         x = solve_symmetric(matrix_operator(np.diag([2.0, 5.0])), np.array([4.0, 10.0]),
-                            identity)
+                            identity, dim=2)
         np.testing.assert_allclose(x, [2.0, 2.0])
 
     def test_residual(self, rng):
         m = random_spd(rng, 6)
         b = rng.standard_normal(6)
-        x = solve_symmetric(matrix_operator(m), b, identity)
+        x = solve_symmetric(matrix_operator(m), b, identity, dim=b.size)
         assert np.max(np.abs(m @ x - b)) <= 1e-10
 
     def test_zero_rhs(self, rng):
-        x = solve_symmetric(matrix_operator(random_spd(rng, 4)), np.zeros(4), identity)
+        x = solve_symmetric(matrix_operator(random_spd(rng, 4)), np.zeros(4), identity,
+                            dim=4)
         np.testing.assert_array_equal(x, np.zeros(4))
 
     def test_restricted_kron_system(self, rng):
@@ -367,7 +368,7 @@ class TestSolveSymmetric:
         # rank one: the direction (1, -1, 0) has zero curvature
         m = np.ones((3, 3))
         with pytest.raises(SingularSystem):
-            solve_symmetric(matrix_operator(m), np.array([1.0, -1.0, 0.0]), identity)
+            solve_symmetric(matrix_operator(m), np.array([1.0, -1.0, 0.0]), identity, dim=3)
 
     def test_budget_exhausted_raises(self, rng):
         # condition number 1e10: in floating point, len(rhs) steps fall short
@@ -375,12 +376,12 @@ class TestSolveSymmetric:
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         m = (q * np.logspace(0, 10, n)) @ q.T
         with pytest.raises(SingularSystem):
-            solve_symmetric(matrix_operator(m), np.ones(n), identity)
+            solve_symmetric(matrix_operator(m), np.ones(n), identity, dim=n)
 
     def test_indefinite_raises(self):
         m = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(SingularSystem):
-            solve_symmetric(matrix_operator(m), np.array([1.0, 2.0]), identity)
+            solve_symmetric(matrix_operator(m), np.array([1.0, 2.0]), identity, dim=2)
 
 
 def counting(apply):
@@ -462,13 +463,13 @@ class TestPreconditionedSolve:
         m = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(SingularSystem):
             solve_symmetric(matrix_operator(m), np.array([1.0, 2.0]),
-                            precondition=matrix_operator(np.diag([1.0, 0.5])))
+                            precondition=matrix_operator(np.diag([1.0, 0.5])), dim=2)
 
     def test_indefinite_preconditioner_raises(self):
         m = np.diag([1.0, 2.0])
         with pytest.raises(SingularSystem):
             solve_symmetric(matrix_operator(m), np.array([1.0, 0.0]),
-                            precondition=matrix_operator(np.diag([-1.0, 1.0])))
+                            precondition=matrix_operator(np.diag([-1.0, 1.0])), dim=2)
 
     def test_budget_exhausted_raises(self, rng):
         # condition number 1e10 and a preconditioner that only rescales it
@@ -477,7 +478,7 @@ class TestPreconditionedSolve:
         m = (q * np.logspace(0, 10, n)) @ q.T
         with pytest.raises(SingularSystem, match="after 20 iterations"):
             solve_symmetric(matrix_operator(m), np.ones(n),
-                            precondition=lambda v: 2.0 * v)
+                            precondition=lambda v: 2.0 * v, dim=n)
 
 
 def vector_cg(apply, rhs, precondition, rtol=CG_RTOL):
@@ -518,11 +519,13 @@ class TestMatrixRightHandSides:
     # The restricted system's vectors are p x p matrices zero off a support
     # S; its dimension, and so the iteration budget, is |S|, which is
     # neither len(rhs) = p nor rhs.size = p**2.
-    def test_needs_dim(self, rng):
+    def test_dim_is_a_required_keyword(self, rng):
         s = symmetric_support(rng, 4)
-        with pytest.raises(ValueError, match="needs dim"):
-            solve_symmetric(kron_restricted(random_spd(rng, 4), s),
-                            pair_symmetric(rng, s), identity)
+        k, b = kron_restricted(random_spd(rng, 4), s), pair_symmetric(rng, s)
+        with pytest.raises(TypeError):
+            solve_symmetric(k, b, identity)
+        with pytest.raises(TypeError):
+            solve_symmetric(k, b, identity, CG_RTOL, len(s))
 
     def test_singular_operator_raises_within_support_size(self, rng):
         # K acts on the off-diagonal support entries only and maps the
@@ -530,7 +533,7 @@ class TestMatrixRightHandSides:
         # the diagonal part of the rhs is out of its range.
         p = 12
         s = symmetric_support(rng, p)
-        off = s.as_matrix_mask() & ~np.eye(p, dtype=bool)
+        off = s.mask & ~np.eye(p, dtype=bool)
         k = kron_restricted(spd_inverse(cholesky(random_spd(rng, p))),
                             SupportSet.from_matrix_mask(off))
         op, products = counting(lambda x: k(np.where(off, x, 0.0)))
@@ -550,7 +553,7 @@ class TestMatrixRightHandSides:
             for precondition in (identity, matrix_operator(pre)):
                 got_op, got = counting(matrix_operator(m))
                 ref_op, ref = counting(matrix_operator(m))
-                x = solve_symmetric(got_op, b, precondition, rtol=rtol)
+                x = solve_symmetric(got_op, b, precondition, rtol=rtol, dim=b.size)
                 assert np.array_equal(x, vector_cg(ref_op, b, precondition, rtol=rtol))
                 assert got["n"] == ref["n"] > 0
         q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
@@ -561,7 +564,7 @@ class TestMatrixRightHandSides:
         ]
         for op, b in failing:
             with pytest.raises(SingularSystem) as got:
-                solve_symmetric(op, b, identity)
+                solve_symmetric(op, b, identity, dim=b.size)
             with pytest.raises(SingularSystem) as ref:
                 vector_cg(op, b, identity)
             assert str(got.value) == str(ref.value)
