@@ -45,7 +45,6 @@ from .glasso import (
 )
 from .implicit import (
     CriterionValue,
-    WeightedHypergradient,
     criterion_holdout,
     hypergradient_scalar,
     hypergradient_weighted,
@@ -76,7 +75,6 @@ __all__ = [
     "SupportSet",
     "Trajectory",
     "TrajectoryRecord",
-    "WeightedHypergradient",
     "check_optimality",
     "criterion_holdout",
     "default_grid",

@@ -300,7 +300,7 @@ def _descend(
             est = solve(cov_train, reg, config.solver, warm_start=warm)
             crit = criterion_holdout(est, cov_test)
             support = support_from_estimate(est, cov_train)
-            values = hypergradient_weighted(est, support, crit.gradient).values
+            values = hypergradient_weighted(est, support, crit.gradient)
         except GlassoTuneError as exc:
             if not traj.records:
                 # keep type and attributes, prefix the message with where it happened
@@ -402,7 +402,9 @@ def tune_matrix(
     solve starts at its own solution.  A caller that passes the scalar
     optimum as init should pass that estimate as ``warm_start`` too.
 
-    Returns the last evaluated weight matrix and the trajectory.
+    Returns the last evaluated weight matrix, read-only as
+    :class:`~glassotune.glasso.Regularization` stores it, and the
+    trajectory.
     """
     if config is None:
         config = BilevelConfig()
@@ -410,16 +412,14 @@ def tune_matrix(
     cov_test = symmetrize(np.asarray(cov_test, dtype=float))
     p = cov_train.shape[0]
 
-    if config.init is None:
+    init = config.init
+    if init is None:
         lam_opt, scalar_traj = tune_scalar(cov_train, cov_test, config)
-        weights = np.full((p, p), lam_opt)
+        init = Regularization.scalar(lam_opt)
         warm_start = scalar_traj.estimate.theta
-    elif config.init.is_scalar:
-        if config.init.lam <= 0.0:
-            raise ValueError("init must be > 0 for the log parametrization")
-        weights = np.full((p, p), config.init.lam)
-    else:
-        weights = config.init.as_matrix(p)
+    elif init.is_scalar and init.lam <= 0.0:
+        raise ValueError("init must be > 0 for the log parametrization")
+    weights = np.full((p, p), init.thresholds(p))
     with np.errstate(divide="ignore"):
         alpha = np.log(weights)  # zero weights pin their alpha at -inf
 

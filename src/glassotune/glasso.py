@@ -12,8 +12,7 @@ Rajaratnam, Guillot, Wong & Chaudhary, NeurIPS 2012): after each accepted
 prox step a Barzilai-Borwein quotient proposes the next one, so the step
 grows back after backtracking, and backtracking halves it until the
 candidate is SPD and passes a sufficient-decrease test.  A converged
-iterate satisfies
-the fixed-point equation
+iterate satisfies the fixed-point equation
 
     theta = soft_threshold(theta - gamma * (S - theta^{-1}), gamma * T)
 
@@ -81,8 +80,8 @@ class Regularization:
 
     The matrix form keeps only the symmetric part of what is passed in,
     since the penalty over symmetric theta cannot see the antisymmetric
-    part.  All entries must be nonnegative.  A zero diagonal leaves the
-    diagonal unpenalized.
+    part, as a read-only array.  All entries must be nonnegative.  A zero
+    diagonal leaves the diagonal unpenalized.
     """
 
     lam: Optional[float] = None
@@ -104,7 +103,9 @@ class Regularization:
                 raise ValueError("weights must be finite")
             if np.any(w < 0.0):
                 raise ValueError("weights must be entrywise >= 0")
-            object.__setattr__(self, "weights", symmetrize(w))
+            w = symmetrize(w)
+            w.flags.writeable = False
+            object.__setattr__(self, "weights", w)
 
     @classmethod
     def scalar(cls, lam: float) -> "Regularization":
@@ -118,15 +119,20 @@ class Regularization:
     def is_scalar(self) -> bool:
         return self.lam is not None
 
-    def as_matrix(self, p: int) -> np.ndarray:
-        """Materialize the p x p threshold matrix."""
+    def thresholds(self, p: int) -> float | np.ndarray:
+        """The thresholds of a p x p problem, for callers to broadcast.
+
+        A scalar level comes back as the float.  A weight matrix comes back
+        as the stored read-only array, not a copy; ValueError unless it is
+        p x p, since a 1 x 1 matrix would otherwise broadcast too.
+        """
         if self.is_scalar:
-            return np.full((p, p), self.lam)
+            return self.lam
         if self.weights.shape[0] != p:
             raise ValueError(
                 f"weights are {self.weights.shape[0]} x {self.weights.shape[0]}, need {p} x {p}"
             )
-        return self.weights.copy()
+        return self.weights
 
 
 @dataclass(frozen=True)
@@ -244,6 +250,9 @@ def solve(
 
     Raises
     ------
+    ValueError
+        If cov is not square or not finite, or if the penalty is a weight
+        matrix of another size.
     NotConverged
         After MAX_ITER accepted steps, proximal or Newton, with the residual
         still above tol.
@@ -295,9 +304,7 @@ def solve(
     if not np.isfinite(cov).all():
         raise ValueError("cov must be finite")
     cov = symmetrize(cov)
-    p = cov.shape[0]
-    # A scalar penalty stays a float: the prox broadcasts it.
-    thr = reg.lam if reg.is_scalar else reg.as_matrix(p)
+    thr = reg.thresholds(cov.shape[0])
 
     if not np.any(thr > 0.0):
         try:
@@ -462,7 +469,7 @@ def check_optimality(est: PrecisionEstimate, cov: np.ndarray) -> float:
     if np.shape(cov) != est.theta.shape:
         raise ValueError("covariance shape does not match the estimate")
     r = est.theta_inv - symmetrize(cov)
-    thr = est.reg.as_matrix(est.dim)
+    thr = est.reg.thresholds(est.dim)
     on = est.support.mask
     violation = np.where(
         on,

@@ -46,21 +46,6 @@ BOUNDARY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class WeightedHypergradient:
-    """Gradient of an outer criterion with respect to per-entry weights.
-
-    ``values[k, l]`` is d C(theta_hat(weights)) / d weights[k, l], exactly
-    zero off-support.  ``y`` keeps the adjoint solution for diagnostics: a
-    p x p matrix like ``values``, exactly symmetric and zero off the
-    support, so its entries on the support are the |S| coordinates of the
-    restricted system.
-    """
-
-    values: np.ndarray = field(repr=False)
-    y: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
 class CriterionValue:
     """Hold-out criterion value and its gradient at the evaluation point."""
 
@@ -100,7 +85,7 @@ def support_from_estimate(est: PrecisionEstimate, cov: np.ndarray) -> SupportSet
     if np.shape(cov) != theta.shape:
         raise ValueError("covariance shape does not match the estimate")
     cov = symmetrize(cov)
-    thr = est.reg.as_matrix(est.dim)
+    thr = est.reg.thresholds(est.dim)
 
     diag = np.diagonal(theta_inv)
     step = 1.0 / np.outer(diag, diag)
@@ -132,15 +117,17 @@ def jacobian_scalar(est: PrecisionEstimate, support: SupportSet) -> np.ndarray:
     Returns the p x p array of d theta_hat[i, j] / d lam, exactly zero off
     ``support``: the solution y of the restricted system
     K y = -sign(theta)_S, with K the restricted Kronecker square of
-    theta^{-1}.  K is symmetric, so this is the ``y`` of
-    :func:`hypergradient_weighted` against -sign(theta).  It does not
-    depend on the prox step gamma: the step scales both sides of the
-    system and cancels.
+    theta^{-1}.  K is symmetric, so y is the adjoint solution of
+    :func:`hypergradient_weighted` against -sign(theta), read back from
+    its output -sign(theta) * y: sign(theta) is +-1 on the support, so
+    that product undoes exactly.  It does not depend on the prox step
+    gamma: the step scales both sides of the system and cancels.
 
     Raises SingularSystem if conjugate gradients find the restricted
     coefficient matrix not positive definite or do not converge.
     """
-    return hypergradient_weighted(est, support, -np.sign(est.theta)).y
+    sign = np.sign(est.theta)
+    return -sign * hypergradient_weighted(est, support, -sign)
 
 
 def hypergradient_scalar(jac: np.ndarray, grad_c: np.ndarray) -> float:
@@ -155,8 +142,12 @@ def hypergradient_weighted(
     est: PrecisionEstimate,
     support: SupportSet,
     grad_c: np.ndarray,
-) -> WeightedHypergradient:
+) -> np.ndarray:
     """Gradient of the outer criterion with respect to every penalty weight.
+
+    Returns the p x p array whose entry (k, l) is
+    d C(theta_hat(weights)) / d weights[k, l], exactly symmetric and
+    exactly zero off ``support``.
 
     The derivative of the solution in weight (k, l) solves the restricted
     system against a one-hot right-hand side -sign(theta_kl) * e_pos(k,l),
@@ -169,7 +160,7 @@ def hypergradient_weighted(
         out = -sign(theta) * Y,   zero off the support.
 
     Tying every weight to one level makes its derivative the sum of the
-    per-entry ones, so the sum of ``values`` is the scalar-penalty
+    per-entry ones, so the sum of the returned array is the scalar-penalty
     hypergradient.
     """
     if np.shape(grad_c) != est.theta.shape:
@@ -181,7 +172,7 @@ def hypergradient_weighted(
         precondition=kron_restricted(est.theta, support),
         dim=len(support),
     )
-    return WeightedHypergradient(values=-np.sign(est.theta) * y, y=y)
+    return -np.sign(est.theta) * y
 
 
 def criterion_holdout(

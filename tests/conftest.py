@@ -41,7 +41,7 @@ def support_indices(support) -> np.ndarray:
 
 
 def naive_weighted_hypergradient(est, support, grad_c) -> np.ndarray:
-    """Per-entry oracle for ``hypergradient_weighted(...).values``.
+    """Per-entry oracle for ``hypergradient_weighted``.
 
     Materializes the derivative of the solution in each support weight as
     a column of the dense restricted inverse and contracts them one by

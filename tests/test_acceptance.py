@@ -64,7 +64,7 @@ def boundary_slack(est, cov):
     diag = np.diagonal(theta_inv)
     step = 1.0 / np.outer(diag, diag)
     zhat = est.theta - step * (symmetrize(cov) - theta_inv)
-    t = step * est.reg.as_matrix(est.dim)
+    t = step * est.reg.thresholds(est.dim)
     pos = t > 0
     return float(np.min(np.abs(np.abs(zhat[pos]) - t[pos]) / t[pos]))
 
@@ -173,7 +173,7 @@ def test_2_weighted_hypergradient_vs_finite_differences(capsys):
         grad_c = criterion_holdout(est.theta, data.cov_test).gradient
         hyper = hypergradient_weighted(est, support, grad_c)
         mask = support.mask
-        off_clean = off_clean and bool(np.all(hyper.values[~mask] == 0.0))
+        off_clean = off_clean and bool(np.all(hyper[~mask] == 0.0))
         for k in range(3):
             for l in range(k, 3):
                 if not mask[k, l]:
@@ -188,7 +188,7 @@ def test_2_weighted_hypergradient_vs_finite_differences(capsys):
                     vals.append(criterion_holdout(theta, data.cov_test).value)
                 fd = (vals[0] - vals[1]) / (2.0 * FD_STEP)
                 worst_rel = max(
-                    worst_rel, abs(hyper.values[k, l] - fd) / abs(fd)
+                    worst_rel, abs(hyper[k, l] - fd) / abs(fd)
                 )
     elapsed = time.perf_counter() - t0
     report(
@@ -222,7 +222,7 @@ def test_3_adjoint_equals_naive_contraction(capsys):
                 grad_c = criterion_holdout(est.theta, data.cov_test).gradient
                 fast = hypergradient_weighted(est, support, grad_c)
                 slow = naive_weighted_hypergradient(est, support, grad_c)
-                worst = max(worst, float(np.max(np.abs(fast.values - slow))))
+                worst = max(worst, float(np.max(np.abs(fast - slow))))
                 supports_seen.add((p, len(support)))
                 tested += 1
     elapsed = time.perf_counter() - t0

@@ -253,7 +253,7 @@ class TestTuneScalar:
         crit = criterion_holdout(est.theta, data.cov_test)
         assert crit.value == traj.final.criterion
         support = support_from_estimate(est, data.cov_train)
-        values = hypergradient_weighted(est, support, crit.gradient).values
+        values = hypergradient_weighted(est, support, crit.gradient)
         assert traj.final.hypergrad_norm == est.reg.lam * abs(np.sum(values))
 
     def test_rejects_matrix_init(self):
@@ -445,6 +445,16 @@ class TestTuneMatrix:
                 data.cov_test,
                 BilevelConfig(init=Regularization.scalar(0.0)),
             )
+
+    def test_rejects_matrix_init_of_another_size(self):
+        _, data = make_instance(3, 100, seed=1)
+        for size in (2, 1):
+            with pytest.raises(ValueError):
+                tune_matrix(
+                    data.cov_train,
+                    data.cov_test,
+                    BilevelConfig(init=Regularization.matrix(np.ones((size, size)))),
+                )
 
     def test_deterministic_apart_from_timing(self):
         _, data = make_instance(4, 200, seed=0)

@@ -15,6 +15,11 @@ from glassotune.glasso import (
     soft_threshold,
     solve,
 )
+from glassotune.implicit import (
+    criterion_holdout,
+    hypergradient_weighted,
+    support_from_estimate,
+)
 from glassotune.linalg import SupportSet, cholesky, logdet, spd_inverse
 
 from conftest import make_instance, random_spd
@@ -105,20 +110,23 @@ class TestRegularization:
         reg = Regularization.matrix(np.array([[0.0, 1.0], [3.0, 0.0]]))
         np.testing.assert_array_equal(reg.weights, [[0.0, 2.0], [2.0, 0.0]])
 
-    def test_scalar_as_matrix(self):
-        np.testing.assert_array_equal(
-            Regularization.scalar(0.3).as_matrix(2), np.full((2, 2), 0.3)
-        )
+    def test_scalar_thresholds_are_the_level(self):
+        thr = Regularization.scalar(0.3).thresholds(2)
+        assert type(thr) is float and thr == 0.3
 
-    def test_matrix_as_matrix_checks_dim(self):
+    def test_matrix_thresholds_check_dim(self):
+        # A 1 x 1 matrix would broadcast against any p x p problem.
+        for size in (2, 1):
+            reg = Regularization.matrix(np.ones((size, size)))
+            with pytest.raises(ValueError):
+                reg.thresholds(3)
+
+    def test_matrix_thresholds_are_the_stored_read_only_weights(self):
         reg = Regularization.matrix(np.ones((2, 2)))
+        out = reg.thresholds(2)
+        assert out is reg.weights
         with pytest.raises(ValueError):
-            reg.as_matrix(3)
-
-    def test_as_matrix_returns_copy(self):
-        reg = Regularization.matrix(np.ones((2, 2)))
-        out = reg.as_matrix(2)
-        out[0, 0] = 99.0
+            out[0, 0] = 99.0
         assert reg.weights[0, 0] == 1.0
 
     def test_flags(self):
@@ -328,10 +336,27 @@ class TestSolveProperties:
             assert check_optimality(est, cov) <= 1e-6
 
     def test_scalar_matches_constant_matrix(self, rng):
-        cov = random_spd(rng, 4)
-        a = solve(cov, Regularization.scalar(0.2))
-        b = solve(cov, Regularization.matrix(np.full((4, 4), 0.2)))
-        np.testing.assert_array_equal(a.theta, b.theta)
+        # A scalar level broadcasts where a constant weight matrix is read
+        # entrywise; both give every output bit for bit, on a random
+        # instance and on the CLI's p=100 seed-0 data near its best level.
+        data = make_instance(100, 2000, seed=0, density=0.05)[1]
+        instances = [(random_spd(rng, 4), random_spd(rng, 4), 0.2),
+                     (data.cov_train, data.cov_test, 0.018)]
+        for cov, cov_test, lam in instances:
+            p = cov.shape[0]
+            outs = []
+            for reg in (Regularization.scalar(lam),
+                        Regularization.matrix(np.full((p, p), lam))):
+                est = solve(cov, reg)
+                support = support_from_estimate(est, cov)
+                grad_c = criterion_holdout(est, cov_test).gradient
+                outs.append((est.theta, check_optimality(est, cov), support.mask,
+                             hypergradient_weighted(est, support, grad_c)))
+            (theta_a, opt_a, mask_a, hyper_a), (theta_b, opt_b, mask_b, hyper_b) = outs
+            assert theta_a.tobytes() == theta_b.tobytes()
+            assert opt_a == opt_b
+            np.testing.assert_array_equal(mask_a, mask_b)
+            assert hyper_a.tobytes() == hyper_b.tobytes()
 
     def test_step_size_does_not_change_solution(self, rng, monkeypatch):
         cov = random_spd(rng, 4)
@@ -388,8 +413,9 @@ class TestSolveErrors:
 
     def test_rejects_mismatched_weights(self, rng):
         cov = random_spd(rng, 3)
-        with pytest.raises(ValueError):
-            solve(cov, Regularization.matrix(np.ones((2, 2))))
+        for size in (2, 1):
+            with pytest.raises(ValueError):
+                solve(cov, Regularization.matrix(np.ones((size, size))))
 
     def test_unpenalized_singular_covariance(self):
         with pytest.raises(NotPositiveDefinite, match="no minimizer"):

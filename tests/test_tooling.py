@@ -1,5 +1,6 @@
 """The benchmark wraps and calls package functions by name; keep those names."""
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+PACKAGE = ROOT / "src" / "glassotune"
 
 # What perfbench/run.py's output check reads from the package to verify a
 # run's exported estimate.
@@ -53,6 +56,36 @@ def load_tracer():
 @pytest.mark.parametrize("module, attr, span", load_tracer().TARGETS)
 def test_tracer_target_resolves(module, attr, span):
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+def unused_imports(source: str) -> set:
+    """Names a module imports but never reads and does not list in __all__."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    return imported - read - exported
+
+
+def test_unused_imports_are_tracer_targets():
+    # An import a module does not use is dead unless the tracer wraps that
+    # name in that module's namespace.
+    targets = {(module, attr) for module, attr, _ in load_tracer().TARGETS}
+    assert unused_imports("import os\nfrom a import b\nos.sep\n") == {"b"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = "glassotune" if path.stem == "__init__" else f"glassotune.{path.stem}"
+        for name in unused_imports(path.read_text(encoding="utf-8")):
+            assert (module, name) in targets, f"{module} imports {name} but never uses it"
 
 
 @pytest.mark.parametrize("module, path", OUTPUT_CHECK_NAMES)
