@@ -234,7 +234,7 @@ def grid_search(
         except GlassoTuneError:
             points[int(i)] = GridPoint(lam, float("nan"), float("nan"), True)
             continue
-        warm = est.theta
+        warm = est
         crit = criterion_holdout(est, cov_test).value
         re_val = (
             relative_error(est.theta, theta_true)
@@ -264,7 +264,7 @@ def _descend(
     alpha,
     config: BilevelConfig,
     theta_true: Optional[np.ndarray],
-    warm: Optional[np.ndarray],
+    warm: Optional[np.ndarray | PrecisionEstimate],
 ) -> Trajectory:
     """The outer loop of both tuners, over alpha = log(penalty).
 
@@ -273,7 +273,7 @@ def _descend(
     from one adjoint solve; a tied level moves every weight at once, so
     its derivative is the sum of the per-entry ones.  The first solve
     starts from ``warm`` (None: the solver's cold start), every later one
-    from the previous solution.
+    from the previous estimate, whose factorization it reuses.
 
     Any GlassoTuneError of the solve, the criterion, the support check or
     the adjoint solve propagates at the first iterate, annotated with the
@@ -329,7 +329,7 @@ def _descend(
             )
         )
         traj.estimate = est
-        warm = est.theta
+        warm = est
         if norm <= OUTER_TOL:
             traj.converged = True
             traj.stop_reason = "hypergradient below tolerance"
@@ -390,7 +390,7 @@ def tune_matrix(
     cov_test: np.ndarray,
     config: Optional[BilevelConfig] = None,
     theta_true: Optional[np.ndarray] = None,
-    warm_start: Optional[np.ndarray] = None,
+    warm_start: Optional[np.ndarray | PrecisionEstimate] = None,
 ) -> Tuple[np.ndarray, Trajectory]:
     """Descend the hold-out criterion over a full matrix of penalty weights.
 
@@ -400,7 +400,9 @@ def tune_matrix(
     optimum fills the starting weight matrix, making the matrix run a pure
     refinement; its estimate then replaces ``warm_start``, so the first
     solve starts at its own solution.  A caller that passes the scalar
-    optimum as init should pass that estimate as ``warm_start`` too.
+    optimum as init should pass that estimate as ``warm_start`` too; an
+    estimate, unlike its theta, is not factorized again (see
+    :func:`~glassotune.glasso.solve`).
 
     Returns the last evaluated weight matrix, read-only as
     :class:`~glassotune.glasso.Regularization` stores it, and the
@@ -416,7 +418,7 @@ def tune_matrix(
     if init is None:
         lam_opt, scalar_traj = tune_scalar(cov_train, cov_test, config)
         init = Regularization.scalar(lam_opt)
-        warm_start = scalar_traj.estimate.theta
+        warm_start = scalar_traj.estimate
     elif init.is_scalar and init.lam <= 0.0:
         raise ValueError("init must be > 0 for the log parametrization")
     weights = np.full((p, p), init.thresholds(p))

@@ -310,7 +310,7 @@ def run(config: ExperimentConfig) -> int:
             lam_opt = descent.final.reg.lam
             if config.mode == "matrix":
                 # the matrix stage's first problem is the scalar stage's last one
-                tune = partial(tune_matrix, warm_start=descent.estimate.theta)
+                tune = partial(tune_matrix, warm_start=descent.estimate)
                 descent = _descent_stage(summary, "matrix", tune,
                                          Regularization.scalar(lam_opt), config, data, truth)
             descent.to_csv(out / "trajectory.csv")

@@ -159,6 +159,11 @@ def hypergradient_weighted(
 
         out = -sign(theta) * Y,   zero off the support.
 
+    The products with K run in float64, so the CG_RTOL stop holds for the
+    float64 system; those with the preconditioner run in float32 (see
+    :func:`~glassotune.linalg.kron_restricted`), which only changes the
+    path the iterates take to that stop.
+
     Tying every weight to one level makes its derivative the sum of the
     per-entry ones, so the sum of the returned array is the scalar-penalty
     hypergradient.
@@ -169,7 +174,7 @@ def hypergradient_weighted(
     y = solve_symmetric(
         _restricted_kron(est, support),
         np.where(support.mask, grad_c, 0.0),
-        precondition=kron_restricted(est.theta, support),
+        precondition=kron_restricted(est.theta.astype(np.float32), support),
         dim=len(support),
     )
     return -np.sign(est.theta) * y

@@ -3,6 +3,9 @@
 Conventions, fixed package-wide:
 
 * Matrices are dense float64 ``numpy`` arrays of shape ``(p, p)``.
+  The one exception is the matrix of a :func:`kron_restricted` product:
+  a float32 one makes that product's two gemms float32, while the
+  vectors it acts on and returns stay float64.
   Public entry points symmetrize a matrix from outside the package once,
   ``A <- (A + A.T) / 2``; the symmetric matrices computed from it are
   exactly symmetric by construction (mirrored inverses, entrywise maps,
@@ -44,7 +47,11 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 def _as_square(a, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+    # float32 stays float32, the precision kron_restricted takes from it;
+    # anything else becomes float64.
+    a = np.asarray(a)
+    if a.dtype != np.float32:
+        a = a.astype(float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be a square 2-d array, got shape {a.shape}")
     return a
@@ -174,6 +181,16 @@ def kron_restricted(w: np.ndarray, support: SupportSet) -> Operator:
     costs two p x p matrix products and O(p**2) memory, against O(|S|**2)
     for the explicit block.  Raises ValueError unless the support's mask
     has the shape of ``w``.
+
+    The caller picks the precision of the two matrix products through the
+    dtype of ``w``: a float32 ``w`` stays float32, ``X`` is rounded to
+    float32 and ``C`` is formed in float32, then cast to float64 before
+    ``(C + C.T) / 2``.  So the output is float64, exactly symmetric and
+    exactly zero off the support in either precision, and agrees with the
+    float64 product to float32 round-off, about 1e-7 relative.  Any other
+    ``w`` is read as float64, and then the product is the float64 one, bit
+    for bit.  On one BLAS thread of a 2-core Intel Xeon VM a float32 product
+    took 52 against 68 us at p=100, and 0.99 against 2.45 ms at p=300.
     """
     w = _as_square(w, "w")
     if support.mask.shape != w.shape:
@@ -181,8 +198,8 @@ def kron_restricted(w: np.ndarray, support: SupportSet) -> Operator:
     half = support._half
 
     def apply(x: np.ndarray) -> np.ndarray:
-        c = w @ x @ w
-        return half * (c + c.T)
+        c = w @ x.astype(w.dtype, copy=False) @ w
+        return half * np.add(c, c.T, dtype=float)
 
     return apply
 
@@ -210,7 +227,14 @@ def solve_symmetric(
     the dimension of the system (the support's size), which is also the
     iteration budget.  Each iteration takes one product with ``K`` and one
     with ``M``; a residual that has met the tolerance (the last one, or
-    that of a zero ``rhs``) is never preconditioned.
+    that of a zero ``rhs``) is never preconditioned.  Every vector and
+    inner product is float64 whatever precision the products take inside,
+    and the stop reads the recursively updated residual: with a float32
+    ``K`` (see :func:`kron_restricted`) that residual still falls to
+    ``rtol``, while the true float64 residual levels off near float32
+    round-off, about 1e-7 relative, so such a ``K`` suits only an
+    approximate solve.  A float32 ``M`` only changes the iterates, never
+    what the stop reads.
 
     Raises
     ------

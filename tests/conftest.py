@@ -69,12 +69,14 @@ def reference_kron_restricted(w, support):
 
     The map ``X -> where(mask, symmetrize(w @ X @ w), 0)`` on p x p
     matrices zero off the support, which symmetrizes the whole product and
-    then zeroes it off the support.  The package's operator must give the
-    same values, bit for bit.
+    then zeroes it off the support.  ``x`` is cast to ``w``'s dtype first,
+    so a float32 ``w`` gives float32 matrix products, as in the package.
+    The package's operator must give the same values, bit for bit.
     """
     mask = support.mask
 
     def apply(x):
+        x = x.astype(w.dtype, copy=False)
         return np.where(mask, symmetrize(w @ x @ w), 0.0)
 
     return apply

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import glassotune.bilevel
 import glassotune.glasso
 from glassotune.bilevel import (
     INIT_BACKOFF,
@@ -25,6 +26,33 @@ from glassotune.implicit import (
 from glassotune.linalg import spd_inverse, cholesky
 
 from conftest import fail_support_check, make_instance
+
+
+@pytest.mark.parametrize("tuner", ["grid", "scalar", "matrix"])
+def test_each_solve_warm_starts_from_the_previous_estimate(monkeypatch, tuner):
+    # Handing solve the estimate, not its theta, spares it a factorization
+    # of a matrix it has already factorized.
+    _, data = make_instance(6, 300, seed=0)
+    real = glassotune.bilevel.solve
+    calls = []
+
+    def recording(cov, reg, config=None, warm_start=None):
+        est = real(cov, reg, config, warm_start=warm_start)
+        calls.append((warm_start, est))
+        return est
+
+    monkeypatch.setattr(glassotune.bilevel, "solve", recording)
+    cfg = BilevelConfig(max_outer_iter=3)
+    if tuner == "grid":
+        grid_search(data.cov_train, data.cov_test,
+                    default_grid(lambda_init(data.cov_train), points=4))
+    elif tuner == "scalar":
+        tune_scalar(data.cov_train, data.cov_test, cfg)
+    else:
+        tune_matrix(data.cov_train, data.cov_test, cfg)
+    assert len(calls) > 1 and calls[0][0] is None
+    for (_, previous), (warm, _) in zip(calls, calls[1:]):
+        assert warm is previous
 
 
 class TestLambdaInit:

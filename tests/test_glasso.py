@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glassotune.glasso
+import glassotune.implicit
 from glassotune.exceptions import NotConverged, NotPositiveDefinite, SingularSystem
 from glassotune.glasso import (
     PrecisionEstimate,
@@ -20,7 +21,15 @@ from glassotune.implicit import (
     hypergradient_weighted,
     support_from_estimate,
 )
-from glassotune.linalg import SupportSet, cholesky, logdet, spd_inverse
+from glassotune.linalg import (
+    SupportSet,
+    cholesky,
+    kron_restricted,
+    logdet,
+    solve_symmetric,
+    spd_inverse,
+    symmetrize,
+)
 
 from conftest import make_instance, random_spd
 
@@ -132,6 +141,31 @@ class TestRegularization:
     def test_flags(self):
         assert Regularization.scalar(0.1).is_scalar
         assert not Regularization.matrix(np.ones((3, 3))).is_scalar
+
+    def test_scalar_forms_equal_by_level(self):
+        assert Regularization.scalar(0.1) == Regularization.scalar(0.1)
+        assert Regularization.scalar(0.1) != Regularization.scalar(0.2)
+
+    def test_matrix_forms_equal_by_weights(self):
+        # The stored weights are symmetrized, so these two are equal.
+        ones = Regularization.matrix(np.ones((2, 2)))
+        assert ones == Regularization.matrix(np.ones((2, 2)))
+        assert (Regularization.matrix(np.array([[1.0, 0.0], [2.0, 1.0]]))
+                == Regularization.matrix(np.array([[1.0, 1.0], [1.0, 1.0]])))
+        assert ones != Regularization.matrix(np.full((2, 2), 2.0))
+        assert ones != Regularization.matrix(np.ones((3, 3)))
+
+    def test_scalar_form_never_equals_matrix_form(self):
+        scalar, matrix = Regularization.scalar(1.0), Regularization.matrix(np.ones((2, 2)))
+        assert scalar != matrix and matrix != scalar
+        assert scalar != 1.0
+
+    @pytest.mark.parametrize("reg", [Regularization.scalar(0.1),
+                                     Regularization.matrix(np.ones((2, 2)))],
+                             ids=["scalar", "matrix"])
+    def test_not_hashable(self, reg):
+        with pytest.raises(TypeError):
+            hash(reg)
 
 
 class TestSolverConfig:
@@ -298,6 +332,25 @@ class TestSolveCallCounts:
         assert inv["n"] == 1 + est.iterations
         if first_step is not None:  # a huge first step must backtrack
             assert len(factored) - inv["n"] > 0
+
+    @pytest.mark.parametrize("lam", [0.2, 0.05])
+    def test_estimate_warm_start_skips_one_factorization(self, rng, monkeypatch, lam):
+        # A warm start given as an estimate reuses its theta_inv and logdet:
+        # exactly one Cholesky factor and one inverse fewer than the same
+        # start given as an array, and the same bits.
+        cov = random_spd(rng, 8)
+        warm = solve(cov, Regularization.scalar(0.3))
+        chol = self._count(monkeypatch, "cholesky")
+        inv = self._count(monkeypatch, "spd_inverse")
+        from_array = solve(cov, Regularization.scalar(lam), warm_start=warm.theta)
+        counts = chol["n"], inv["n"]
+        chol["n"] = inv["n"] = 0
+        from_estimate = solve(cov, Regularization.scalar(lam), warm_start=warm)
+        assert (chol["n"], inv["n"]) == (counts[0] - 1, counts[1] - 1)
+        assert np.array_equal(from_estimate.theta, from_array.theta)
+        assert np.array_equal(from_estimate.theta_inv, from_array.theta_inv)
+        assert from_estimate.logdet == from_array.logdet
+        assert from_estimate.iterations == from_array.iterations
 
     def test_inverse_comes_back_without_refactoring(self, rng, monkeypatch):
         est = solve(random_spd(rng, 6), Regularization.scalar(0.2))
@@ -689,3 +742,82 @@ class TestNewtonSteps:
             prox_steps[-1] == len(events) - 1)
         assert sign_changes > 0
         assert check_optimality(est, cov_p100_seed0) <= 1e-6
+
+
+class TestFloat32Products:
+    # The Newton step's K = (W kron W)_SS and M = (theta kron theta)_SS,
+    # and the adjoint's M, take float32 matrix products; the adjoint's K
+    # stays float64.
+
+    @staticmethod
+    def _record_dtypes(monkeypatch, module, roles):
+        """Patch ``module.kron_restricted`` to note each operator's role,
+        named by ``roles(w)``, and dtype."""
+        seen = []
+        real = module.kron_restricted
+
+        def factory(w, support):
+            seen.append((roles(w), w.dtype))
+            return real(w, support)
+
+        monkeypatch.setattr(module, "kron_restricted", factory)
+        return seen
+
+    def test_newton_step_hands_float32_to_both_operators(self, cov_p100_seed0, monkeypatch):
+        current = {}
+        real_newton = glassotune.glasso._newton_step
+
+        def newton(*args):
+            current["theta"], current["theta_inv"] = args[2], args[3]
+            return real_newton(*args)
+
+        def role(w):
+            if np.array_equal(w, current["theta_inv"].astype(np.float32)):
+                return "K"
+            return "M" if np.array_equal(w, current["theta"].astype(np.float32)) else "?"
+
+        monkeypatch.setattr(glassotune.glasso, "_newton_step", newton)
+        seen = self._record_dtypes(monkeypatch, glassotune.glasso, role)
+        est = solve(cov_p100_seed0, Regularization.scalar(0.005))
+        assert est.newton_trials > 0
+        assert seen == [("K", np.float32), ("M", np.float32)] * est.newton_trials
+
+    def test_adjoint_hands_float64_to_the_system_and_float32_to_the_preconditioner(
+        self, cov_p100_seed0, monkeypatch
+    ):
+        est = solve(cov_p100_seed0, Regularization.scalar(0.018))
+        support = support_from_estimate(est, cov_p100_seed0)
+
+        def role(w):
+            if w.dtype == np.float64 and np.array_equal(w, est.theta_inv):
+                return "K"
+            return "M" if np.array_equal(w, est.theta.astype(np.float32)) else "?"
+
+        seen = self._record_dtypes(monkeypatch, glassotune.implicit, role)
+        hypergradient_weighted(est, support, np.ones((100, 100)))
+        assert seen == [("K", np.float64), ("M", np.float32)]
+
+    @pytest.mark.parametrize("lam", [0.1, 0.018, 0.005])
+    def test_float32_solve_takes_no_more_iterations(self, cov_p100_seed0, lam):
+        # Float32 K and M against float64 ones on the restricted systems of
+        # the p=100 solutions, at the adjoint's tight tolerance: no more
+        # products with K, and a true float64 residual at float32 round-off.
+        est = solve(cov_p100_seed0, Regularization.scalar(lam))
+        s = est.support
+        rng = np.random.default_rng(0)
+        b = np.where(s.mask, symmetrize(rng.standard_normal((100, 100))), 0.0)
+        products, solution = {}, {}
+        for dtype in (np.float64, np.float32):
+            k = kron_restricted(est.theta_inv.astype(dtype), s)
+            products[dtype] = 0
+
+            def counted(x, k=k, dtype=dtype):
+                products[dtype] += 1
+                return k(x)
+
+            solution[dtype] = solve_symmetric(
+                counted, b, kron_restricted(est.theta.astype(dtype), s), rtol=1e-12,
+                dim=len(s))
+        assert products[np.float32] <= products[np.float64]
+        residual = b - kron_restricted(est.theta_inv, s)(solution[np.float32])
+        assert np.linalg.norm(residual) <= 1e-6 * np.linalg.norm(b)

@@ -319,6 +319,26 @@ class TestKronRestricted:
         assert np.all(m[~s.mask] == 0.0)
         assert np.array_equal(m, m.T)
 
+    @pytest.mark.parametrize("p", [2, 7, 100])
+    @pytest.mark.parametrize("kind", ["diagonal", "symmetric", "full"])
+    def test_float32_matrix_gives_float32_products(self, rng, p, kind):
+        # A float32 w takes float32 matrix products and returns float64,
+        # exactly symmetric and zero off the support, within float32
+        # round-off of the float64 product but not equal to it (a silent
+        # upcast to float64 would be).
+        w = spd_inverse(cholesky(random_spd(rng, p)))
+        w32 = w.astype(np.float32)
+        s = support_of_kind(rng, p, kind)
+        for x in (pair_symmetric(rng, s), on_support(s, rng.standard_normal((p, p)))):
+            m = kron_restricted(w32, s)(x)
+            exact = kron_restricted(w, s)(x)
+            assert m.dtype == np.float64
+            assert np.array_equal(m, m.T)
+            assert np.all(m[~s.mask] == 0.0)
+            assert_rel_close(m, exact, rtol=1e-6)
+            assert not np.array_equal(m, exact)
+            assert np.array_equal(m, reference_kron_restricted(w32, s)(x))
+
     def test_rejects_mismatched_support(self, rng):
         with pytest.raises(ValueError):
             kron_restricted(random_spd(rng, 3),
