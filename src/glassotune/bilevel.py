@@ -78,10 +78,13 @@ class BilevelConfig:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """One outer iteration: the penalty tried and what it cost."""
+    """One outer iteration: the penalty tried and what it cost, as numbers.
+
+    ``penalty`` is ``(lam,)`` or the ``(min, max, mean)`` of the weights.
+    """
 
     iteration: int
-    reg: Regularization
+    penalty: Tuple[float, ...]
     criterion: float
     hypergrad_norm: float
     inner_iterations: int
@@ -96,7 +99,8 @@ class TrajectoryRecord:
 class Trajectory:
     """Append-only record of an outer run with its termination status.
 
-    ``estimate`` is the solution at the last recorded iteration.
+    ``estimate`` is the solution at the last recorded iteration; its
+    ``reg`` is the one full penalty kept, so memory does not grow with length.
     ``aborted`` is true when a failure or an out-of-range step after the
     first iterate stopped the run early (see :func:`tune_scalar`); its
     ``stop_reason`` then starts with "aborted".
@@ -119,19 +123,15 @@ class Trajectory:
     def to_csv(self, path) -> None:
         """One row per outer iteration.
 
-        Scalar runs carry a single lambda column; matrix runs carry
-        lambda_min/lambda_max/lambda_mean summaries of the weight matrix.
+        The penalty columns are each record's ``penalty``: lambda for a
+        scalar run, lambda_min/lambda_max/lambda_mean for a matrix run.
         A missing relative error is written as nan.  The seconds column is
         wall-clock and is the only nondeterministic field.
         """
         lam_header = "lambda" if self.scalar else "lambda_min,lambda_max,lambda_mean"
-        rows = []
-        for r in self.records:
-            w = r.reg.weights
-            lam_cols = [r.reg.lam] if self.scalar else [w.min(), w.max(), w.mean()]
-            re_val = float("nan") if r.rel_error is None else r.rel_error
-            rows.append([r.iteration, *lam_cols, r.criterion, r.hypergrad_norm,
-                         r.inner_iterations, re_val, r.seconds])
+        rows = [[r.iteration, *r.penalty, r.criterion, r.hypergrad_norm, r.inner_iterations,
+                 float("nan") if r.rel_error is None else r.rel_error, r.seconds]
+                for r in self.records]
         save_matrix_csv(
             rows, path,
             header=f"iter,{lam_header},criterion,hypergrad_norm,inner_iters,rel_error,seconds",
@@ -186,7 +186,7 @@ def default_grid(lam_init: float, points: int = 100) -> np.ndarray:
     return np.geomspace(lam_init * GRID_SPAN, lam_init, points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridPoint:
     """One grid evaluation; criterion and rel_error are nan when failed.
 
@@ -314,10 +314,12 @@ def _descend(
         re_val = (
             relative_error(est.theta, theta_true) if theta_true is not None else None
         )
+        w = est.reg.weights
+        level = (est.reg.lam,) if scalar else (float(w.min()), float(w.max()), float(w.mean()))
         traj.records.append(
             TrajectoryRecord(
                 iteration=k,
-                reg=est.reg,
+                penalty=level,
                 criterion=crit.value,
                 hypergrad_norm=norm,
                 inner_iterations=est.iterations,
@@ -365,7 +367,7 @@ def tune_scalar(
     Mid-run it aborts the run with the trajectory collected so far, and
     so does a step that underflows lam to 0 or overflows it to inf.
 
-    Returns the last evaluated level and the full trajectory.
+    Returns the last level tried, ``traj.estimate.reg.lam``, and the trajectory.
     """
     if config is None:
         config = BilevelConfig()
@@ -382,7 +384,7 @@ def tune_scalar(
             raise ValueError("init must be > 0 for the log parametrization")
 
     traj = _descend(cov_train, cov_test, float(np.log(lam)), config, theta_true, None)
-    return traj.final.reg.lam, traj
+    return traj.estimate.reg.lam, traj
 
 
 def tune_matrix(
@@ -404,9 +406,9 @@ def tune_matrix(
     estimate, unlike its theta, is not factorized again (see
     :func:`~glassotune.glasso.solve`).
 
-    Returns the last evaluated weight matrix, read-only as
-    :class:`~glassotune.glasso.Regularization` stores it, and the
-    trajectory.
+    Returns the last weight matrix tried, ``traj.estimate.reg.weights``
+    (read-only, as :class:`~glassotune.glasso.Regularization` stores it),
+    and the trajectory.
     """
     if config is None:
         config = BilevelConfig()
@@ -426,4 +428,4 @@ def tune_matrix(
         alpha = np.log(weights)  # zero weights pin their alpha at -inf
 
     traj = _descend(cov_train, cov_test, alpha, config, theta_true, warm_start)
-    return traj.final.reg.weights, traj
+    return traj.estimate.reg.weights, traj

@@ -230,13 +230,11 @@ def _descent_stage(summary: dict, stage: str, tune, init: Regularization,
     if traj.aborted:
         print(f"warning: {stage} descent {traj.stop_reason}", file=sys.stderr)
     final = traj.final
-    if final.reg.is_scalar:
-        record = {"lambda_opt": final.reg.lam}
-        level = f"lambda={final.reg.lam:.6g} "
+    if traj.scalar:
+        record = {"lambda_opt": final.penalty[0]}
+        level = f"lambda={final.penalty[0]:.6g} "
     else:
-        w = final.reg.weights
-        record = {"lambda_min": float(w.min()), "lambda_max": float(w.max()),
-                  "lambda_mean": float(w.mean())}
+        record = dict(zip(("lambda_min", "lambda_max", "lambda_mean"), final.penalty))
         level = ""
     record.update({
         "criterion": final.criterion,
@@ -307,7 +305,7 @@ def run(config: ExperimentConfig) -> int:
         if config.mode != "grid":
             descent = _descent_stage(summary, "scalar", tune_scalar,
                                      Regularization.scalar(lam_start), config, data, truth)
-            lam_opt = descent.final.reg.lam
+            lam_opt = descent.final.penalty[0]
             if config.mode == "matrix":
                 # the matrix stage's first problem is the scalar stage's last one
                 tune = partial(tune_matrix, warm_start=descent.estimate)

@@ -42,7 +42,7 @@ def _standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return z[:count].reshape(shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
     """A known sparse SPD precision matrix and its off-diagonal support.
 
@@ -67,7 +67,7 @@ class GroundTruth:
         return cls(theta_true=theta, support_mask=mask)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Samples with a train/test partition and the two empirical covariances."""
 

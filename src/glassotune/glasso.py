@@ -168,7 +168,7 @@ class SolverConfig:
             raise ValueError("tol must be finite and > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrecisionEstimate:
     """Solver output: the SPD estimate plus everything needed to audit it.
 

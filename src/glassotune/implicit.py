@@ -45,7 +45,7 @@ from .linalg import unvec, vec  # noqa: F401
 BOUNDARY_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriterionValue:
     """Hold-out criterion value and its gradient at the evaluation point."""
 

@@ -138,7 +138,7 @@ def unvec(v: np.ndarray, p: int) -> np.ndarray:
     return np.asarray(v, dtype=float).reshape((p, p), order="F")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportSet:
     """A set of entries of a p x p matrix, held as a read-only boolean mask.
 

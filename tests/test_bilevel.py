@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,17 @@ from glassotune.implicit import (
 from glassotune.linalg import spd_inverse, cholesky
 
 from conftest import fail_support_check, make_instance
+
+
+def untimed(traj):
+    """The records of a run with the wall-clock field zeroed."""
+    return [dataclasses.replace(r, seconds=0.0) for r in traj.records]
+
+
+def assert_final_weights(traj, weights):
+    """The returned weights are the last iterate's, as its record summarizes them."""
+    assert weights is traj.estimate.reg.weights
+    assert traj.final.penalty == (weights.min(), weights.max(), weights.mean())
 
 
 @pytest.mark.parametrize("tuner", ["grid", "scalar", "matrix"])
@@ -211,7 +224,7 @@ class TestTuneScalar:
         assert traj.stop_reason == "hypergradient below tolerance"
         assert traj.final.hypergrad_norm <= 1e-6
         assert traj.final.criterion <= traj.records[0].criterion
-        assert lam == traj.final.reg.lam
+        assert traj.final.penalty == (lam,)
         assert traj.final.rel_error is not None
 
     def test_starts_at_backed_off_level(self):
@@ -219,7 +232,7 @@ class TestTuneScalar:
         _, traj = tune_scalar(
             data.cov_train, data.cov_test, BilevelConfig(max_outer_iter=1)
         )
-        assert traj.records[0].reg.lam == pytest.approx(
+        assert traj.records[0].penalty[0] == pytest.approx(
             starting_level(data.cov_train), rel=1e-12
         )
 
@@ -230,8 +243,8 @@ class TestTuneScalar:
         r0, r1 = traj.records[0], traj.records[1]
         # Over-penalized start: the criterion grows with the level, so the
         # first move is downhill in lambda by exp(-rho * gradient).
-        assert r1.reg.lam < r0.reg.lam
-        assert r1.reg.lam / r0.reg.lam == pytest.approx(
+        assert r1.penalty[0] < r0.penalty[0]
+        assert r1.penalty[0] / r0.penalty[0] == pytest.approx(
             np.exp(-cfg.step_size * r0.hypergrad_norm), rel=1e-10
         )
 
@@ -266,8 +279,7 @@ class TestTuneScalar:
         cfg = BilevelConfig(max_outer_iter=5)
         _, a = tune_scalar(data.cov_train, data.cov_test, cfg)
         _, b = tune_scalar(data.cov_train, data.cov_test, cfg)
-        assert [r.reg.lam for r in a.records] == [r.reg.lam for r in b.records]
-        assert [r.criterion for r in a.records] == [r.criterion for r in b.records]
+        assert untimed(a) == untimed(b)
 
     def test_hypergradient_is_the_summed_weighted_one(self):
         # A single level ties every weight to it, so its alpha-space
@@ -277,7 +289,7 @@ class TestTuneScalar:
             data.cov_train, data.cov_test, BilevelConfig(max_outer_iter=2)
         )
         est = traj.estimate
-        assert est.reg == traj.final.reg
+        assert traj.final.penalty == (est.reg.lam,)
         crit = criterion_holdout(est.theta, data.cov_test)
         assert crit.value == traj.final.criterion
         support = support_from_estimate(est, data.cov_train)
@@ -331,7 +343,7 @@ class TestTuneScalar:
         assert traj.aborted
         assert not traj.converged
         assert len(traj) == 1
-        assert lam == traj.final.reg.lam
+        assert traj.final.penalty == (lam,)
 
     def test_step_to_zero_penalty_aborts(self):
         # The first step underflows lam to 0, where lam * dC/dlam is 0 too:
@@ -346,7 +358,7 @@ class TestTuneScalar:
             "aborted at outer iteration 1: the step took a penalty to 0 or inf"
         )
         assert len(traj) == 1
-        assert lam == traj.final.reg.lam > 0.0
+        assert traj.final.penalty == (lam,) and lam > 0.0
 
 
 # The default scalar tuner's optimum on make_instance(10, 400, seed=1).
@@ -368,7 +380,7 @@ class TestTuneMatrix:
         assert traj.aborted and not traj.converged
         assert traj.stop_reason.startswith("aborted at outer iteration 1: no positive definite")
         assert len(traj) == 1
-        np.testing.assert_array_equal(weights, traj.final.reg.weights)
+        assert_final_weights(traj, weights)
 
     @pytest.mark.filterwarnings("error")
     def test_step_to_infinite_penalty_aborts(self):
@@ -381,7 +393,7 @@ class TestTuneMatrix:
             "aborted at outer iteration 1: the step took a penalty to 0 or inf"
         )
         assert len(traj) == 1
-        np.testing.assert_array_equal(weights, traj.final.reg.weights)
+        assert_final_weights(traj, weights)
         assert np.ptp(weights) == 0.0  # the constant starting matrix
 
     def test_repeated_midrun_failure_aborts_with_trajectory(self, monkeypatch):
@@ -394,8 +406,7 @@ class TestTuneMatrix:
         assert traj.aborted
         assert not traj.converged
         assert len(traj) == 1
-        np.testing.assert_array_equal(weights, traj.final.reg.weights)
-        assert traj.estimate.reg is traj.final.reg
+        assert_final_weights(traj, weights)
 
     def test_kink_no_longer_aborts_cli_p20_seed0(self):
         # The CLI's p=20 seed-0 data: the matrix stage used to stop at a
@@ -446,8 +457,8 @@ class TestTuneMatrix:
         _, data = make_instance(4, 200, seed=0)
         cfg = BilevelConfig(max_outer_iter=2)
         _, traj = tune_matrix(data.cov_train, data.cov_test, cfg)
-        w0 = traj.records[0].reg.weights
-        assert np.ptp(w0) == 0.0  # constant matrix seeded by the scalar stage
+        w_min, w_max, _ = traj.records[0].penalty
+        assert w_min == w_max  # constant matrix seeded by the scalar stage
         # and its first solve starts at the scalar stage's solution
         assert traj.records[0].inner_iterations == 0
 
@@ -490,9 +501,30 @@ class TestTuneMatrix:
         cfg = BilevelConfig(init=Regularization.scalar(lam), max_outer_iter=3)
         _, a = tune_matrix(data.cov_train, data.cov_test, cfg)
         _, b = tune_matrix(data.cov_train, data.cov_test, cfg)
-        for ra, rb in zip(a.records, b.records):
-            np.testing.assert_array_equal(ra.reg.weights, rb.reg.weights)
-            assert ra.criterion == rb.criterion
+        assert untimed(a) == untimed(b)
+        np.testing.assert_array_equal(a.estimate.reg.weights, b.estimate.reg.weights)
+
+
+class TestTrajectoryRecord:
+    @pytest.mark.parametrize("tuner, width", [(tune_scalar, 1), (tune_matrix, 3)])
+    def test_records_hold_numbers(self, tuner, width):
+        # A record keeps the penalty as the numbers the CSV prints, so it
+        # holds no p x p array and hashes by value.
+        truth, data = make_instance(30, 600, seed=0, density=0.1)
+        lam = 0.3 * lambda_init(data.cov_train)
+        cfg = BilevelConfig(init=Regularization.scalar(lam), max_outer_iter=4)
+        _, traj = tuner(data.cov_train, data.cov_test, cfg, theta_true=truth.theta_true)
+        assert len(traj) == 5
+        for r in traj.records:
+            for f in dataclasses.fields(r):
+                value = getattr(r, f.name)
+                if f.name == "penalty":
+                    assert type(value) is tuple and len(value) == width
+                    assert all(type(x) is float for x in value)
+                else:
+                    assert value is None or type(value) in (int, float), f.name
+            assert hash(r) == hash(dataclasses.replace(r))
+        assert len(set(r.penalty for r in traj.records)) == len(traj)  # the penalty moved
 
 
 class TestTrajectoryCsv:
@@ -517,7 +549,7 @@ class TestTrajectoryCsv:
             cols = line.split(",")
             assert len(cols) == 7
             assert cols[0] == str(i)
-            assert float(cols[1]) == traj.records[i].reg.lam
+            assert (float(cols[1]),) == traj.records[i].penalty
             assert cols[5] == "nan"  # no ground truth passed
 
     def test_matrix_layout(self, tmp_path):
@@ -535,15 +567,17 @@ class TestTrajectoryCsv:
             "iter,lambda_min,lambda_max,lambda_mean,"
             "criterion,hypergrad_norm,inner_iters,rel_error,seconds"
         )
-        cols = lines[1].split(",")
-        assert len(cols) == 9
-        assert float(cols[1]) <= float(cols[3]) <= float(cols[2])
+        for line, record in zip(lines[1:], traj.records, strict=True):
+            cols = line.split(",")
+            assert len(cols) == 9
+            assert tuple(float(c) for c in cols[1:4]) == record.penalty
+            assert float(cols[1]) <= float(cols[3]) <= float(cols[2])
 
     def test_container_basics(self):
         traj = Trajectory(scalar=True)
         assert len(traj) == 0
         traj.records.append(
-            TrajectoryRecord(0, Regularization.scalar(0.5), 1.25, 0.3, 7, None, 0.01)
+            TrajectoryRecord(0, (0.5,), 1.25, 0.3, 7, None, 0.01)
         )
         assert traj.final.criterion == 1.25
 

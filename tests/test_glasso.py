@@ -508,6 +508,19 @@ class TestCheckOptimality:
         assert check_optimality(est, np.eye(2)) == pytest.approx(0.5)
 
 
+class TestEstimateIdentity:
+    def test_estimates_compare_and_hash_by_identity(self):
+        # Fieldwise equality over theta would raise "truth value of an array
+        # is ambiguous", and a fieldwise hash "unhashable type".
+        cov = np.array([[1.0, 0.3], [0.3, 1.0]])
+        a, b = (solve(cov, Regularization.scalar(0.1)) for _ in range(2))
+        np.testing.assert_array_equal(a.theta, b.theta)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+        assert a.support == a.support and a.support != b.support
+        assert len({a.support, b.support}) == 2
+
+
 class TestThetaInv:
     def test_matches_fresh_inverse_bitwise(self, rng):
         cov = random_spd(rng, 5)

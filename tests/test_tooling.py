@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -170,3 +171,35 @@ def test_summary_carries_the_fields_the_benchmark_reads(tmp_path, mode):
     summary = json.loads((tmp_path / "summary.json").read_text(encoding="ascii"))
     for section in SECTIONS[mode]:
         assert SUMMARY_FIELDS[section] <= summary[section].keys(), section
+
+
+def array_dataclasses():
+    """Every dataclass of the package with a field annotated as an array."""
+    import pkgutil
+
+    import glassotune
+
+    found = []
+    for info in pkgutil.iter_modules(glassotune.__path__, "glassotune."):
+        module = importlib.import_module(info.name)
+        found += [obj for obj in vars(module).values()
+                  if dataclasses.is_dataclass(obj) and isinstance(obj, type)
+                  and obj.__module__ == module.__name__
+                  and any("ndarray" in str(f.type) for f in dataclasses.fields(obj))]
+    return found
+
+
+def own_eq(cls) -> bool:
+    # a dataclass's generated __eq__ is compiled from a string, not the module
+    eq = cls.__dict__.get("__eq__")
+    return eq is not None and eq.__code__.co_filename == sys.modules[cls.__module__].__file__
+
+
+@pytest.mark.parametrize("cls", array_dataclasses(), ids=lambda c: c.__qualname__)
+def test_array_dataclasses_do_not_compare_fieldwise(cls):
+    # The generated __eq__ compares fields as a tuple, which raises on arrays
+    # ("truth value ... is ambiguous"), and the generated __hash__ of a
+    # frozen class hashes them (TypeError).
+    assert not cls.__dataclass_params__.eq or own_eq(cls), (
+        f"{cls.__qualname__} has an array field: set eq=False or define __eq__"
+    )
