@@ -37,7 +37,7 @@ from .implicit import (
 )
 # Not called here; perfbench/tracer.py wraps these names in this module.
 from .implicit import hypergradient_scalar, jacobian_scalar  # noqa: F401
-from .linalg import symmetrize
+from .linalg import _as_matrix, symmetrize
 
 # At exactly lambda_init the largest off-diagonal covariance entry sits on
 # the soft-threshold kink (zero slack), where the derivative is one-sided.
@@ -147,12 +147,11 @@ def lambda_init(cov_train: np.ndarray, policy: str = "offdiag-max") -> float:
     informative point.  ``max-entry`` returns the largest absolute entry,
     diagonal included (an upper bound on the former).
 
-    Raises DegenerateInput when the chosen maximum is zero, since no
-    positive starting level can be derived from it.
+    Raises ValueError unless cov_train is a finite square matrix, and
+    DegenerateInput when the chosen maximum is zero, since no positive
+    starting level can be derived from it.
     """
-    cov = np.asarray(cov_train, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError("cov_train must be a square matrix")
+    cov = _as_matrix(cov_train, "cov_train")
     if policy == "offdiag-max":
         off = ~np.eye(cov.shape[0], dtype=bool)
         val = float(np.max(np.abs(cov[off]))) if off.any() else 0.0
@@ -160,7 +159,7 @@ def lambda_init(cov_train: np.ndarray, policy: str = "offdiag-max") -> float:
         val = float(np.max(np.abs(cov)))
     else:
         raise ValueError(f"unknown lambda-init policy {policy!r}")
-    if not np.isfinite(val) or val <= 0.0:
+    if val <= 0.0:
         raise DegenerateInput(
             f"lambda_init policy {policy!r} found no positive entry to scale from"
         )
@@ -371,8 +370,7 @@ def tune_scalar(
     """
     if config is None:
         config = BilevelConfig()
-    cov_train = symmetrize(np.asarray(cov_train, dtype=float))
-    cov_test = symmetrize(np.asarray(cov_test, dtype=float))
+    cov_train, cov_test = symmetrize(cov_train), symmetrize(cov_test)
 
     if config.init is None:
         lam = starting_level(cov_train)
@@ -412,8 +410,7 @@ def tune_matrix(
     """
     if config is None:
         config = BilevelConfig()
-    cov_train = symmetrize(np.asarray(cov_train, dtype=float))
-    cov_test = symmetrize(np.asarray(cov_test, dtype=float))
+    cov_train, cov_test = symmetrize(cov_train), symmetrize(cov_test)
     p = cov_train.shape[0]
 
     init = config.init

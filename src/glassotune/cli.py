@@ -154,7 +154,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="points in the log-spaced grid")
     parser.add_argument("--output-dir", default=None,
                         help="directory for result files")
-    parser.add_argument("--emit-matrices", action="store_true", default=None,
+    parser.add_argument("--emit-matrices", nargs="?", const=True, type=_parse_bool,
+                        metavar="yes|no",
                         help="also write lambda_opt/theta_true/theta_hat CSVs")
     parser.add_argument("--config", default=None, metavar="FILE",
                         help="key=value file; flags override its values")

@@ -44,6 +44,7 @@ import numpy as np
 from .exceptions import NotConverged, NotPositiveDefinite, SingularSystem
 from .linalg import (
     SupportSet,
+    _as_matrix,
     cholesky,
     kron_restricted,
     logdet,
@@ -80,8 +81,9 @@ class Regularization:
 
     The matrix form keeps only the symmetric part of what is passed in,
     since the penalty over symmetric theta cannot see the antisymmetric
-    part, as a read-only array.  All entries must be nonnegative.  A zero
-    diagonal leaves the diagonal unpenalized.
+    part, as a read-only array.  A zero diagonal leaves the diagonal
+    unpenalized.  Raises ValueError unless exactly one form is given, a
+    level is finite and >= 0, and weights are finite, square and >= 0.
 
     Two scalar forms are equal when their levels are, two matrix forms
     when their stored weights are, entry for entry; a scalar form never
@@ -101,11 +103,7 @@ class Regularization:
                 raise ValueError("scalar regularization must be finite and >= 0")
             object.__setattr__(self, "lam", lam)
         else:
-            w = np.asarray(self.weights, dtype=float)
-            if w.ndim != 2 or w.shape[0] != w.shape[1]:
-                raise ValueError("weights must be a square matrix")
-            if not np.all(np.isfinite(w)):
-                raise ValueError("weights must be finite")
+            w = _as_matrix(self.weights, "weights")
             if np.any(w < 0.0):
                 raise ValueError("weights must be entrywise >= 0")
             w = symmetrize(w)
@@ -273,8 +271,8 @@ def solve(
     Raises
     ------
     ValueError
-        If cov is not square or not finite, or if the penalty is a weight
-        matrix of another size.
+        If cov or the warm start is not a finite square matrix, or for a
+        warm start of another size or a penalty weight matrix of another size.
     NotConverged
         After MAX_ITER accepted steps, proximal or Newton, with the residual
         still above tol.
@@ -328,12 +326,7 @@ def solve(
     """
     if config is None:
         config = SolverConfig()
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError("cov must be a square matrix")
-    if not np.isfinite(cov).all():
-        raise ValueError("cov must be finite")
-    cov = symmetrize(cov)
+    cov = symmetrize(_as_matrix(cov, "cov"))
     thr = reg.thresholds(cov.shape[0])
 
     if not np.any(thr > 0.0):
@@ -345,12 +338,11 @@ def solve(
             ) from exc
 
     if isinstance(warm_start, PrecisionEstimate):
-        theta, theta_inv, ld = warm_start.theta, warm_start.theta_inv, warm_start.logdet
+        theta = _as_matrix(warm_start.theta, "warm_start", like=cov)
+        theta_inv, ld = warm_start.theta_inv, warm_start.logdet
     else:
-        if warm_start is not None:
-            theta = symmetrize(np.asarray(warm_start, dtype=float))
-        else:
-            theta = _initial_iterate(cov, thr)
+        theta = (_initial_iterate(cov, thr) if warm_start is None
+                 else symmetrize(_as_matrix(warm_start, "warm_start", like=cov)))
         lower = cholesky(theta)
         theta_inv, ld = spd_inverse(lower), logdet(lower)
     f_theta = -ld + float(np.vdot(cov, theta))
@@ -502,12 +494,10 @@ def check_optimality(est: PrecisionEstimate, cov: np.ndarray) -> float:
     R_ij = T_ij * sign(theta_ij) wherever theta_ij is nonzero and
     |R_ij| <= T_ij elsewhere.  Returns the max over entries of the distance
     to those conditions; near zero certifies the estimate independently of
-    how it was computed.  Raises ValueError unless cov has the shape of
-    theta.
+    how it was computed.  Raises ValueError unless cov is finite and has
+    the shape of theta.
     """
-    if np.shape(cov) != est.theta.shape:
-        raise ValueError("covariance shape does not match the estimate")
-    r = est.theta_inv - symmetrize(cov)
+    r = est.theta_inv - symmetrize(_as_matrix(cov, "cov", like=est.theta))
     thr = est.reg.thresholds(est.dim)
     on = est.support.mask
     violation = np.where(

@@ -29,6 +29,7 @@ from .glasso import PrecisionEstimate
 from .linalg import (
     Operator,
     SupportSet,
+    _as_matrix,
     cholesky,
     kron_restricted,
     logdet,
@@ -76,15 +77,13 @@ def support_from_estimate(est: PrecisionEstimate, cov: np.ndarray) -> SupportSet
     Jacobian (Bolte, Le, Pauwels & Vaiter, NeurIPS 2021; Bertrand et al.,
     JMLR 2022).  With no entry in the band it returns ``est.support`` itself.
 
-    Raises DegenerateSupport if, outside the band, the support of theta
-    disagrees with the fixed-point reading: the estimate is off its fixed
-    point.
+    Raises ValueError unless cov is finite and has the shape of theta, and
+    DegenerateSupport if, outside the band, the support of theta disagrees
+    with the fixed-point reading: the estimate is off its fixed point.
     """
     theta = est.theta
     theta_inv = est.theta_inv
-    if np.shape(cov) != theta.shape:
-        raise ValueError("covariance shape does not match the estimate")
-    cov = symmetrize(cov)
+    cov = symmetrize(_as_matrix(cov, "cov", like=theta))
     thr = est.reg.thresholds(est.dim)
 
     diag = np.diagonal(theta_inv)
@@ -131,11 +130,11 @@ def jacobian_scalar(est: PrecisionEstimate, support: SupportSet) -> np.ndarray:
 
 
 def hypergradient_scalar(jac: np.ndarray, grad_c: np.ndarray) -> float:
-    """Chain rule for the scalar penalty: <jacobian, criterion gradient>."""
-    grad_c = np.asarray(grad_c, dtype=float)
-    if grad_c.shape != jac.shape:
-        raise ValueError("criterion gradient shape does not match the Jacobian")
-    return float(np.sum(jac * grad_c))
+    """Chain rule for the scalar penalty: <jacobian, criterion gradient>.
+
+    Raises ValueError unless grad_c is finite and has the shape of jac.
+    """
+    return float(np.sum(jac * _as_matrix(grad_c, "grad_c", like=jac)))
 
 
 def hypergradient_weighted(
@@ -166,11 +165,10 @@ def hypergradient_weighted(
 
     Tying every weight to one level makes its derivative the sum of the
     per-entry ones, so the sum of the returned array is the scalar-penalty
-    hypergradient.
+    hypergradient.  Raises ValueError unless grad_c is finite and has the
+    shape of theta, and SingularSystem as :func:`jacobian_scalar` does.
     """
-    if np.shape(grad_c) != est.theta.shape:
-        raise ValueError("criterion gradient shape does not match the estimate")
-    grad_c = symmetrize(grad_c)
+    grad_c = symmetrize(_as_matrix(grad_c, "grad_c", like=est.theta))
     y = solve_symmetric(
         _restricted_kron(est, support),
         np.where(support.mask, grad_c, 0.0),
@@ -192,7 +190,7 @@ def criterion_holdout(
     both, so its estimates give the same values, bit for bit, with no
     factorization.  The gradient is exactly symmetric, as cov_test is
     symmetrized and theta^{-1} is mirrored.  Raises ValueError unless
-    cov_test has the shape of theta.
+    cov_test is finite and has the shape of theta.
     """
     if isinstance(theta, PrecisionEstimate):
         neg_logdet, theta_inv, theta = -theta.logdet, theta.theta_inv, theta.theta
@@ -200,20 +198,19 @@ def criterion_holdout(
         theta = np.asarray(theta, dtype=float)
         lower = cholesky(theta)
         neg_logdet, theta_inv = -logdet(lower), spd_inverse(lower)
-    if np.shape(cov_test) != theta.shape:
-        raise ValueError("covariance shape does not match theta")
-    cov_test = symmetrize(cov_test)
+    cov_test = symmetrize(_as_matrix(cov_test, "cov_test", like=theta))
     value = neg_logdet + float(np.sum(cov_test * theta))
     gradient = cov_test - theta_inv
     return CriterionValue(value=value, gradient=gradient)
 
 
 def relative_error(theta_hat: np.ndarray, theta_true: np.ndarray) -> float:
-    """Frobenius distance to the ground truth, relative to its norm."""
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    theta_true = np.asarray(theta_true, dtype=float)
-    if theta_hat.shape != theta_true.shape:
-        raise ValueError("shapes differ")
+    """Frobenius distance to the ground truth, relative to its norm.
+
+    Raises ValueError unless both are finite square matrices of one shape.
+    """
+    theta_true = _as_matrix(theta_true, "theta_true")
+    theta_hat = _as_matrix(theta_hat, "theta_hat", like=theta_true)
     denom = float(np.linalg.norm(theta_true))
     num = float(np.linalg.norm(theta_true - theta_hat))
     if denom == 0.0:

@@ -6,10 +6,14 @@ Conventions, fixed package-wide:
   The one exception is the matrix of a :func:`kron_restricted` product:
   a float32 one makes that product's two gemms float32, while the
   vectors it acts on and returns stay float64.
-  Public entry points symmetrize a matrix from outside the package once,
-  ``A <- (A + A.T) / 2``; the symmetric matrices computed from it are
-  exactly symmetric by construction (mirrored inverses, entrywise maps,
-  products of the form ``C + C.T``) and are never symmetrized again.
+  Each public entry point symmetrizes its matrix arguments,
+  ``A <- (A + A.T) / 2``, so a covariance is symmetrized again at every
+  call; the matrices computed from it are exactly symmetric by
+  construction (mirrored inverses, entrywise maps, products ``C + C.T``)
+  and are never symmetrized again.
+* A matrix argument must be finite and square 2-d, of the shape of the
+  matrix it goes with if any, or ValueError names it; :func:`_as_matrix`
+  is the one place that rule lives.
 * ``vec`` is column-major: matrix entry ``(i, j)`` maps to flat index
   ``k = i + j * p`` and back via ``i = k % p``, ``j = k // p``.  This is
   the single place the index map is defined.  No solve uses it: the
@@ -41,8 +45,8 @@ Operator = Callable[[np.ndarray], np.ndarray]
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return the symmetric part ``(a + a.T) / 2`` as a new array."""
-    a = np.asarray(a, dtype=float)
+    """The symmetric part ``(a + a.T) / 2`` of a square ``a``, as a new array."""
+    a = _as_square(np.asarray(a, dtype=float))
     return (a + a.T) / 2.0
 
 
@@ -54,6 +58,16 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
         a = a.astype(float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be a square 2-d array, got shape {a.shape}")
+    return a
+
+
+def _as_matrix(a, name: str, like: np.ndarray | None = None) -> np.ndarray:
+    # A float64 array comes back as itself, not a copy.
+    a = _as_square(np.asarray(a, dtype=float), name)
+    if like is not None and a.shape != like.shape:
+        raise ValueError(f"{name} must have shape {like.shape}, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
     return a
 
 

@@ -131,6 +131,34 @@ class TestDefaultGrid:
             default_grid(1.0, points=0)
 
 
+class TestBadHoldout:
+    # p=8 seed 0, with a NaN at (0, 1) of the held-out covariance.
+    # Unchecked, grid_search returned its largest level as the best, with
+    # every criterion NaN and no point marked failed, and tune_scalar wrote
+    # six NaN-criterion records and stopped on its budget.
+    @pytest.fixture(scope="class")
+    def data(self):
+        data = make_instance(8, 160, seed=0, density=0.05)[1]
+        cov_test = data.cov_test.copy()
+        cov_test[0, 1] = np.nan
+        return data.cov_train, cov_test
+
+    def test_grid_search_raises(self, data):
+        cov_train, cov_test = data
+        with pytest.raises(ValueError, match="cov_test must be finite"):
+            grid_search(cov_train, cov_test, default_grid(lambda_init(cov_train), 5))
+
+    def test_tune_scalar_raises(self, data):
+        with pytest.raises(ValueError, match="cov_test must be finite"):
+            tune_scalar(*data, BilevelConfig(max_outer_iter=5))
+
+    @pytest.mark.parametrize("tune", [tune_scalar, tune_matrix])
+    def test_tuners_reject_a_row(self, data, tune):
+        # Symmetrized unchecked, a 1 x 8 row broadcast to an 8 x 8 matrix.
+        with pytest.raises(ValueError, match="square 2-d"):
+            tune(data[0], np.ones((1, 8)), BilevelConfig(max_outer_iter=2))
+
+
 class TestGridSearch:
     def test_curve_shape_and_best(self):
         truth, data = make_instance(4, 200, seed=0)

@@ -1,12 +1,22 @@
 import json
+import re
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import glassotune as gt
-from glassotune.cli import ExperimentConfig, main, parse_config, run
+from glassotune.cli import (
+    ExperimentConfig,
+    _build_parser,
+    _parse_bool,
+    main,
+    parse_config,
+    run,
+)
 from glassotune.datagen import load_matrix_csv
 
 from conftest import cli_env, fail_support_check
@@ -81,6 +91,18 @@ class TestParseConfig:
         assert cfg.p == 9
         assert cfg.mode == "grid"
 
+    def test_flag_turns_off_file_emit_matrices(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("emit-matrices = yes\n")
+        for flag in (["--emit-matrices", "no"], ["--emit-matrices=off"]):
+            assert not parse_config(["--config", str(path), *flag]).emit_matrices
+        # bare, it means yes and leaves the next option alone
+        cfg = parse_config(["--emit-matrices", "--seed", "4"])
+        assert cfg.emit_matrices and cfg.seed == 4
+        with pytest.raises(SystemExit) as info:
+            parse_config(["--emit-matrices", "maybe"])
+        assert info.value.code == 2
+
     def test_unknown_key_is_usage_error(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("pp = 7\n")
@@ -140,6 +162,21 @@ class TestParseConfig:
             ExperimentConfig(inner_tol=0.0)
         with pytest.raises(ValueError):
             ExperimentConfig(lambda_init_policy="median")
+
+
+def test_readme_flag_list_matches_parser():
+    # README's "Flags" paragraph lists every flag of the parser and no
+    # other, each config field's flag with its default in parentheses.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = re.search(r"^Flags \(.*?\n\n", readme, re.S | re.M).group(0)
+    listed = dict(re.findall(r"`(--[a-z-]+)[^`]*`(?:\s*\(([^)]*)\))?", paragraph))
+    flags = {opt for action in _build_parser()._actions for opt in action.option_strings
+             if opt.startswith("--") and opt != "--help"}
+    assert set(listed) == flags
+    for f in fields(ExperimentConfig):
+        shown = re.split(r"[\s,;|]+", listed["--" + f.name.replace("_", "-")])[0]
+        convert = _parse_bool if type(f.default) is bool else type(f.default)
+        assert convert(shown) == f.default, f.name
 
 
 class TestRunGrid:

@@ -483,6 +483,15 @@ class TestSolveErrors:
                 warm_start=np.array([[1.0, 2.0], [2.0, 1.0]]),
             )
 
+    def test_rejects_warm_start_of_another_size(self, rng):
+        # Unchecked, it failed deep in the loop: "cannot reshape array of
+        # size 16 into shape (36,)".
+        reg = Regularization.scalar(0.1)
+        small = solve(random_spd(rng, 4), reg)
+        for warm in (small.theta, small):
+            with pytest.raises(ValueError, match=r"warm_start must have shape \(6, 6\)"):
+                solve(random_spd(rng, 6), reg, warm_start=warm)
+
     def test_not_converged_carries_state(self, rng, monkeypatch):
         cov = random_spd(rng, 4)
         monkeypatch.setattr(glassotune.glasso, "MAX_ITER", 1)

@@ -5,6 +5,7 @@ import pytest
 
 import glassotune.glasso
 import glassotune.implicit
+from glassotune.bilevel import lambda_init
 from glassotune.exceptions import DegenerateSupport
 from glassotune.glasso import (
     PrecisionEstimate,
@@ -355,26 +356,91 @@ def _no_factorization(a):
     raise AssertionError("theta was factorized again")
 
 
-@pytest.mark.parametrize("check", [
-    criterion_holdout,
-    lambda est, cov: criterion_holdout(est.theta, cov),
-    check_optimality,
-    support_from_estimate,
-    lambda est, grad_c: hypergradient_weighted(est, est.support, grad_c),
-], ids=["criterion_holdout", "criterion_holdout-matrix", "check_optimality",
-        "support_from_estimate", "hypergradient_weighted"])
+# Every matrix argument the package checks: (argument name, whether its
+# shape is fixed by another matrix of the call, the call given a 5 x 5
+# estimate and the argument).
+MATRIX_ARGUMENTS = {
+    "criterion_holdout": ("cov_test", True, criterion_holdout),
+    "criterion_holdout-matrix": (
+        "cov_test", True, lambda est, a: criterion_holdout(est.theta, a)),
+    "check_optimality": ("cov", True, check_optimality),
+    "support_from_estimate": ("cov", True, support_from_estimate),
+    "hypergradient_weighted": (
+        "grad_c", True, lambda est, a: hypergradient_weighted(est, est.support, a)),
+    "hypergradient_scalar": (
+        "grad_c", True, lambda est, a: hypergradient_scalar(est.theta, a)),
+    "relative_error": ("theta_hat", True, lambda est, a: relative_error(a, est.theta)),
+    "solve-warm_start": (
+        "warm_start", True, lambda est, a: solve(est.theta_inv, est.reg, warm_start=a)),
+    "solve-warm_start-estimate": (
+        "warm_start", True,
+        lambda est, a: solve(est.theta_inv, est.reg, warm_start=dataclasses.replace(
+            est, theta=np.asarray(a, dtype=float)))),
+    "solve": ("cov", False, lambda est, a: solve(a, est.reg)),
+    "Regularization": ("weights", False, lambda est, a: Regularization.matrix(a)),
+    "lambda_init": ("cov_train", False, lambda est, a: lambda_init(a)),
+}
+
+
+@pytest.mark.parametrize("check", MATRIX_ARGUMENTS)
 def test_input_of_another_shape_raises(check):
-    # Each of these shapes would broadcast against a 5 x 5 theta.
+    name, has_reference, call = MATRIX_ARGUMENTS[check]
     est, _, _ = solved_instance(p=5, seed=0)
-    for cov in ([[1.0]], np.ones(5), np.ones((1, 5)), np.ones((5, 1))):
-        with pytest.raises(ValueError, match="shape"):
-            check(est, cov)
+    # Each of these shapes would broadcast against a 5 x 5 theta; a 1 x 1
+    # matrix is valid where no other matrix fixes the shape.
+    shapes = ([[1.0]],) if has_reference else ()
+    for bad in shapes + (np.ones(5), np.ones((1, 5)), np.ones((5, 1))):
+        with pytest.raises(ValueError, match=f"^{name} .*shape"):
+            call(est, bad)
+    for value in (np.nan, np.inf):
+        bad = est.theta.copy()
+        bad[0, 1] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            call(est, bad)
 
 
 @pytest.fixture(scope="module")
 def data_p100_seed0():
     """Train and test split of the CLI's default p=100 data (seed 0)."""
     return make_instance(100, 2000, seed=0, density=0.05)[1]
+
+
+class TestNonFiniteInputEndToEnd:
+    # Unchecked, a NaN on the diagonal ran into the adjoint solve
+    # (SingularSystem, "not positive definite") or the support check
+    # (DegenerateSupport, "off its fixed point"), one off the support was
+    # masked away unseen, check_optimality returned nan and an inf in the
+    # held-out covariance an infinite criterion.
+    @pytest.fixture(scope="class")
+    def solved(self, data_p100_seed0):
+        return solve(data_p100_seed0.cov_train, Regularization.scalar(0.018)), data_p100_seed0
+
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_nan_in_criterion_gradient(self, solved, where):
+        est, data = solved
+        support = support_from_estimate(est, data.cov_train)
+        grad_c = criterion_holdout(est, data.cov_test).gradient.copy()
+        grad_c[where] = grad_c[where[::-1]] = np.nan
+        with pytest.raises(ValueError, match="grad_c must be finite"):
+            hypergradient_weighted(est, support, grad_c)
+
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_nan_in_training_covariance(self, solved, where):
+        est, data = solved
+        cov = data.cov_train.copy()
+        cov[where] = cov[where[::-1]] = np.nan
+        for check in (support_from_estimate, check_optimality):
+            with pytest.raises(ValueError, match="cov must be finite"):
+                check(est, cov)
+
+    def test_inf_in_holdout_covariance(self):
+        _, data = make_instance(8, 160, seed=0, density=0.05)
+        est = solve(data.cov_train, Regularization.scalar(0.1))
+        cov_test = data.cov_test.copy()
+        cov_test[0, 0] = np.inf
+        for theta in (est, est.theta):
+            with pytest.raises(ValueError, match="cov_test must be finite"):
+                criterion_holdout(theta, cov_test)
 
 
 class TestSymmetrizeReferenceEndToEnd:

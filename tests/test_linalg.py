@@ -595,3 +595,10 @@ def test_symmetrize(rng):
     s = symmetrize(a)
     np.testing.assert_array_equal(s, s.T)
     np.testing.assert_allclose(s, (a + a.T) / 2)
+
+
+def test_symmetrize_rejects_non_square():
+    # (a + a.T) / 2 would broadcast a row or a column to a square matrix.
+    for a in (np.ones((1, 5)), np.ones((5, 1)), np.ones((2, 3))):
+        with pytest.raises(ValueError, match="square 2-d"):
+            symmetrize(a)
