@@ -52,6 +52,9 @@ OUTER_TOL = 1e-6
 # default_grid spans [lam_init * GRID_SPAN, lam_init].
 GRID_SPAN = 1e-3
 
+# The policies lambda_init knows, its default first.
+INIT_POLICIES = ("offdiag-max", "max-entry")
+
 
 @dataclass(frozen=True)
 class BilevelConfig:
@@ -59,9 +62,9 @@ class BilevelConfig:
 
     ``step_size`` must be finite and positive.  ``init`` is a
     Regularization holding strictly positive starting levels (zeros
-    allowed in the matrix case and stay pinned); None picks
-    :func:`starting_level` for the scalar tuner, and the scalar optimum
-    for the matrix tuner.
+    allowed in the matrix case and stay pinned).  None picks
+    :func:`starting_level` for the scalar tuner; the matrix tuner needs
+    an init and raises ValueError without one.
     """
 
     step_size: float = 0.1
@@ -152,13 +155,13 @@ def lambda_init(cov_train: np.ndarray, policy: str = "offdiag-max") -> float:
     starting level can be derived from it.
     """
     cov = _as_matrix(cov_train, "cov_train")
-    if policy == "offdiag-max":
-        off = ~np.eye(cov.shape[0], dtype=bool)
-        val = float(np.max(np.abs(cov[off]))) if off.any() else 0.0
-    elif policy == "max-entry":
+    if policy not in INIT_POLICIES:
+        raise ValueError(f"lambda-init policy must be one of {INIT_POLICIES}, got {policy!r}")
+    if policy == "max-entry":
         val = float(np.max(np.abs(cov)))
     else:
-        raise ValueError(f"unknown lambda-init policy {policy!r}")
+        off = ~np.eye(cov.shape[0], dtype=bool)
+        val = float(np.max(np.abs(cov[off]))) if off.any() else 0.0
     if val <= 0.0:
         raise DegenerateInput(
             f"lambda_init policy {policy!r} found no positive entry to scale from"
@@ -388,7 +391,7 @@ def tune_scalar(
 def tune_matrix(
     cov_train: np.ndarray,
     cov_test: np.ndarray,
-    config: Optional[BilevelConfig] = None,
+    config: BilevelConfig,
     theta_true: Optional[np.ndarray] = None,
     warm_start: Optional[np.ndarray | PrecisionEstimate] = None,
 ) -> Tuple[np.ndarray, Trajectory]:
@@ -396,29 +399,24 @@ def tune_matrix(
 
     Same loop as :func:`tune_scalar` with one alpha per entry.  The
     hypergradient's zero off-support pattern freezes those entries for the
-    step.  When no init is given the scalar tuner runs first and its
-    optimum fills the starting weight matrix, making the matrix run a pure
-    refinement; its estimate then replaces ``warm_start``, so the first
-    solve starts at its own solution.  A caller that passes the scalar
-    optimum as init should pass that estimate as ``warm_start`` too; an
-    estimate, unlike its theta, is not factorized again (see
-    :func:`~glassotune.glasso.solve`).
+    step.  ``config.init`` is required (ValueError without it): a scalar
+    level fills a constant starting matrix, a matrix is taken as given.
+    Starting at the scalar tuner's optimum makes the matrix run a pure
+    refinement; pass that tuner's estimate as ``warm_start`` too, so the
+    first solve starts at its own solution.  An estimate, unlike its
+    theta, is not factorized again (see :func:`~glassotune.glasso.solve`).
 
     Returns the last weight matrix tried, ``traj.estimate.reg.weights``
     (read-only, as :class:`~glassotune.glasso.Regularization` stores it),
     and the trajectory.
     """
-    if config is None:
-        config = BilevelConfig()
     cov_train, cov_test = symmetrize(cov_train), symmetrize(cov_test)
     p = cov_train.shape[0]
 
     init = config.init
     if init is None:
-        lam_opt, scalar_traj = tune_scalar(cov_train, cov_test, config)
-        init = Regularization.scalar(lam_opt)
-        warm_start = scalar_traj.estimate
-    elif init.is_scalar and init.lam <= 0.0:
+        raise ValueError("matrix tuner needs an init; start it at tune_scalar's optimum")
+    if init.is_scalar and init.lam <= 0.0:
         raise ValueError("init must be > 0 for the log parametrization")
     weights = np.full((p, p), init.thresholds(p))
     with np.errstate(divide="ignore"):

@@ -23,6 +23,12 @@ A descent that aborts early still exits 0: its trajectory up to the abort is
 valid, and the abort shows as ``"aborted": true`` in ``summary.json`` and a
 stderr line.
 
+Each field of :class:`ExperimentConfig` is one setting and its only
+declaration: the flag is ``--`` and the name with dashes, the config-file
+key is the name, the default's type reads the text (yes/no for a bool),
+and ``--help`` shows the field's help and default.  ``--config FILE`` reads
+``key = value`` lines; flags override the file's values.
+
 Seeds are derived from ``--seed`` as seed (ground truth), seed+1 (samples),
 seed+2 (train/test split), so every artifact is reproducible from the
 config alone; wall-clock timings are the only nondeterministic outputs.
@@ -34,14 +40,15 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from .bilevel import (
+    INIT_POLICIES,
     BilevelConfig,
     Trajectory,
     default_grid,
@@ -64,29 +71,34 @@ from .glasso import Regularization, SolverConfig
 from .glasso import solve  # noqa: F401
 
 MODES = ("grid", "scalar", "matrix", "compare")
-INIT_POLICIES = ("offdiag-max", "max-entry")
 # every file a run may write, all removed from the output directory first
 OUTPUT_FILES = ("grid_curve.csv", "trajectory.csv", "summary.json", "lambda_opt.csv",
                 "theta_true.csv", "theta_hat.csv", "error.json")
+
+
+def _setting(default, help: str):
+    return field(default=default, metadata={"help": help})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A fully determined experiment; every run artifact derives from it."""
 
-    mode: str = "compare"
-    p: int = 100
-    n: int = 2000
-    density: float = 0.05
-    seed: int = 0
-    split_ratio: float = 0.5
-    rho: float = 0.1
-    max_outer_iter: int = 200
-    inner_tol: float = 1e-8
-    grid_points: int = 100
-    output_dir: str = "."
-    emit_matrices: bool = False
-    lambda_init_policy: str = "offdiag-max"
+    mode: str = _setting("compare", "what to run: " + " | ".join(MODES))
+    p: int = _setting(100, "dimension")
+    n: int = _setting(2000, "number of samples")
+    density: float = _setting(0.05, "nonzero fraction in the ground-truth factor")
+    seed: int = _setting(0, "base seed")
+    split_ratio: float = _setting(0.5, "train fraction of the sample split")
+    rho: float = _setting(0.1, "outer descent step size")
+    max_outer_iter: int = _setting(200, "outer iteration budget")
+    inner_tol: float = _setting(1e-8, "inner solver fixed-point tolerance")
+    grid_points: int = _setting(100, "points in the log-spaced grid")
+    output_dir: str = _setting(".", "directory for result files")
+    emit_matrices: bool = _setting(
+        False, "also write lambda_opt/theta_true/theta_hat CSVs (bare flag: yes)")
+    lambda_init_policy: str = _setting(
+        "offdiag-max", "how to pick the starting level: " + " | ".join(INIT_POLICIES))
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -118,13 +130,28 @@ class ExperimentConfig:
     def solver_config(self) -> SolverConfig:
         return SolverConfig(tol=self.inner_tol)
 
-    def bilevel_config(self, init: Optional[Regularization]) -> BilevelConfig:
+    def bilevel_config(self, init: Regularization) -> BilevelConfig:
         return BilevelConfig(
             step_size=self.rho,
             max_outer_iter=self.max_outer_iter,
             init=init,
             solver=self.solver_config(),
         )
+
+
+def boolean(text: str) -> bool:
+    """Read yes/no, true/false, on/off or 1/0, in any case."""
+    lowered = text.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _converter(setting) -> Callable[[str], object]:
+    """The one reader of a setting's text, from a flag or a config file."""
+    return boolean if type(setting.default) is bool else type(setting.default)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -135,47 +162,20 @@ def _build_parser() -> argparse.ArgumentParser:
             "by grid search or hypergradient descent, writing CSV/JSON results."
         ),
     )
-    parser.add_argument("--mode", choices=MODES, default=None,
-                        help="what to run (default: compare)")
-    parser.add_argument("--p", type=int, default=None, help="dimension")
-    parser.add_argument("--n", type=int, default=None, help="number of samples")
-    parser.add_argument("--density", type=float, default=None,
-                        help="nonzero fraction in the ground-truth factor")
-    parser.add_argument("--seed", type=int, default=None, help="base seed")
-    parser.add_argument("--split-ratio", type=float, default=None,
-                        help="train fraction of the sample split")
-    parser.add_argument("--rho", type=float, default=None,
-                        help="outer descent step size")
-    parser.add_argument("--max-outer-iter", type=int, default=None,
-                        help="outer iteration budget")
-    parser.add_argument("--inner-tol", type=float, default=None,
-                        help="inner solver fixed-point tolerance")
-    parser.add_argument("--grid-points", type=int, default=None,
-                        help="points in the log-spaced grid")
-    parser.add_argument("--output-dir", default=None,
-                        help="directory for result files")
-    parser.add_argument("--emit-matrices", nargs="?", const=True, type=_parse_bool,
-                        metavar="yes|no",
-                        help="also write lambda_opt/theta_true/theta_hat CSVs")
-    parser.add_argument("--config", default=None, metavar="FILE",
+    for setting in fields(ExperimentConfig):
+        convert = _converter(setting)
+        # a bare --emit-matrices means yes and leaves the next option alone
+        extra = dict(nargs="?", const=True, metavar="yes|no") if convert is boolean else {}
+        parser.add_argument("--" + setting.name.replace("_", "-"), type=convert,
+                            help=f"{setting.metadata['help']} (default: {setting.default})",
+                            **extra)
+    parser.add_argument("--config", metavar="FILE",
                         help="key=value file; flags override its values")
-    parser.add_argument("--lambda-init-policy", choices=INIT_POLICIES,
-                        default=None, help="how to pick the starting level")
     return parser
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _read_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
-    # keys match flag names with dashes/underscores ignored, case-insensitive;
-    # values take the type of the field's default
+    # keys match flag names with dashes/underscores ignored, case-insensitive
     canonical = {f.name.replace("_", ""): f for f in fields(ExperimentConfig)}
     values = {}
     try:
@@ -188,35 +188,31 @@ def _read_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
             continue
         if "=" not in line:
             parser.error(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        normalized = key.strip().lower().replace("-", "").replace("_", "")
+        key, _, value = (part.strip() for part in line.partition("="))
+        normalized = key.lower().replace("-", "").replace("_", "")
         if normalized not in canonical:
-            parser.error(f"{path}:{lineno}: unknown config key {key.strip()!r}")
-        field = canonical[normalized]
-        convert = _parse_bool if type(field.default) is bool else type(field.default)
+            parser.error(f"{path}:{lineno}: unknown config key {key!r}")
+        setting = canonical[normalized]
+        convert = _converter(setting)
         try:
-            values[field.name] = convert(value.strip())
-        except ValueError as exc:
-            parser.error(f"{path}:{lineno}: bad value for {field.name}: {exc}")
+            values[setting.name] = convert(value)
+        except ValueError:
+            parser.error(f"{path}:{lineno}: invalid {convert.__name__} value for {key}: "
+                         f"{value!r}")
     return values
 
 
 def parse_config(argv: Optional[List[str]] = None) -> ExperimentConfig:
     """Resolve flags over config-file values over defaults."""
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    values: dict = {}
-    if args.config is not None:
-        values.update(_read_config_file(args.config, parser))
-    for f in fields(ExperimentConfig):
-        flag_value = getattr(args, f.name)
-        if flag_value is not None:
-            values[f.name] = flag_value
+    args = vars(parser.parse_args(argv))
+    path = args.pop("config")
+    values = {} if path is None else _read_config_file(path, parser)
+    values.update((name, value) for name, value in args.items() if value is not None)
     try:
         return ExperimentConfig(**values)
     except ValueError as exc:
         parser.error(str(exc))
-        raise AssertionError("unreachable")
 
 
 def _descent_stage(summary: dict, stage: str, tune, init: Regularization,
@@ -340,25 +336,19 @@ def run(config: ExperimentConfig) -> int:
             save_matrix_csv(theta, out / "theta_hat.csv")
 
     except GlassoTuneError as exc:
-        _write_error(out, exc, summary)
+        _write_json(out / "error.json", {"error": type(exc).__name__, "message": str(exc),
+                                         "partial_summary": summary})
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
-    with open(out / "summary.json", "w", encoding="ascii") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "summary.json", summary)
     return 0
 
 
-def _write_error(out: Path, exc: GlassoTuneError, summary: dict) -> None:
-    record = {
-        "error": type(exc).__name__,
-        "message": str(exc),
-        "partial_summary": summary,
-    }
-    with open(out / "error.json", "w", encoding="ascii") as fh:
+def _write_json(path: Path, record: dict) -> None:
+    with open(path, "w", encoding="ascii") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
 
 
 def main(argv: Optional[List[str]] = None) -> None:

@@ -62,7 +62,11 @@ def test_each_solve_warm_starts_from_the_previous_estimate(monkeypatch, tuner):
     elif tuner == "scalar":
         tune_scalar(data.cov_train, data.cov_test, cfg)
     else:
-        tune_matrix(data.cov_train, data.cov_test, cfg)
+        # the matrix stage's first solve starts at the scalar stage's last
+        lam, straj = tune_scalar(data.cov_train, data.cov_test, cfg)
+        tune_matrix(data.cov_train, data.cov_test,
+                    dataclasses.replace(cfg, init=Regularization.scalar(lam)),
+                    warm_start=straj.estimate)
     assert len(calls) > 1 and calls[0][0] is None
     for (_, previous), (warm, _) in zip(calls, calls[1:]):
         assert warm is previous
@@ -441,7 +445,10 @@ class TestTuneMatrix:
         # kink at outer iteration 140; the zero-branch rule runs it through
         # its whole budget, and the fixed step keeps the criterion falling.
         _, data = make_instance(20, 500, seed=0, density=0.05)
-        _, traj = tune_matrix(data.cov_train, data.cov_test)
+        lam, straj = tune_scalar(data.cov_train, data.cov_test)
+        _, traj = tune_matrix(data.cov_train, data.cov_test,
+                              BilevelConfig(init=Regularization.scalar(lam)),
+                              warm_start=straj.estimate)
         assert not traj.aborted
         assert traj.stop_reason == "outer iteration budget exhausted"
         assert len(traj) == BilevelConfig().max_outer_iter + 1
@@ -481,14 +488,13 @@ class TestTuneMatrix:
         assert weights.shape == (6, 6)
         np.testing.assert_array_equal(weights, weights.T)
 
-    def test_default_init_runs_scalar_first(self):
+    def test_requires_an_init(self, monkeypatch):
+        # No hidden scalar descent: without an init the matrix tuner
+        # raises before it solves anything.
         _, data = make_instance(4, 200, seed=0)
-        cfg = BilevelConfig(max_outer_iter=2)
-        _, traj = tune_matrix(data.cov_train, data.cov_test, cfg)
-        w_min, w_max, _ = traj.records[0].penalty
-        assert w_min == w_max  # constant matrix seeded by the scalar stage
-        # and its first solve starts at the scalar stage's solution
-        assert traj.records[0].inner_iterations == 0
+        monkeypatch.setattr(glassotune.bilevel, "solve", None)
+        with pytest.raises(ValueError, match="init"):
+            tune_matrix(data.cov_train, data.cov_test, BilevelConfig(max_outer_iter=2))
 
     def test_warm_start_at_the_scalar_optimum_needs_no_iteration(self):
         _, data = make_instance(20, 500, seed=0, density=0.05)

@@ -12,7 +12,8 @@ import glassotune as gt
 from glassotune.cli import (
     ExperimentConfig,
     _build_parser,
-    _parse_bool,
+    _converter,
+    boolean,
     main,
     parse_config,
     run,
@@ -124,6 +125,33 @@ class TestParseConfig:
             parse_config(["--config", str(path)])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_bad_bool_names_the_setting_and_the_value(self, tmp_path, capsys, source):
+        path = tmp_path / "run.cfg"
+        path.write_text("emit-matrices = maybe\n")
+        argv = ["--config", str(path)] if source == "file" else ["--emit-matrices", "maybe"]
+        with pytest.raises(SystemExit) as info:
+            parse_config(argv)
+        assert info.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert "emit-matrices" in message and "'maybe'" in message
+        assert not re.search(r"\b_[a-z]", message)  # names no private function
+        if source == "file":
+            assert message.startswith(f"glassotune: error: {path}:1: ")
+
+    def test_hash_inside_a_line_is_part_of_the_value(self, tmp_path, capsys):
+        # Only a line starting with # is a comment: an output path may hold one.
+        path = tmp_path / "run.cfg"
+        path.write_text("# comment\noutput-dir = out#1\n")
+        assert parse_config(["--config", str(path)]).output_dir == "out#1"
+        path.write_text("output-dir = out#1\np = 5 # five\n")
+        with pytest.raises(SystemExit) as info:
+            parse_config(["--config", str(path)])
+        assert info.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert message.startswith(f"glassotune: error: {path}:2: ")
+        assert "'5 # five'" in message
+
     def test_missing_file_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             parse_config(["--config", str(tmp_path / "absent.cfg")])
@@ -175,8 +203,24 @@ def test_readme_flag_list_matches_parser():
     assert set(listed) == flags
     for f in fields(ExperimentConfig):
         shown = re.split(r"[\s,;|]+", listed["--" + f.name.replace("_", "-")])[0]
-        convert = _parse_bool if type(f.default) is bool else type(f.default)
+        convert = boolean if type(f.default) is bool else type(f.default)
         assert convert(shown) == f.default, f.name
+
+
+def test_help_shows_every_flag_with_its_default(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # no wrapping inside a default
+    with pytest.raises(SystemExit) as info:
+        parse_config(["--help"])
+    assert info.value.code == 0
+    options = capsys.readouterr().out.split("options:", 1)[1]
+    shown = {}
+    for entry in re.split(r"\n  (?=-)", options):
+        match = re.match(r"(--[a-z-]+).*\(default: (\S+)\)$", " ".join(entry.split()))
+        if match:
+            shown[match.group(1)] = match.group(2)
+    assert set(shown) == {"--" + f.name.replace("_", "-") for f in fields(ExperimentConfig)}
+    for f in fields(ExperimentConfig):
+        assert _converter(f)(shown["--" + f.name.replace("_", "-")]) == f.default, f.name
 
 
 class TestRunGrid:
