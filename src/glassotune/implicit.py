@@ -158,10 +158,11 @@ def hypergradient_weighted(
 
         out = -sign(theta) * Y,   zero off the support.
 
-    The products with K run in float64, so the CG_RTOL stop holds for the
-    float64 system; those with the preconditioner run in float32 (see
-    :func:`~glassotune.linalg.kron_restricted`), which only changes the
-    path the iterates take to that stop.
+    The right-hand side, and so every vector of the solve, is float64, and
+    the products with K run in float64, so the CG_RTOL stop holds for the
+    float64 system; those with the preconditioner take float32 matrix
+    products (see :func:`~glassotune.linalg.kron_restricted`), which only
+    changes the path the iterates take to that stop.
 
     Tying every weight to one level makes its derivative the sum of the
     per-entry ones, so the sum of the returned array is the scalar-penalty

@@ -3,9 +3,11 @@
 Conventions, fixed package-wide:
 
 * Matrices are dense float64 ``numpy`` arrays of shape ``(p, p)``.
-  The one exception is the matrix of a :func:`kron_restricted` product:
-  a float32 one makes that product's two gemms float32, while the
-  vectors it acts on and returns stay float64.
+  The one exception is a restricted system solved loosely: a float32
+  matrix of a :func:`kron_restricted` product makes that product's two
+  gemms float32, and a float32 vector it acts on comes back float32, so a
+  float32 right-hand side runs :func:`solve_symmetric` in float32 end to
+  end.
   Each public entry point symmetrizes its matrix arguments,
   ``A <- (A + A.T) / 2``, so a covariance is symmetrized again at every
   call; the matrices computed from it are exactly symmetric by
@@ -50,12 +52,15 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def _as_square(a, name: str = "matrix") -> np.ndarray:
-    # float32 stays float32, the precision kron_restricted takes from it;
-    # anything else becomes float64.
+def _as_float(a) -> np.ndarray:
+    # float32 stays float32, the precision kron_restricted and
+    # solve_symmetric take from it; anything else becomes float64.
     a = np.asarray(a)
-    if a.dtype != np.float32:
-        a = a.astype(float, copy=False)
+    return a if a.dtype == np.float32 else a.astype(float, copy=False)
+
+
+def _as_square(a, name: str = "matrix") -> np.ndarray:
+    a = _as_float(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be a square 2-d array, got shape {a.shape}")
     return a
@@ -175,9 +180,16 @@ class SupportSet:
         return cls(mask2d)
 
     @cached_property
-    def _half(self) -> np.ndarray:
-        # 0.5 on the set, 0 off it: shared by every kron_restricted on the set
-        return np.where(self.mask, 0.5, 0.0)
+    def _halves(self) -> dict:
+        return {}
+
+    def _half(self, dtype: np.dtype) -> np.ndarray:
+        # 0.5 on the set, 0 off it, in the dtype of the products it masks:
+        # shared by every kron_restricted on the set
+        half = self._halves.get(dtype)
+        if half is None:
+            half = self._halves[dtype] = np.where(self.mask, 0.5, 0.0).astype(dtype)
+        return half
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.mask))
@@ -197,23 +209,37 @@ def kron_restricted(w: np.ndarray, support: SupportSet) -> Operator:
     has the shape of ``w``.
 
     The caller picks the precision of the two matrix products through the
-    dtype of ``w``: a float32 ``w`` stays float32, ``X`` is rounded to
-    float32 and ``C`` is formed in float32, then cast to float64 before
-    ``(C + C.T) / 2``.  So the output is float64, exactly symmetric and
-    exactly zero off the support in either precision, and agrees with the
-    float64 product to float32 round-off, about 1e-7 relative.  Any other
-    ``w`` is read as float64, and then the product is the float64 one, bit
-    for bit.  On one BLAS thread of a 2-core Intel Xeon VM a float32 product
-    took 52 against 68 us at p=100, and 0.99 against 2.45 ms at p=300.
+    dtype of ``w``, and that of the output through the dtype of ``X``: a
+    float32 ``w`` stays float32, ``X`` is rounded to it and ``C`` is formed
+    in it; the output, and the tail ``mask * (C + C.T) / 2`` that forms it,
+    take ``X``'s dtype, float32 or else float64.  The tail is one pass
+    each: a contiguous copy of ``C.T``, then ``+= C``, then ``*=`` the
+    support's cached ``0.5``/``0`` mask.  The output is exactly symmetric
+    and exactly zero off the support in every precision.  A float64 ``X``
+    gets ``(C + C.T) / 2`` in float64, bit for bit, so a float64 ``w`` gives
+    the float64 product; a float32 ``w`` or ``X`` agrees with it to float32
+    round-off, about 1e-7 relative.  Any other ``w`` or ``X`` is read as
+    float64.  On one BLAS thread of a 2-core Intel Xeon VM (best of seven
+    timings, supports of the p=100 and p=300 solutions) a product took
+    74-84 us in float64, 52-57 us with a float32 ``w`` and 40-42 us with a
+    float32 ``w`` and ``X`` at p=100, and 2.2-2.4, 1.0-1.2 and 0.92-1.1 ms
+    at p=300.  At p=100 the tail alone takes 15 us in float64 and 11.5 us
+    in float32, against 23 and 30 us for ``half * np.add(C, C.T,
+    dtype=float)``.
     """
     w = _as_square(w, "w")
     if support.mask.shape != w.shape:
         raise ValueError("support shape does not match the matrix")
-    half = support._half
 
     def apply(x: np.ndarray) -> np.ndarray:
+        x = _as_float(x)
         c = w @ x.astype(w.dtype, copy=False) @ w
-        return half * np.add(c, c.T, dtype=float)
+        # One pass each: a contiguous copy of C.T, then + C, then * half, in
+        # the wider of the two dtypes, so that C.T is not rounded before C.
+        out = c.T.astype(np.promote_types(c.dtype, x.dtype), order="C")
+        out += c
+        out *= support._half(out.dtype)
+        return out.astype(x.dtype, copy=False)
 
     return apply
 
@@ -241,14 +267,25 @@ def solve_symmetric(
     the dimension of the system (the support's size), which is also the
     iteration budget.  Each iteration takes one product with ``K`` and one
     with ``M``; a residual that has met the tolerance (the last one, or
-    that of a zero ``rhs``) is never preconditioned.  Every vector and
-    inner product is float64 whatever precision the products take inside,
-    and the stop reads the recursively updated residual: with a float32
-    ``K`` (see :func:`kron_restricted`) that residual still falls to
+    that of a zero ``rhs``) is never preconditioned.
+
+    The vectors take the dtype of ``rhs``: float32 stays float32 and
+    anything else becomes float64, and :func:`kron_restricted` products
+    return the dtype they are given, so a float32 ``rhs`` runs the solve
+    in float32 end to end and returns a float32 solution.  ``x``, ``r``
+    and ``d`` are updated in place through one work buffer, with the
+    arithmetic of the allocating updates, so a float64 solve's bits do not
+    depend on it.  The stop reads the recursively updated residual: with a
+    float32 ``K`` or float32 vectors that residual still falls to
     ``rtol``, while the true float64 residual levels off near float32
-    round-off, about 1e-7 relative, so such a ``K`` suits only an
-    approximate solve.  A float32 ``M`` only changes the iterates, never
-    what the stop reads.
+    round-off, about 1e-7 relative (at ``rtol`` 1e-10 on the 15 Newton
+    systems of three p=100 solves, 1.2-2.8e-7 with float32 vectors and
+    0.7-2.5e-7 with float64 ones, in the same 175 products), so such a
+    solve suits only an approximate solution.  A float32 ``M`` with float64
+    vectors only changes the iterates, never what the stop reads.  On one
+    BLAS thread of a 2-core Intel Xeon VM one iteration with float32 ``K``
+    and ``M`` took 97-98 us with float32 vectors against 130-132 us with
+    float64 ones at p=100, and 2.1-2.5 against 2.4-2.8 ms at p=300.
 
     Raises
     ------
@@ -258,9 +295,11 @@ def solve_symmetric(
         positive definite), or when the budget runs out before the
         tolerance.
     """
-    b = np.asarray(rhs, dtype=float)
+    b = _as_float(rhs)
     x = np.zeros_like(b)
     r = b.copy()
+    d = np.empty_like(b)
+    work = np.empty_like(b)
     rr = bb = float(np.vdot(b, b))
     stop = rtol**2 * bb
     it = 0
@@ -272,9 +311,13 @@ def solve_symmetric(
             )
         z = precondition(r)
         rz_next = float(np.vdot(r, z))
-        # The first direction is a copy: an identity preconditioner returns
-        # r itself, which the loop updates in place.
-        d = z.copy() if it == 0 else z + (rz_next / rz) * d
+        # d is a buffer of its own: an identity preconditioner returns r
+        # itself, which the loop updates in place.
+        if it == 0:
+            np.copyto(d, z)
+        else:
+            d *= rz_next / rz
+            d += z
         rz = rz_next
         kd = apply(d)
         curvature = float(np.vdot(d, kd))
@@ -284,8 +327,8 @@ def solve_symmetric(
                 f"{curvature:.3e}, r.Mr = {rz:.3e} at conjugate-gradient iteration {it}"
             )
         alpha = rz / curvature
-        x += alpha * d
-        r -= alpha * kd
+        x += np.multiply(d, alpha, out=work)
+        r -= np.multiply(kd, alpha, out=work)
         rr = float(np.vdot(r, r))
         it += 1
     return x

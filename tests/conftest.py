@@ -8,8 +8,8 @@ import scipy.linalg
 
 import glassotune as gt
 import glassotune.bilevel
-from glassotune.exceptions import DegenerateSupport
-from glassotune.linalg import symmetrize, unvec, vec
+from glassotune.exceptions import DegenerateSupport, SingularSystem
+from glassotune.linalg import CG_RTOL, symmetrize, unvec, vec
 
 
 def make_instance(p: int, n: int, seed: int, density: float = 0.3):
@@ -71,15 +71,60 @@ def reference_kron_restricted(w, support):
     matrices zero off the support, which symmetrizes the whole product and
     then zeroes it off the support.  ``x`` is cast to ``w``'s dtype first,
     so a float32 ``w`` gives float32 matrix products, as in the package.
-    The package's operator must give the same values, bit for bit.
+    A float64 ``x`` is symmetrized and masked in float64; a float32 ``x``
+    with a float32 ``w`` in float32, and comes back float32.  The
+    package's operator must give the same values, bit for bit.
     """
     mask = support.mask
 
     def apply(x):
-        x = x.astype(w.dtype, copy=False)
-        return np.where(mask, symmetrize(w @ x @ w), 0.0)
+        c = w @ x.astype(w.dtype, copy=False) @ w
+        if x.dtype == np.float32 and w.dtype == np.float32:
+            return np.where(mask, (c + c.T) / np.float32(2.0), np.float32(0.0))
+        return np.where(mask, symmetrize(c), 0.0)
 
     return apply
+
+
+def reference_solve_symmetric(apply, rhs, precondition, rtol=CG_RTOL, *, dim):
+    """Oracle for ``linalg.solve_symmetric``: textbook preconditioned
+    conjugate gradients that allocate every update.
+
+    The vectors take ``rhs``'s dtype, float32 or else float64, and the
+    arithmetic is the package's, so its in-place updates must give the
+    same solutions and failures, bit for bit.
+    """
+    b = np.asarray(rhs)
+    if b.dtype != np.float32:
+        b = b.astype(float)
+    x = np.zeros_like(b)
+    r = b.copy()
+    rr = bb = float(np.vdot(b, b))
+    stop = rtol**2 * bb
+    it = 0
+    while not rr <= stop:
+        if it == dim:
+            raise SingularSystem(
+                f"conjugate gradients left relative residual {np.sqrt(rr / bb):.3e} "
+                f"after {it} iterations"
+            )
+        z = precondition(r)
+        rz_next = float(np.vdot(r, z))
+        d = z.copy() if it == 0 else z + (rz_next / rz) * d
+        rz = rz_next
+        kd = apply(d)
+        curvature = float(np.vdot(d, kd))
+        if not (curvature > 0.0 and rz > 0.0):
+            raise SingularSystem(
+                f"system or preconditioner is not positive definite: d.Kd = "
+                f"{curvature:.3e}, r.Mr = {rz:.3e} at conjugate-gradient iteration {it}"
+            )
+        alpha = rz / curvature
+        x = x + alpha * d
+        r = r - alpha * kd
+        rr = float(np.vdot(r, r))
+        it += 1
+    return x
 
 
 def fail_support_check(monkeypatch, failing):

@@ -769,7 +769,9 @@ class TestNewtonSteps:
 class TestFloat32Products:
     # The Newton step's K = (W kron W)_SS and M = (theta kron theta)_SS,
     # and the adjoint's M, take float32 matrix products; the adjoint's K
-    # stays float64.
+    # stays float64.  The Newton step's right-hand side is float32, so its
+    # conjugate gradients run in float32 end to end; the adjoint's is
+    # float64.
 
     @staticmethod
     def _record_dtypes(monkeypatch, module, roles):
@@ -783,6 +785,20 @@ class TestFloat32Products:
             return real(w, support)
 
         monkeypatch.setattr(module, "kron_restricted", factory)
+        return seen
+
+    @staticmethod
+    def _record_rhs_dtypes(monkeypatch, module):
+        """Patch ``module.solve_symmetric`` to note the dtype of each
+        right-hand side."""
+        seen = []
+        real = module.solve_symmetric
+
+        def solver(apply, rhs, *args, **kwargs):
+            seen.append(rhs.dtype)
+            return real(apply, rhs, *args, **kwargs)
+
+        monkeypatch.setattr(module, "solve_symmetric", solver)
         return seen
 
     def test_newton_step_hands_float32_to_both_operators(self, cov_p100_seed0, monkeypatch):
@@ -800,9 +816,11 @@ class TestFloat32Products:
 
         monkeypatch.setattr(glassotune.glasso, "_newton_step", newton)
         seen = self._record_dtypes(monkeypatch, glassotune.glasso, role)
+        rhs = self._record_rhs_dtypes(monkeypatch, glassotune.glasso)
         est = solve(cov_p100_seed0, Regularization.scalar(0.005))
         assert est.newton_trials > 0
         assert seen == [("K", np.float32), ("M", np.float32)] * est.newton_trials
+        assert rhs == [np.float32] * est.newton_trials
 
     def test_adjoint_hands_float64_to_the_system_and_float32_to_the_preconditioner(
         self, cov_p100_seed0, monkeypatch
@@ -816,8 +834,34 @@ class TestFloat32Products:
             return "M" if np.array_equal(w, est.theta.astype(np.float32)) else "?"
 
         seen = self._record_dtypes(monkeypatch, glassotune.implicit, role)
+        rhs = self._record_rhs_dtypes(monkeypatch, glassotune.implicit)
         hypergradient_weighted(est, support, np.ones((100, 100)))
         assert seen == [("K", np.float64), ("M", np.float32)]
+        assert rhs == [np.float64]
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    @pytest.mark.parametrize("lam", [0.1, 0.018, 0.005])
+    def test_float32_newton_solve_takes_the_float64_path(
+        self, cov_p100_seed0, monkeypatch, lam, tol
+    ):
+        # With the Newton right-hand side patched back to float64, and every
+        # conjugate-gradient vector with it, the solve takes the same
+        # accepted steps, Newton steps and Newton trials, and theta agrees
+        # to 1e-9.
+        config = SolverConfig(tol=tol)
+        est = solve(cov_p100_seed0, Regularization.scalar(lam), config)
+        real = glassotune.glasso.solve_symmetric
+
+        def float64_rhs(apply, rhs, *args, **kwargs):
+            assert rhs.dtype == np.float32
+            return real(apply, rhs.astype(float), *args, **kwargs)
+
+        monkeypatch.setattr(glassotune.glasso, "solve_symmetric", float64_rhs)
+        ref = solve(cov_p100_seed0, Regularization.scalar(lam), config)
+        assert est.newton_steps > 0
+        assert ((est.iterations, est.newton_steps, est.newton_trials)
+                == (ref.iterations, ref.newton_steps, ref.newton_trials))
+        assert np.max(np.abs(est.theta - ref.theta)) <= 1e-9
 
     @pytest.mark.parametrize("lam", [0.1, 0.018, 0.005])
     def test_float32_solve_takes_no_more_iterations(self, cov_p100_seed0, lam):

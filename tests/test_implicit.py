@@ -29,6 +29,7 @@ from conftest import (
     naive_weighted_hypergradient,
     random_spd,
     reference_kron_restricted,
+    reference_solve_symmetric,
     support_indices,
 )
 
@@ -488,6 +489,27 @@ def _counting_reference(products, name):
         return counted
 
     return factory
+
+
+class TestAdjointReferenceBits:
+    # For a given estimate the adjoint gives the bits of the float64
+    # reference, the symmetrize-then-mask products and the allocating
+    # conjugate gradients patched in where implicit looks them up: the
+    # lean product tail and the in-place updates change no bit of it.
+    @pytest.mark.parametrize("lam", [0.1, 0.018, 0.005])
+    def test_hypergradient_bit_identical(self, data_p100_seed0, monkeypatch, lam):
+        data = data_p100_seed0
+        est = solve(data.cov_train, Regularization.scalar(lam))
+        support = support_from_estimate(est, data.cov_train)
+        grad_c = criterion_holdout(est, data.cov_test).gradient
+        hyper = hypergradient_weighted(est, support, grad_c)
+        products = {}
+        monkeypatch.setattr(glassotune.implicit, "kron_restricted",
+                            _counting_reference(products, "implicit"))
+        monkeypatch.setattr(glassotune.implicit, "solve_symmetric",
+                            reference_solve_symmetric)
+        assert np.array_equal(hyper, hypergradient_weighted(est, support, grad_c))
+        assert products["implicit"] > 0
 
 
 class TestRelativeError:

@@ -19,7 +19,12 @@ from glassotune.linalg import (
     vec,
 )
 
-from conftest import random_spd, reference_kron_restricted, support_indices
+from conftest import (
+    random_spd,
+    reference_kron_restricted,
+    reference_solve_symmetric,
+    support_indices,
+)
 
 
 def brute_force_det(a: np.ndarray) -> float:
@@ -339,6 +344,28 @@ class TestKronRestricted:
             assert not np.array_equal(m, exact)
             assert np.array_equal(m, reference_kron_restricted(w32, s)(x))
 
+    @pytest.mark.parametrize("p", [1, 2, 7, 100])
+    @pytest.mark.parametrize("kind", ["diagonal", "symmetric", "full"])
+    def test_float32_vector_gives_float32_output(self, rng, p, kind):
+        # The output takes x's dtype: a float32 x comes back float32,
+        # exactly symmetric and zero off the support, within float32
+        # round-off of the float64 product, for either dtype of w; with a
+        # float32 w it is the float32 reference, bit for bit.
+        w = spd_inverse(cholesky(random_spd(rng, p)))
+        w32 = w.astype(np.float32)
+        s = support_of_kind(rng, p, kind)
+        for x in (pair_symmetric(rng, s), on_support(s, rng.standard_normal((p, p)))):
+            x32 = x.astype(np.float32)
+            exact = kron_restricted(w, s)(x32.astype(float))
+            for matrix in (w, w32):
+                m = kron_restricted(matrix, s)(x32)
+                assert m.dtype == np.float32
+                assert np.array_equal(m, m.T)
+                assert np.all(m[~s.mask] == 0.0)
+                assert_rel_close(m, exact, rtol=1e-6)
+            assert np.array_equal(kron_restricted(w32, s)(x32),
+                                  reference_kron_restricted(w32, s)(x32))
+
     def test_rejects_mismatched_support(self, rng):
         with pytest.raises(ValueError):
             kron_restricted(random_spd(rng, 3),
@@ -383,6 +410,27 @@ class TestSolveSymmetric:
         b = pair_symmetric(rng, s)
         x = solve_symmetric(kron_restricted(w, s), b, identity, dim=len(s))
         assert np.linalg.norm(restricted_product(w, s, x) - b) <= 1e-11 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("kind", ["diagonal", "symmetric", "full"])
+    def test_solution_takes_the_dtype_of_the_rhs(self, rng, kind):
+        # A float32 rhs runs the whole solve in float32, with the arithmetic
+        # of the reference solver, bit for bit; at rtol 1e-10 its true
+        # float64 residual sits at float32 round-off.  A float64 rhs gives
+        # a float64 solution.
+        p = 30
+        theta = random_spd(rng, p)
+        w = spd_inverse(cholesky(theta))
+        s = support_of_kind(rng, p, kind)
+        b = pair_symmetric(rng, s)
+        k32 = kron_restricted(w.astype(np.float32), s)
+        m32 = kron_restricted(theta.astype(np.float32), s)
+        x = solve_symmetric(k32, b.astype(np.float32), m32, rtol=1e-10, dim=len(s))
+        assert x.dtype == np.float32
+        assert np.array_equal(
+            x, reference_solve_symmetric(k32, b.astype(np.float32), m32, 1e-10, dim=len(s)))
+        residual = b - kron_restricted(w, s)(x.astype(float))
+        assert np.linalg.norm(residual) <= 1e-6 * np.linalg.norm(b)
+        assert solve_symmetric(k32, b, m32, dim=len(s)).dtype == np.float64
 
     def test_singular_raises(self):
         # rank one: the direction (1, -1, 0) has zero curvature
@@ -501,40 +549,6 @@ class TestPreconditionedSolve:
                             precondition=lambda v: 2.0 * v, dim=n)
 
 
-def vector_cg(apply, rhs, precondition, rtol=CG_RTOL):
-    """Reference: conjugate gradients on vectors alone, with ``@`` inner
-    products and a budget of ``rhs.size`` iterations."""
-    b = np.asarray(rhs, dtype=float)
-    x = np.zeros_like(b)
-    r = b.copy()
-    rr = bb = float(b @ b)
-    stop = rtol**2 * bb
-    it = 0
-    while not rr <= stop:
-        if it == b.size:
-            raise SingularSystem(
-                f"conjugate gradients left relative residual {np.sqrt(rr / bb):.3e} "
-                f"after {it} iterations"
-            )
-        z = precondition(r)
-        rz_next = float(r @ z)
-        d = z.copy() if it == 0 else z + (rz_next / rz) * d
-        rz = rz_next
-        kd = apply(d)
-        curvature = float(d @ kd)
-        if not (curvature > 0.0 and rz > 0.0):
-            raise SingularSystem(
-                f"system or preconditioner is not positive definite: d.Kd = "
-                f"{curvature:.3e}, r.Mr = {rz:.3e} at conjugate-gradient iteration {it}"
-            )
-        alpha = rz / curvature
-        x += alpha * d
-        r -= alpha * kd
-        rr = float(r @ r)
-        it += 1
-    return x
-
-
 class TestMatrixRightHandSides:
     # The restricted system's vectors are p x p matrices zero off a support
     # S; its dimension, and so the iteration budget, is |S|, which is
@@ -564,7 +578,7 @@ class TestMatrixRightHandSides:
 
     def test_vector_callers_unchanged(self, rng):
         # Bit for bit the same solutions, products and failures as the
-        # vector-only solver, with and without a preconditioner.
+        # reference solver on vectors, with and without a preconditioner.
         n = 30
         for rtol in (CG_RTOL, 1e-3):
             m = random_spd(rng, n)
@@ -574,7 +588,8 @@ class TestMatrixRightHandSides:
                 got_op, got = counting(matrix_operator(m))
                 ref_op, ref = counting(matrix_operator(m))
                 x = solve_symmetric(got_op, b, precondition, rtol=rtol, dim=b.size)
-                assert np.array_equal(x, vector_cg(ref_op, b, precondition, rtol=rtol))
+                assert np.array_equal(
+                    x, reference_solve_symmetric(ref_op, b, precondition, rtol, dim=b.size))
                 assert got["n"] == ref["n"] > 0
         q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
         failing = [
@@ -586,7 +601,7 @@ class TestMatrixRightHandSides:
             with pytest.raises(SingularSystem) as got:
                 solve_symmetric(op, b, identity, dim=b.size)
             with pytest.raises(SingularSystem) as ref:
-                vector_cg(op, b, identity)
+                reference_solve_symmetric(op, b, identity, dim=b.size)
             assert str(got.value) == str(ref.value)
 
 
