@@ -24,9 +24,13 @@ step the solver tries one inexact Newton step on the problem with theta's
 sign pattern held (Oztoprak, Nocedal, Rennie & Olsen, NeurIPS 2012),
 projected onto theta's orthant face as in OWL-QN (Andrew & Gao, ICML 2007),
 where the objective is smooth and exact, and takes either the full
-projected step or the prox step; the Notes of :func:`solve` give the
-details.  Only prox steps change the support, and only the prox map
-certifies convergence.
+projected step or the prox step.  After an accepted Newton step it tries
+Newton again while the prox map keeps theta's sign pattern and the
+residual falls, the orthant-based switch between the two step kinds of
+Byrd, Chin, Nocedal & Oztoprak (Math. Program. 2016); the Notes of
+:func:`solve` give the details.  Only prox steps add entries to the
+support or flip their signs (the face projection can drop entries), and
+only the prox map certifies convergence.
 
 Every iterate is exactly symmetric without being re-symmetrized: the start,
 S, T and the mirrored inverse are exactly symmetric, and the prox and the
@@ -66,8 +70,8 @@ BACKTRACK_FACTOR = 0.5
 # step is so small that the two objective values agree to round-off.
 DECREASE_SLACK = 1e-12
 
-# Newton steps, tried after every accepted prox step: conjugate gradients
-# stop at the forcing term min(NEWTON_FORCING, sqrt|g|) of the sign-fixed
+# Newton steps, tried when the Notes of solve say: conjugate gradients stop
+# at the forcing term min(NEWTON_FORCING, sqrt|g|) of the sign-fixed
 # gradient g, and the solver takes the full projected step if it passes the
 # Armijo test with constant NEWTON_ARMIJO, and the slack of the prox test,
 # or the prox step if not.
@@ -175,7 +179,9 @@ class PrecisionEstimate:
     ``support`` holds the entries with ``|theta| > support_tol``, diagonal
     included.  ``iterations`` counts accepted steps, proximal or Newton;
     ``newton_steps`` counts the Newton ones among them, and
-    ``newton_trials`` the Newton steps tried, accepted or not.
+    ``newton_trials`` the Newton steps tried, accepted or not.  ``tol`` is
+    the tolerance the solver certified, which the adjoint solve of
+    :mod:`~glassotune.implicit` matches; 0 for an estimate built otherwise.
     """
 
     theta: np.ndarray = field(repr=False)
@@ -186,6 +192,7 @@ class PrecisionEstimate:
     iterations: int
     newton_steps: int = 0
     newton_trials: int = 0
+    tol: float = 0.0
 
     @property
     def dim(self) -> int:
@@ -293,13 +300,21 @@ def solve(
     kept only under positive curvature.
 
     After every accepted prox step that does not end the solve, the solver
-    first tries a Newton step.  With W = theta^{-1},
-    g = S - W + T * sign(theta) and S the support of theta, it solves
+    first tries a Newton step.  After an accepted Newton step it tries
+    Newton again if two things hold: the prox map already formed for the
+    residual test has exactly theta's sign pattern, and that Newton step
+    lowered the residual.  Otherwise, and always after a rejected Newton
+    trial, the prox step runs.  So Newton steps run on once the signs have
+    settled, where a Newton step cuts the residual far more than a prox
+    step does, and a Newton step that stalls hands over to the prox step.
+
+    A Newton step, with W = theta^{-1},
+    g = S - W + T * sign(theta) and S the support of theta, solves
     (W kron W)_SS d = -g_S by conjugate gradients preconditioned with
     (theta kron theta)_SS, to the relative residual
     min(NEWTON_FORCING, sqrt|g_S|); projects theta + d onto theta's
-    orthant face (entries that cross zero become 0); and accepts
-    that full step if it is SPD and passes an Armijo test with constant
+    orthant face (entries that cross zero become 0); and is taken at full
+    length if that trial is SPD and passes an Armijo test with constant
     NEWTON_ARMIJO.  Otherwise the prox step is taken as usual.  Newton
     steps count towards MAX_ITER, ``iterations`` and ``newton_steps`` and
     leave gamma as it was; ``newton_trials`` counts the rejected ones too.
@@ -312,16 +327,12 @@ def solve(
     and the stop are float64.  The float32 solve leaves a true residual
     near 1e-7 relative, far below the smallest forcing terms seen, 1.3e-4
     to 2.3e-4 on p=100 and p=300 sweeps, so no floor on the forcing term
-    is needed.  On the data sets of both gated benchmark workloads at two
-    seeds, every solve took the same iterations, Newton steps and Newton
-    trials as with float64 vectors.  On one BLAS thread of a 2-core Intel
-    Xeon VM a conjugate-gradient iteration of the Newton step took 97-98
-    us against 130-132 us with float64 vectors at p=100, and 2.1-2.5
-    against 2.4-2.8 ms at p=300.
-    The step needs no test of the next prox map's sign pattern: on theta's
-    face the penalty is linear, so the Armijo test there is on the exact
-    objective, and the prox step that follows can still grow or shrink the
-    support.
+    is needed.
+    The Newton step itself needs no test of the next prox map's sign
+    pattern: on theta's face the penalty is linear, so the Armijo test
+    there is on the exact objective.  The sign test only picks the step
+    after it: where the prox map would add, drop or flip an entry, that
+    step is a prox step.
 
     The returned theta is exactly symmetric, ``array_equal(theta,
     theta.T)``, with no re-symmetrizing in the loop: cov and the warm start
@@ -355,7 +366,9 @@ def solve(
     f_theta = -ld + float(np.vdot(cov, theta))
 
     gamma = _default_gamma(cov)
-    after_prox = False
+    try_newton = False
+    # The residual before the last step if it was an accepted Newton step.
+    before_newton = None
     newton_steps = newton_trials = 0
 
     for it in range(MAX_ITER + 1):
@@ -375,6 +388,7 @@ def solve(
                 iterations=it,
                 newton_steps=newton_steps,
                 newton_trials=newton_trials,
+                tol=config.tol,
             )
             # theta_inv and ld came from cholesky(theta), the values the
             # cached properties would compute, so seeding their caches saves
@@ -390,16 +404,22 @@ def solve(
                 residual=residual,
             )
 
-        if after_prox:
+        if before_newton is not None:
+            # Newton again only while it still cuts the residual and the
+            # prox map would keep theta's sign pattern.
+            try_newton = (residual < before_newton
+                          and np.array_equal(np.sign(cand), np.sign(theta)))
+        if try_newton:
             newton_trials += 1
             newton = _newton_step(cov, thr, theta, theta_inv, grad, f_theta)
             if newton is not None:
                 theta, lower, ld, f_theta = newton
                 theta_inv = spd_inverse(lower)
-                after_prox = False
+                before_newton = residual
                 newton_steps += 1
                 continue
-        after_prox = True
+        before_newton = None
+        try_newton = True
 
         for attempt in range(MAX_BACKTRACKS):
             if attempt:

@@ -27,6 +27,7 @@ import numpy as np
 from .exceptions import DegenerateSupport
 from .glasso import PrecisionEstimate
 from .linalg import (
+    CG_RTOL,
     Operator,
     SupportSet,
     _as_matrix,
@@ -119,8 +120,9 @@ def jacobian_scalar(est: PrecisionEstimate, support: SupportSet) -> np.ndarray:
     theta^{-1}.  K is symmetric, so y is the adjoint solution of
     :func:`hypergradient_weighted` against -sign(theta), read back from
     its output -sign(theta) * y: sign(theta) is +-1 on the support, so
-    that product undoes exactly.  It does not depend on the prox step
-    gamma: the step scales both sides of the system and cancels.
+    that product undoes exactly, and it stops where that solve does.  It
+    does not depend on the prox step gamma: the step scales both sides of
+    the system and cancels.
 
     Raises SingularSystem if conjugate gradients find the restricted
     coefficient matrix not positive definite or do not converge.
@@ -159,10 +161,13 @@ def hypergradient_weighted(
         out = -sign(theta) * Y,   zero off the support.
 
     The right-hand side, and so every vector of the solve, is float64, and
-    the products with K run in float64, so the CG_RTOL stop holds for the
-    float64 system; those with the preconditioner take float32 matrix
-    products (see :func:`~glassotune.linalg.kron_restricted`), which only
-    changes the path the iterates take to that stop.
+    the products with K run in float64, so the stop holds for the float64
+    system; those with the preconditioner take float32 matrix products
+    (see :func:`~glassotune.linalg.kron_restricted`), which only changes
+    the path the iterates take to that stop.  The stop is the relative
+    residual max(CG_RTOL, est.tol): theta is certified only to the
+    solver's tol, so a tighter stop would buy digits the estimate does not
+    have.  An estimate built by hand (tol 0) gets CG_RTOL.
 
     Tying every weight to one level makes its derivative the sum of the
     per-entry ones, so the sum of the returned array is the scalar-penalty
@@ -174,6 +179,7 @@ def hypergradient_weighted(
         _restricted_kron(est, support),
         np.where(support.mask, grad_c, 0.0),
         precondition=kron_restricted(est.theta.astype(np.float32), support),
+        rtol=max(CG_RTOL, est.tol),
         dim=len(support),
     )
     return -np.sign(est.theta) * y

@@ -219,13 +219,7 @@ def kron_restricted(w: np.ndarray, support: SupportSet) -> Operator:
     gets ``(C + C.T) / 2`` in float64, bit for bit, so a float64 ``w`` gives
     the float64 product; a float32 ``w`` or ``X`` agrees with it to float32
     round-off, about 1e-7 relative.  Any other ``w`` or ``X`` is read as
-    float64.  On one BLAS thread of a 2-core Intel Xeon VM (best of seven
-    timings, supports of the p=100 and p=300 solutions) a product took
-    74-84 us in float64, 52-57 us with a float32 ``w`` and 40-42 us with a
-    float32 ``w`` and ``X`` at p=100, and 2.2-2.4, 1.0-1.2 and 0.92-1.1 ms
-    at p=300.  At p=100 the tail alone takes 15 us in float64 and 11.5 us
-    in float32, against 23 and 30 us for ``half * np.add(C, C.T,
-    dtype=float)``.
+    float64.
     """
     w = _as_square(w, "w")
     if support.mask.shape != w.shape:
@@ -278,14 +272,9 @@ def solve_symmetric(
     depend on it.  The stop reads the recursively updated residual: with a
     float32 ``K`` or float32 vectors that residual still falls to
     ``rtol``, while the true float64 residual levels off near float32
-    round-off, about 1e-7 relative (at ``rtol`` 1e-10 on the 15 Newton
-    systems of three p=100 solves, 1.2-2.8e-7 with float32 vectors and
-    0.7-2.5e-7 with float64 ones, in the same 175 products), so such a
-    solve suits only an approximate solution.  A float32 ``M`` with float64
-    vectors only changes the iterates, never what the stop reads.  On one
-    BLAS thread of a 2-core Intel Xeon VM one iteration with float32 ``K``
-    and ``M`` took 97-98 us with float32 vectors against 130-132 us with
-    float64 ones at p=100, and 2.1-2.5 against 2.4-2.8 ms at p=300.
+    round-off, about 1e-7 relative, so such a solve suits only an
+    approximate solution.  A float32 ``M`` with float64 vectors only
+    changes the iterates, never what the stop reads.
 
     Raises
     ------

@@ -278,6 +278,99 @@ def count_newton_steps(monkeypatch):
     return calls
 
 
+def record_steps(monkeypatch, newton_step=None):
+    """Record what :func:`solve` calls, for :func:`parse_steps` to read.
+
+    ``newton_step`` stands in for ``_newton_step`` if given.
+    """
+    events = []
+    real_prox = glassotune.glasso.soft_threshold
+    real_inverse = glassotune.glasso.spd_inverse
+    real_newton = newton_step or glassotune.glasso._newton_step
+
+    def prox(*args):
+        events.append(("prox", real_prox(*args)))
+        return events[-1][1]
+
+    def inverse(*args):
+        events.append(("inverse",))
+        return real_inverse(*args)
+
+    def newton(*args):
+        step = real_newton(*args)
+        events.append(("newton", args[2], step))
+        return step
+
+    monkeypatch.setattr(glassotune.glasso, "soft_threshold", prox)
+    monkeypatch.setattr(glassotune.glasso, "spd_inverse", inverse)
+    monkeypatch.setattr(glassotune.glasso, "_newton_step", newton)
+    return events
+
+
+def parse_steps(events):
+    """The steps of a recorded solve, one entry per loop iteration.
+
+    The events are one inverse for the start, then per iteration the
+    residual's prox map, a Newton trial if any, and the step's
+    backtracking prox maps and inverse.  Each entry holds ``cand``, the
+    prox map at the iterate that the residual test measures, and ``kind``:
+    "newton" for an accepted Newton step, "prox" for a prox step or "stop"
+    for the final residual test.  An entry whose iterate had a Newton
+    trial also holds that iterate as ``theta``, and an accepted one the
+    next iterate as ``theta_next``.
+    """
+    assert events[0] == ("inverse",)
+    steps, k = [], 1
+    while k < len(events):
+        assert events[k][0] == "prox"
+        entry = {"cand": events[k][1], "kind": "stop"}
+        steps.append(entry)
+        k += 1
+        if k == len(events):
+            break
+        entry["kind"] = "prox"
+        if events[k][0] == "newton":
+            _, entry["theta"], step = events[k]
+            k += 1
+            if step is not None:
+                entry.update(kind="newton", theta_next=step[0])
+        while events[k][0] == "prox":
+            assert entry["kind"] == "prox"
+            k += 1
+        assert events[k] == ("inverse",)
+        k += 1
+    return steps
+
+
+def check_step_rule(steps):
+    """Assert the step rule of :func:`solve` on the steps parse_steps reads.
+
+    Returns how often each reason decided the step after an accepted
+    Newton step.
+    """
+    decided = {"newton again": 0, "signs changed": 0, "residual did not fall": 0}
+    assert steps[0]["kind"] == "prox" and "theta" not in steps[0]
+    for prev, cur in zip(steps, steps[1:]):
+        if cur["kind"] == "stop":
+            continue
+        tried = cur["kind"] == "newton" or "theta" in cur
+        if prev["kind"] == "prox":
+            assert tried
+            continue
+        theta = prev["theta_next"]
+        same_signs = np.array_equal(np.sign(cur["cand"]), np.sign(theta))
+        fell = (np.max(np.abs(cur["cand"] - theta))
+                < np.max(np.abs(prev["cand"] - prev["theta"])))
+        assert tried == (same_signs and fell)
+        if tried:
+            decided["newton again"] += 1
+        elif not same_signs:
+            decided["signs changed"] += 1
+        else:
+            decided["residual did not fall"] += 1
+    return decided
+
+
 class TestSolveCallCounts:
     def _count(self, monkeypatch, name):
         real = getattr(glassotune.glasso, name)
@@ -719,50 +812,46 @@ class TestNewtonSteps:
 
     def test_tried_after_every_prox_step(self, cov_p100_seed0, monkeypatch):
         # Newton follows every accepted prox step that does not end the
-        # solve, including those whose next prox map changes theta's sign
-        # pattern; the face projection keeps zero entries at zero.
-        events, prox_out = [], []
-        sign_changes = 0
-        real_prox = glassotune.glasso.soft_threshold
-        real_inverse = glassotune.glasso.spd_inverse
-        real_newton = glassotune.glasso._newton_step
-
-        def prox(*args):
-            prox_out.append(real_prox(*args))
-            return prox_out[-1]
-
-        def inverse(*args):
-            events.append("inverse")
-            return real_inverse(*args)
-
-        def newton(*args):
-            nonlocal sign_changes
-            theta = args[2]
-            # the last prox map is the one taken at theta to measure the residual
-            sign_changes += not np.array_equal(np.sign(prox_out[-1]), np.sign(theta))
-            step = real_newton(*args)
-            if step is not None:
-                assert not np.any((theta == 0.0) & (step[0] != 0.0))
-            events.append("newton" if step is None else "newton accepted")
-            return step
-
-        monkeypatch.setattr(glassotune.glasso, "soft_threshold", prox)
-        monkeypatch.setattr(glassotune.glasso, "spd_inverse", inverse)
-        monkeypatch.setattr(glassotune.glasso, "_newton_step", newton)
+        # solve, and follows an accepted Newton step only while the prox map
+        # keeps theta's sign pattern and the residual falls.  On this trace
+        # Newton runs twice in a row, and a changed sign pattern hands over
+        # to a prox step; the face projection keeps zero entries at zero and
+        # drops entries that cross zero.
+        events = record_steps(monkeypatch)
         est = solve(cov_p100_seed0, Regularization.scalar(0.005))
-        # One inverse for the start and one per accepted step; the one right
-        # after an accepted trial is the Newton step's, every other a prox step's.
-        prox_steps = [k for k, e in enumerate(events)
-                      if k > 0 and e == "inverse" and events[k - 1] != "newton accepted"]
-        accepted = events.count("newton accepted")
-        assert events[0] == "inverse" and not events[1].startswith("newton")
-        assert accepted == est.newton_steps > 0
-        assert len(prox_steps) + accepted == est.iterations
-        for k in prox_steps:
-            assert k == len(events) - 1 or events[k + 1].startswith("newton")
-        assert sum(e.startswith("newton") for e in events) == len(prox_steps) - (
-            prox_steps[-1] == len(events) - 1)
-        assert sign_changes > 0
+        steps = parse_steps(events)
+        decided = check_step_rule(steps)
+        assert steps[-1]["kind"] == "stop"
+        assert len(steps) - 1 == est.iterations
+        newton = [s for s in steps if s["kind"] == "newton"]
+        assert len(newton) == est.newton_steps > 0
+        assert len(newton) + sum("theta" in s for s in steps if s["kind"] == "prox") == (
+            est.newton_trials)
+        assert decided["newton again"] > 0 and decided["signs changed"] > 0
+        for s in newton:
+            assert not np.any((s["theta"] == 0.0) & (s["theta_next"] != 0.0))
+        assert any(np.count_nonzero(s["theta_next"]) < np.count_nonzero(s["theta"])
+                   for s in newton)
+        assert check_optimality(est, cov_p100_seed0) <= 1e-6
+
+    def test_stalled_newton_hands_over_to_prox(self, cov_p100_seed0, monkeypatch):
+        # An accepted Newton step that leaves the residual where it was is
+        # followed by a prox step, even where the signs would allow Newton
+        # again, so a stalled Newton step cannot hold up the solve.
+        def stalled(cov, thr, theta, theta_inv, grad, f_theta):
+            lower = cholesky(theta)
+            return theta.copy(), lower, logdet(lower), f_theta
+
+        events = record_steps(monkeypatch, stalled)
+        est = solve(cov_p100_seed0, Regularization.scalar(0.018))
+        steps = parse_steps(events)
+        decided = check_step_rule(steps)
+        assert decided["residual did not fall"] > 0
+        for prev, cur in zip(steps, steps[1:]):
+            if prev["kind"] == "newton":
+                assert cur["kind"] in ("prox", "stop")
+        assert est.newton_steps > 0
+        assert est.fixed_point_residual <= 1e-8 * min(1.0, est.gamma)
         assert check_optimality(est, cov_p100_seed0) <= 1e-6
 
 

@@ -22,7 +22,7 @@ from glassotune.implicit import (
     relative_error,
     support_from_estimate,
 )
-from glassotune.linalg import SupportSet, symmetrize, vec
+from glassotune.linalg import CG_RTOL, SupportSet, symmetrize, vec
 
 from conftest import (
     make_instance,
@@ -510,6 +510,77 @@ class TestAdjointReferenceBits:
                             reference_solve_symmetric)
         assert np.array_equal(hyper, hypergradient_weighted(est, support, grad_c))
         assert products["implicit"] > 0
+
+
+class TestAdjointTolerance:
+    # The adjoint stops at the relative residual max(CG_RTOL, est.tol): an
+    # estimate certified to tol = 1e-8 moves the hypergradient by more than
+    # a tighter adjoint could resolve, and a hand-built estimate, tol 0,
+    # keeps the CG_RTOL solve.
+    @staticmethod
+    def _adjoint(est, support, grad_c, monkeypatch):
+        """The adjoint and the number of products with K it took."""
+        products = [0]
+        real = glassotune.implicit._restricted_kron
+
+        def factory(est, support):
+            apply = real(est, support)
+
+            def counted(x):
+                products[0] += 1
+                return apply(x)
+
+            return counted
+
+        with monkeypatch.context() as patch:
+            patch.setattr(glassotune.implicit, "_restricted_kron", factory)
+            return hypergradient_weighted(est, support, grad_c), products[0]
+
+    @pytest.mark.parametrize("tuner", ["scalar", "matrix"])
+    @pytest.mark.parametrize("lam", [0.1, 0.018])  # far from lambda* and at it
+    def test_within_1e7_of_the_strict_adjoint(self, data_p100_seed0, monkeypatch, tuner, lam):
+        data = data_p100_seed0
+        reg = (Regularization.scalar(lam) if tuner == "scalar"
+               else Regularization.matrix(np.full((100, 100), lam)))
+        est = solve(data.cov_train, reg, SolverConfig(tol=1e-8))
+        assert est.tol == 1e-8
+        support = support_from_estimate(est, data.cov_train)
+        grad_c = criterion_holdout(est, data.cov_test).gradient
+        loose, loose_products = self._adjoint(est, support, grad_c, monkeypatch)
+        strict, strict_products = self._adjoint(
+            dataclasses.replace(est, tol=0.0), support, grad_c, monkeypatch)
+        # g_alpha as each tuner forms it: the level times the summed
+        # gradient, or each weight times its own entry.
+        if tuner == "scalar":
+            assert abs(lam * np.sum(loose) - lam * np.sum(strict)) <= 1e-7
+        else:
+            assert np.max(np.abs(est.reg.weights * (loose - strict))) <= 1e-7
+        assert loose_products < strict_products
+
+    def test_hand_built_estimate_keeps_the_strict_adjoint(self, data_p100_seed0, monkeypatch):
+        data = data_p100_seed0
+        solved = solve(data.cov_train, Regularization.scalar(0.018))
+        est = PrecisionEstimate(theta=solved.theta, reg=solved.reg, gamma=solved.gamma,
+                                support=solved.support,
+                                fixed_point_residual=solved.fixed_point_residual,
+                                iterations=solved.iterations)
+        assert est.tol == 0.0
+        support = support_from_estimate(est, data.cov_train)
+        grad_c = criterion_holdout(est, data.cov_test).gradient
+        outputs = (hypergradient_weighted(est, support, grad_c),
+                   jacobian_scalar(est, support))
+        # The same calls with conjugate gradients at their default stop.
+        rtols = []
+        real = glassotune.implicit.solve_symmetric
+
+        def default_stop(apply, rhs, precondition, rtol, *, dim):
+            rtols.append(rtol)
+            return real(apply, rhs, precondition, dim=dim)
+
+        monkeypatch.setattr(glassotune.implicit, "solve_symmetric", default_stop)
+        assert np.array_equal(outputs[0], hypergradient_weighted(est, support, grad_c))
+        assert np.array_equal(outputs[1], jacobian_scalar(est, support))
+        assert rtols == [CG_RTOL, CG_RTOL]
 
 
 class TestRelativeError:
