@@ -2,16 +2,24 @@
 
 Penalties are positive by construction: the descent runs in alpha with
 lam = exp(alpha) for a single level and weights_kl = exp(alpha_kl)
-entrywise for a weight matrix, so a plain fixed-step gradient update never
-leaves the feasible cone in exact arithmetic (a step that underflows or
-overflows the exponential ends the descent).  Both tuners share one outer
-loop.  Each outer iteration solves the training problem (warm-started from
-the previous solution), evaluates the hold-out criterion, assembles the exact
+entrywise for a weight matrix, so a gradient step never leaves the
+feasible cone in exact arithmetic (a step that underflows or overflows the
+exponential ends the descent).  Both tuners share one outer loop.  Each
+outer iteration solves the training problem (warm-started from the last
+accepted solution), evaluates the hold-out criterion, assembles the exact
 per-entry hypergradient through one adjoint solve of the implicit
 derivative of the solution map, and steps.  A single level is every
 weight tied to it, so its derivative is the per-entry one summed.  The
 chain rule through the exponential turns a derivative in lam into lam
 times it in alpha.
+
+The step in alpha is the Barzilai-Borwein quotient (Barzilai & Borwein,
+IMA J. Numer. Anal. 1988) between the last two accepted iterates, the
+first one the configured ``step_size``, and a trial is accepted only if
+it lowers the criterion enough (a sufficient-decrease guard, Raydan, SIAM
+J. Optim. 1997); a rejected trial halves the step.  Three stops count as
+converged: the hypergradient below OUTER_TOL, a step below the
+resolution of alpha, and a solve that no longer moves theta.
 
 Zero entries in a matrix initialization stay exactly zero: the exponential
 parametrization moves weights multiplicatively, which is what makes an
@@ -49,6 +57,14 @@ INIT_BACKOFF = 1.0 + 1e-3
 # OUTER_TOL: in absolute value for a level, in sup-norm for a weight matrix.
 OUTER_TOL = 1e-6
 
+# The Barzilai-Borwein step in alpha is capped at MAX_STEP.  A trial is
+# accepted if it lowers the criterion by SUFFICIENT_DECREASE * step * |g|^2
+# or more.  A step whose largest move in alpha, step * |g|_inf, is at most
+# STEP_RESOLUTION cannot move the estimate, and ends the descent.
+MAX_STEP = 1e3
+SUFFICIENT_DECREASE = 1e-4
+STEP_RESOLUTION = 1e-9
+
 # default_grid spans [lam_init * GRID_SPAN, lam_init].
 GRID_SPAN = 1e-3
 
@@ -58,9 +74,10 @@ INIT_POLICIES = ("offdiag-max", "max-entry")
 
 @dataclass(frozen=True)
 class BilevelConfig:
-    """Outer-loop budget and step size.
+    """Outer-loop budget and first step size.
 
-    ``step_size`` must be finite and positive.  ``init`` is a
+    ``step_size``, the first outer step in alpha, must be finite and
+    positive; later steps are Barzilai-Borwein quotients.  ``init`` is a
     Regularization holding strictly positive starting levels (zeros
     allowed in the matrix case and stay pinned).  None picks
     :func:`starting_level` for the scalar tuner; the matrix tuner needs
@@ -81,9 +98,11 @@ class BilevelConfig:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """One outer iteration: the penalty tried and what it cost, as numbers.
+    """One accepted outer iteration: its penalty and what it cost, as numbers.
 
     ``penalty`` is ``(lam,)`` or the ``(min, max, mean)`` of the weights.
+    ``seconds`` runs from the previous record, so it includes the trials
+    rejected in between.
     """
 
     iteration: int
@@ -104,13 +123,17 @@ class Trajectory:
 
     ``estimate`` is the solution at the last recorded iteration; its
     ``reg`` is the one full penalty kept, so memory does not grow with length.
-    ``aborted`` is true when a failure or an out-of-range step after the
-    first iterate stopped the run early (see :func:`tune_scalar`); its
-    ``stop_reason`` then starts with "aborted".
+    ``rejected_steps`` counts the trials that failed the sufficient-decrease
+    test; none of them is a record.  ``converged`` is true for the three
+    stops of :func:`_descend` that find a stationary point to the
+    resolution of the solver.  ``aborted`` is true when a failure or an
+    out-of-range step after the first iterate stopped the run early (see
+    :func:`tune_scalar`); its ``stop_reason`` then starts with "aborted".
     """
 
     scalar: bool
     records: List[TrajectoryRecord] = field(default_factory=list)
+    rejected_steps: int = 0
     converged: bool = False
     aborted: bool = False
     stop_reason: str = ""
@@ -260,6 +283,12 @@ def _abort(traj: Trajectory, iteration: int, reason) -> Trajectory:
     return traj
 
 
+def _stop(traj: Trajectory, reason: str, converged: bool = True) -> Trajectory:
+    traj.converged = converged
+    traj.stop_reason = reason
+    return traj
+
+
 def _descend(
     cov_train: np.ndarray,
     cov_test: np.ndarray,
@@ -275,20 +304,44 @@ def _descend(
     from one adjoint solve; a tied level moves every weight at once, so
     its derivative is the sum of the per-entry ones.  The first solve
     starts from ``warm`` (None: the solver's cold start), every later one
-    from the previous estimate, whose factorization it reuses.
+    from the last accepted estimate, whose factorization it reuses.
+
+    From the last accepted iterate (alpha, g) a trial goes to alpha - s g.
+    The first step s is ``config.step_size``; after each accepted trial s
+    becomes the Barzilai-Borwein quotient <da, da> / <da, dg> of the last
+    two accepted iterates, capped at MAX_STEP, or stays as it was when
+    <da, dg> <= 0.  The sums run over the free entries, those with finite
+    alpha; entries pinned at alpha = -inf stay at penalty 0 and never
+    enter a difference.  A trial is accepted, and recorded, only if its
+    criterion is at most the last accepted one minus SUFFICIENT_DECREASE *
+    s * sum(g^2), so the recorded criteria never increase.  A rejected
+    trial halves s and is tried again from the last accepted iterate; it
+    gets no hypergradient and no record, and ``traj.rejected_steps``
+    counts it.  ``config.max_outer_iter`` bounds the accepted steps.
+
+    The descent stops, converged, when the hypergradient is at most
+    OUTER_TOL ("hypergradient below tolerance"), when the next move,
+    s * |g|_inf, is at most STEP_RESOLUTION ("step below resolution"), or
+    when a solve after the first one takes no inner iteration, so theta
+    did not move and the hypergradient could not change ("solve below
+    resolution").
 
     Any GlassoTuneError of the solve, the criterion, the support check or
     the adjoint solve propagates at the first iterate, annotated with the
     iteration index; later it aborts the run, which keeps the iterates
-    before it.  So does a step that takes a free entry (finite alpha) to a
-    penalty of 0 or inf; entries pinned at alpha = -inf stay at 0.
+    before it.  So does a step that takes a free entry to a penalty of 0
+    or inf.
     """
     scalar = np.ndim(alpha) == 0
     free = np.isfinite(alpha)
     traj = Trajectory(scalar=scalar)
+    step = config.step_size
+    t0 = time.perf_counter()
 
-    for k in range(config.max_outer_iter + 1):
-        t0 = time.perf_counter()
+    while True:
+        k = len(traj.records)
+        if k:
+            alpha = last_alpha - step * galpha
         with np.errstate(over="ignore"):
             penalty = np.exp(alpha)
         if not np.all(((0.0 < penalty) & (penalty < np.inf)) | ~free):
@@ -300,7 +353,15 @@ def _descend(
         )
         try:
             est = solve(cov_train, reg, config.solver, warm_start=warm)
+            if k and est.iterations == 0:
+                return _stop(traj, "solve below resolution")
             crit = criterion_holdout(est, cov_test)
+            if k and not crit.value <= traj.final.criterion - SUFFICIENT_DECREASE * step * g_sq:
+                traj.rejected_steps += 1
+                step /= 2.0
+                if step * norm <= STEP_RESOLUTION:
+                    return _stop(traj, "step below resolution")
+                continue
             support = support_from_estimate(est, cov_train)
             values = hypergradient_weighted(est, support, crit.gradient)
         except GlassoTuneError as exc:
@@ -310,9 +371,17 @@ def _descend(
                 raise
             return _abort(traj, k, exc)
         # chain rule through the exponential: d/dalpha = penalty * d/dpenalty
-        galpha = penalty * (np.sum(values) if scalar else values)
+        g = penalty * (np.sum(values) if scalar else values)
         seconds = time.perf_counter() - t0
+        if k:
+            d_alpha = np.asarray(alpha)[free] - np.asarray(last_alpha)[free]
+            d_g = np.asarray(g)[free] - np.asarray(galpha)[free]
+            curvature = float(np.sum(d_alpha * d_g))
+            if curvature > 0.0:
+                step = min(float(np.sum(d_alpha * d_alpha)) / curvature, MAX_STEP)
+        last_alpha, galpha = alpha, g
         norm = float(np.max(np.abs(galpha)))
+        g_sq = float(np.sum(np.asarray(galpha)[free] ** 2))
         re_val = (
             relative_error(est.theta, theta_true) if theta_true is not None else None
         )
@@ -332,18 +401,15 @@ def _descend(
                 newton_trials=est.newton_trials,
             )
         )
+        t0 = time.perf_counter()
         traj.estimate = est
         warm = est
         if norm <= OUTER_TOL:
-            traj.converged = True
-            traj.stop_reason = "hypergradient below tolerance"
-            break
+            return _stop(traj, "hypergradient below tolerance")
+        if step * norm <= STEP_RESOLUTION:
+            return _stop(traj, "step below resolution")
         if k == config.max_outer_iter:
-            traj.stop_reason = "outer iteration budget exhausted"
-            break
-        alpha = alpha - config.step_size * galpha
-
-    return traj
+            return _stop(traj, "outer iteration budget exhausted", converged=False)
 
 
 def tune_scalar(
@@ -356,10 +422,10 @@ def tune_scalar(
 
     Starts at ``config.init`` (or the smallest diagonal-solution level),
     then repeats: solve the training problem (warm-started from the
-    previous solution), compute the criterion and its hypergradient,
-    update alpha = log(lam) by one fixed step.  Stops when the alpha-space
-    gradient magnitude is at most OUTER_TOL or the iteration budget runs
-    out; the trajectory records which.
+    accepted solution), compute the criterion and its hypergradient, and
+    step alpha = log(lam) by the Barzilai-Borwein rule of :func:`_descend`.
+    Stops by one of that loop's three converged stops or when the
+    iteration budget runs out; the trajectory records which.
 
     Kinks of the solution map are differentiated by the zero-branch rule
     of :func:`~glassotune.implicit.support_from_estimate`.  Any

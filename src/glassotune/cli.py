@@ -9,8 +9,9 @@ output directory:
 * ``trajectory.csv``     one row per outer descent iteration
                          (modes scalar, matrix, compare)
 * ``summary.json``       the full config echoed back plus final levels,
-                         criteria, errors, iteration, Newton-step and kink
-                         counts, abort flags and timings
+                         held-out and population criteria, errors,
+                         iteration, Newton-step, rejected-step and kink
+                         counts, stop reasons, abort flags and timings
 * ``lambda_opt.csv``, ``theta_true.csv``, ``theta_hat.csv``
                          with ``--emit-matrices``
 * ``error.json``         written instead of summary.json when a numerical
@@ -67,6 +68,8 @@ from .datagen import (
 )
 from .exceptions import GlassoTuneError
 from .glasso import Regularization, SolverConfig
+from .implicit import criterion_holdout
+from .linalg import cholesky, spd_inverse
 # Not called here; perfbench/tracer.py wraps this name in this module.
 from .glasso import solve  # noqa: F401
 
@@ -90,7 +93,7 @@ class ExperimentConfig:
     density: float = _setting(0.05, "nonzero fraction in the ground-truth factor")
     seed: int = _setting(0, "base seed")
     split_ratio: float = _setting(0.5, "train fraction of the sample split")
-    rho: float = _setting(0.1, "outer descent step size")
+    rho: float = _setting(0.1, "first outer step size")
     max_outer_iter: int = _setting(200, "outer iteration budget")
     inner_tol: float = _setting(1e-8, "inner solver fixed-point tolerance")
     grid_points: int = _setting(100, "points in the log-spaced grid")
@@ -216,10 +219,13 @@ def parse_config(argv: Optional[List[str]] = None) -> ExperimentConfig:
 
 
 def _descent_stage(summary: dict, stage: str, tune, init: Regularization,
-                   config: ExperimentConfig, data, truth: GroundTruth) -> Trajectory:
+                   config: ExperimentConfig, data, truth: GroundTruth,
+                   population: np.ndarray) -> Trajectory:
     """Run one descent stage and record its summary fields and seconds.
 
-    An aborted descent also gets a stderr line.
+    ``population`` is the true covariance, against which the final
+    estimate's population criterion is taken after the stage's timer
+    stops.  An aborted descent also gets a stderr line.
     """
     t0 = time.perf_counter()
     _, traj = tune(data.cov_train, data.cov_test, config.bilevel_config(init),
@@ -240,12 +246,14 @@ def _descent_stage(summary: dict, stage: str, tune, init: Regularization,
         "inner_iterations_total": int(sum(r.inner_iterations for r in traj.records)),
         "newton_steps_total": int(sum(r.newton_steps for r in traj.records)),
         "newton_trials_total": int(sum(r.newton_trials for r in traj.records)),
+        "rejected_steps": traj.rejected_steps,
         "kink_entries": int(sum(r.kink_entries for r in traj.records)),
         "converged": traj.converged,
         "aborted": traj.aborted,
         "stop_reason": traj.stop_reason,
         "seconds": time.perf_counter() - t0,
     })
+    record["population_criterion"] = criterion_holdout(traj.estimate, population).value
     summary[stage] = record
     print(f"{stage}: {level}criterion={final.criterion:.9g} "
           f"iters={len(traj)} converged={traj.converged}")
@@ -274,6 +282,8 @@ def run(config: ExperimentConfig) -> int:
         summary["lambda_init"] = lam0
         summary["lambda_start"] = lam_start
         summary["seconds_data"] = time.perf_counter() - t0
+        # the expected held-out criterion is taken against the true covariance
+        population = spd_inverse(cholesky(truth.theta_true))
         print(f"data: p={config.p} n={config.n} seed={config.seed} "
               f"lambda_init={lam0:.6g}")
 
@@ -295,19 +305,23 @@ def run(config: ExperimentConfig) -> int:
                 "failed_points": int(sum(g.failed for g in curve)),
                 "seconds": time.perf_counter() - t0,
             }
+            summary["grid"]["population_criterion"] = criterion_holdout(
+                at_best.theta, population).value
             # penalty and estimate of the last stage, exported as computed
             final = (Regularization.scalar(best), at_best.theta)
             print(f"grid: best lambda={best:.6g} criterion={at_best.criterion:.9g}")
 
         if config.mode != "grid":
             descent = _descent_stage(summary, "scalar", tune_scalar,
-                                     Regularization.scalar(lam_start), config, data, truth)
+                                     Regularization.scalar(lam_start), config, data, truth,
+                                     population)
             lam_opt = descent.final.penalty[0]
             if config.mode == "matrix":
                 # the matrix stage's first problem is the scalar stage's last one
                 tune = partial(tune_matrix, warm_start=descent.estimate)
                 descent = _descent_stage(summary, "matrix", tune,
-                                         Regularization.scalar(lam_opt), config, data, truth)
+                                         Regularization.scalar(lam_opt), config, data, truth,
+                                         population)
             descent.to_csv(out / "trajectory.csv")
             final = (descent.estimate.reg, descent.estimate.theta)
 

@@ -42,8 +42,8 @@ from .linalg import (
 from .linalg import unvec, vec  # noqa: F401
 
 # Entries whose fixed-point argument sits within this relative distance of
-# its threshold count as at a kink; support_from_estimate puts them on the
-# zero branch.
+# its threshold, or within the solver's tolerance in stationarity units,
+# count as at a kink; support_from_estimate puts them on the zero branch.
 BOUNDARY_TOL = 1e-6
 
 
@@ -71,12 +71,24 @@ def support_from_estimate(est: PrecisionEstimate, cov: np.ndarray) -> SupportSet
     both unchanged when cov and Lambda are scaled together.  ``cov`` must be
     the covariance the estimate was solved against.
 
-    Kink rule: entries whose margin is below BOUNDARY_TOL sit on a kink of
-    the solution map and go on the zero branch.  They are left out of the
-    returned support, so their derivative is zero: the one-sided derivative
-    along which they stay zero, an element of the conservative (Clarke)
-    Jacobian (Bolte, Le, Pauwels & Vaiter, NeurIPS 2021; Bertrand et al.,
-    JMLR 2022).  With no entry in the band it returns ``est.support`` itself.
+    Kink rule: an entry sits on a kink of the solution map, and goes on
+    the zero branch, when its margin in the units of the stationarity
+    condition, | |zhat| - G * Lambda | / G, is below max(BOUNDARY_TOL *
+    Lambda, est.tol).  Off the support that margin is
+    | |W - cov| - Lambda |, by how much the entry meets or misses its
+    subgradient bound.  The floor est.tol is what a certified estimate may
+    miss by: the solver (:func:`~glassotune.glasso.solve`) stops at a prox
+    residual of at most tol * min(1, gamma), and the residual's entries
+    are gamma * max(|W - cov| - Lambda, 0) off the support and
+    gamma * |W - cov - Lambda * sign(theta)| on it, so no entry violates
+    stationarity by more than tol.  Below Lambda = tol / BOUNDARY_TOL the
+    relative band alone would call such an entry off its fixed point.  A
+    hand-built estimate has ``tol`` = 0 and keeps the relative band.
+    Entries on the zero branch are left out of the returned support, so
+    their derivative is zero: the one-sided derivative along which they
+    stay zero, an element of the conservative (Clarke) Jacobian (Bolte,
+    Le, Pauwels & Vaiter, NeurIPS 2021; Bertrand et al., JMLR 2022).  With
+    no entry in the band it returns ``est.support`` itself.
 
     Raises ValueError unless cov is finite and has the shape of theta, and
     DegenerateSupport if, outside the band, the support of theta disagrees
@@ -92,7 +104,7 @@ def support_from_estimate(est: PrecisionEstimate, cov: np.ndarray) -> SupportSet
     zhat = theta - step * (cov - theta_inv)
     t = step * thr
     gap = np.abs(np.abs(zhat) - t)
-    near = gap < BOUNDARY_TOL * t  # vacuous where the threshold is zero
+    near = gap < step * np.maximum(BOUNDARY_TOL * thr, est.tol)
 
     mask_theta = est.support.mask
     mask_z = np.abs(zhat) > t

@@ -393,7 +393,8 @@ class TestTuneScalar:
         assert traj.final.penalty == (lam,) and lam > 0.0
 
 
-# The default scalar tuner's optimum on make_instance(10, 400, seed=1).
+# A stationary level of the scalar criterion on make_instance(10, 400,
+# seed=1): |g_alpha| <= OUTER_TOL there.
 LAM_OPT_P10_SEED1 = 0.029089247267355373
 
 
@@ -469,7 +470,10 @@ class TestTuneMatrix:
         assert traj.final.hypergrad_norm == 0.0
         np.testing.assert_array_equal(weights, np.full((4, 4), lam))
 
+    @pytest.mark.filterwarnings("error")
     def test_zero_weights_stay_zero(self):
+        # Pinned entries sit at alpha = -inf: a step or a Barzilai-Borwein
+        # difference that formed -inf - (-inf) would warn, here an error.
         _, data = make_instance(4, 200, seed=4)
         w0 = np.full((4, 4), 0.3 * lambda_init(data.cov_train))
         np.fill_diagonal(w0, 0.0)
@@ -477,7 +481,7 @@ class TestTuneMatrix:
         weights, traj = tune_matrix(data.cov_train, data.cov_test, cfg)
         assert np.all(np.diagonal(weights) == 0.0)
         assert np.all(weights[~np.eye(4, dtype=bool)] > 0.0)
-        assert len(traj) >= 1
+        assert len(traj) == 4  # two Barzilai-Borwein steps among them
 
     def test_refines_scalar_optimum(self):
         _, data = make_instance(6, 400, seed=3)
@@ -537,6 +541,132 @@ class TestTuneMatrix:
         _, b = tune_matrix(data.cov_train, data.cov_test, cfg)
         assert untimed(a) == untimed(b)
         np.testing.assert_array_equal(a.estimate.reg.weights, b.estimate.reg.weights)
+
+
+STOPS = ("hypergradient below tolerance", "step below resolution", "solve below resolution")
+
+
+def recorded_solves(monkeypatch):
+    """Make the tuners' solves append (warm start, penalty, estimate) to a list."""
+    real = glassotune.bilevel.solve
+    calls = []
+
+    def recording(cov, reg, config=None, warm_start=None):
+        est = real(cov, reg, config, warm_start=warm_start)
+        calls.append((warm_start, reg, est))
+        return est
+
+    monkeypatch.setattr(glassotune.bilevel, "solve", recording)
+    return calls
+
+
+def run_tuner(tuner, data, **kwargs):
+    """tune_scalar from its default start, or tune_matrix from a constant level."""
+    if tuner == "scalar":
+        _, traj = tune_scalar(data.cov_train, data.cov_test, BilevelConfig(**kwargs))
+    else:
+        init = Regularization.scalar(0.3 * lambda_init(data.cov_train))
+        _, traj = tune_matrix(data.cov_train, data.cov_test,
+                              BilevelConfig(init=init, **kwargs))
+    return traj
+
+
+class TestOuterStep:
+    """The Barzilai-Borwein outer step, its acceptance test and its stops."""
+
+    @pytest.mark.parametrize("seed, fixed_step_criterion", [(7, 25.98549331), (8, 29.85835821)])
+    def test_kink_seeds_stop_by_a_named_rule(self, seed, fixed_step_criterion):
+        # The CLI's p=100 data at seeds 7 and 8: the fixed step used to
+        # cycle over a kink until its budget of 200 ran out, at these
+        # criteria.
+        _, data = make_instance(100, 2000, seed=seed, density=0.05)
+        _, traj = tune_scalar(data.cov_train, data.cov_test)
+        assert traj.converged and not traj.aborted
+        assert traj.stop_reason in STOPS
+        assert len(traj) <= 30
+        assert traj.final.criterion <= fixed_step_criterion
+
+    def test_steps_are_barzilai_borwein_quotients(self):
+        _, data = make_instance(10, 400, seed=1)
+        cfg = BilevelConfig(step_size=0.1)
+        _, traj = tune_scalar(data.cov_train, data.cov_test, cfg)
+        assert traj.rejected_steps == 0 and len(traj) >= 4
+        alpha = np.log([r.penalty[0] for r in traj.records])
+        # A record holds |g|; every step here was accepted, so the sign of
+        # g is the direction of the step that follows it.
+        g = np.array([r.hypergrad_norm for r in traj.records[:-1]])
+        g *= np.sign(alpha[:-1] - alpha[1:])
+        step = cfg.step_size
+        for k in range(len(g)):
+            if k:
+                da, dg = alpha[k] - alpha[k - 1], g[k] - g[k - 1]
+                if da * dg > 0.0:
+                    step = min(da * da / (da * dg), 1e3)
+            assert alpha[k + 1] == pytest.approx(alpha[k] - step * g[k], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("tuner", ["scalar", "matrix"])
+    def test_rejected_trial_halves_the_step(self, monkeypatch, tuner):
+        # The criterion of the first trial is made worse by 1, so the
+        # sufficient-decrease test must reject it.
+        _, data = make_instance(6, 400, seed=3)
+        calls = recorded_solves(monkeypatch)
+        real = glassotune.bilevel.criterion_holdout
+        seen = []
+
+        def patched(est, cov):
+            crit = real(est, cov)
+            seen.append(est)
+            if len(seen) == 2:
+                return dataclasses.replace(crit, value=crit.value + 1.0)
+            return crit
+
+        monkeypatch.setattr(glassotune.bilevel, "criterion_holdout", patched)
+        traj = run_tuner(tuner, data, max_outer_iter=1, step_size=0.1)
+        assert traj.rejected_steps == 1
+        assert len(calls) == 3 and len(traj) == 2
+        (_, reg0, est0), (_, reg1, _), (warm2, reg2, est2) = calls
+        # tried again from the last accepted estimate, at half the step
+        assert warm2 is est0
+        move = np.log(reg1.thresholds(6)) - np.log(reg0.thresholds(6))
+        np.testing.assert_allclose(np.log(reg2.thresholds(6)) - np.log(reg0.thresholds(6)), move / 2.0,
+                                   rtol=1e-12, atol=0.0)
+        assert np.any(move != 0.0)
+        # the rejected trial left no record; the accepted one is the last
+        assert traj.estimate is est2
+        assert [r.iteration for r in traj.records] == [0, 1]
+        assert traj.final.criterion == real(est2, data.cov_test).value
+
+    @pytest.mark.parametrize("tuner", ["scalar", "matrix"])
+    def test_solve_that_does_not_move_stops_converged(self, monkeypatch, tuner):
+        # At a loose inner tolerance the warm start already meets it after
+        # a few steps: theta cannot move, and neither can the hypergradient.
+        _, data = make_instance(10, 400, seed=1)
+        calls = recorded_solves(monkeypatch)
+        loose = SolverConfig(tol=1e-4)
+        lam, straj = tune_scalar(data.cov_train, data.cov_test, BilevelConfig(solver=loose))
+        if tuner == "matrix":
+            calls.clear()
+            _, traj = tune_matrix(data.cov_train, data.cov_test,
+                                  BilevelConfig(init=Regularization.scalar(lam), solver=loose),
+                                  warm_start=straj.estimate)
+        else:
+            traj = straj
+        assert traj.converged and not traj.aborted
+        assert traj.stop_reason == "solve below resolution"
+        (*_, last) = calls
+        assert last[2].iterations == 0
+        # that trial is not a record: the last record is an earlier solve
+        assert traj.estimate is not last[2]
+        assert len(traj) + traj.rejected_steps == len(calls) - 1
+
+    def test_tiny_step_stops_converged(self):
+        _, data = make_instance(10, 400, seed=1)
+        _, traj = tune_scalar(data.cov_train, data.cov_test,
+                              BilevelConfig(step_size=1e-12))
+        assert traj.converged
+        assert traj.stop_reason == "step below resolution"
+        assert len(traj) == 1
+        assert 1e-12 * traj.final.hypergrad_norm <= 1e-9
 
 
 class TestTrajectoryRecord:
@@ -639,12 +769,19 @@ class TestToleranceGoldens:
 
     The grid argmin is a grid point, so it must match exactly; the values
     at it and the descent's optimum move with the inner solver's iterates
-    within its tolerance, so they are pinned to 1e-6 relative.
+    within its tolerance, so they are pinned to 1e-6 relative.  The
+    descent's level is pinned to the stationary point of the criterion,
+    not to one descent path's last iterate: SCALAR_LAMBDA is where g_alpha
+    changes sign, found by bisection in log-lambda on cold solves at the
+    default tolerance (g_alpha = -3.5e-13 and +4.1e-13 at the ends of the
+    last bracket).  A descent that stops at |g_alpha| <= OUTER_TOL lands
+    within about 1.4e-6 relative of it on this instance, where dg/dalpha
+    is about 0.72.
     """
 
     GRID_ARGMIN = 0.030793386302005992
     GRID_CRITERION = 6.131968892113399
-    SCALAR_LAMBDA = 0.029962383349850907
+    SCALAR_LAMBDA = 0.0299623477957
     SCALAR_CRITERION = 6.13166118415182
 
     def test_grid_argmin(self, tuned_p20):

@@ -336,11 +336,34 @@ class TestNewtonTrialsReported:
         summary = read_summary(tmp_path)
         for stage, levels in self.LEVELS.items():
             record = summary[stage]
-            assert set(record) == self.STAGE_FIELDS | levels | {"newton_trials_total"}
+            assert set(record) == self.STAGE_FIELDS | levels | {
+                "newton_trials_total", "rejected_steps", "population_criterion"}
             assert 0 < record["newton_steps_total"] <= record["newton_trials_total"]
         header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
         assert header == ("iter,lambda_min,lambda_max,lambda_mean,criterion,"
                           "hypergrad_norm,inner_iters,rel_error,seconds")
+
+
+class TestPopulationCriterion:
+    @pytest.mark.parametrize("mode", ["grid", "scalar", "matrix"])
+    def test_matches_numpy_on_the_exported_estimate(self, tmp_path, mode):
+        # -logdet(theta_hat) + tr(Sigma theta_hat), Sigma = theta_true^{-1},
+        # for the last stage, whose estimate the run exports.
+        cfg = small_config(tmp_path, mode=mode, max_outer_iter=5, emit_matrices=True)
+        assert run(cfg) == 0
+        summary = read_summary(tmp_path)
+        theta_hat = load_matrix_csv(tmp_path / "theta_hat.csv")
+        sigma = np.linalg.inv(load_matrix_csv(tmp_path / "theta_true.csv"))
+        sign, logdet = np.linalg.slogdet(theta_hat)
+        assert sign == 1.0
+        expected = -logdet + np.trace(sigma @ theta_hat)
+        assert summary[mode]["population_criterion"] == pytest.approx(expected, rel=1e-12)
+
+    def test_every_stage_reports_it(self, tmp_path):
+        assert run(small_config(tmp_path, mode="compare", max_outer_iter=5)) == 0
+        summary = read_summary(tmp_path)
+        for stage in ("grid", "scalar"):
+            assert np.isfinite(summary[stage]["population_criterion"])
 
 
 class TestRunCompare:

@@ -122,6 +122,31 @@ class TestSupportFromEstimate:
         support = support_from_estimate(est, data.cov_train)
         assert len(support) == 4  # diagonal only
 
+    @pytest.mark.parametrize("tol, factor, on_zero_branch", [
+        (1e-8, 0.5, True),
+        (1e-8, 3.0, False),
+        (0.0, 0.5, False),  # a hand-built estimate keeps the relative band
+    ])
+    def test_band_edge_is_the_solver_tolerance(self, tol, factor, on_zero_branch):
+        # theta = I is exactly stationary on its diagonal support at lam =
+        # 1e-3 when cov_ii = 1 - lam.  The off-support pair (0, 1) violates
+        # |W - cov| <= lam by factor * 1e-8, above the relative band
+        # (BOUNDARY_TOL * lam = 1e-9): a violation a solve certified to
+        # tol = 1e-8 may leave goes on the zero branch, three times it
+        # means the estimate is off its fixed point.
+        lam, violation = 1e-3, factor * 1e-8
+        cov = (1.0 - lam) * np.eye(3)
+        cov[0, 1] = cov[1, 0] = lam + violation
+        est = PrecisionEstimate(theta=np.eye(3), reg=Regularization.scalar(lam), gamma=1.0,
+                                support=SupportSet(np.eye(3, dtype=bool)),
+                                fixed_point_residual=violation, iterations=1, tol=tol)
+        if on_zero_branch:
+            support = support_from_estimate(est, cov)
+            np.testing.assert_array_equal(support.mask, np.eye(3, dtype=bool))
+        else:
+            with pytest.raises(DegenerateSupport, match="disagrees"):
+                support_from_estimate(est, cov)
+
     def test_forged_support_is_rejected(self, rng):
         cov = random_spd(rng, 3)
         lam = 2.0 * float(np.max(np.abs(cov - np.diag(np.diagonal(cov)))))
