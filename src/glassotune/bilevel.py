@@ -34,7 +34,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .datagen import save_matrix_csv
 from .exceptions import DegenerateInput, GlassoTuneError
 from .glasso import PrecisionEstimate, Regularization, SolverConfig, solve
 from .implicit import (
@@ -56,6 +55,11 @@ INIT_BACKOFF = 1.0 + 1e-3
 # A descent counts as converged once its hypergradient in alpha is at most
 # OUTER_TOL: in absolute value for a level, in sup-norm for a weight matrix.
 OUTER_TOL = 1e-6
+
+# The stops of _descend that find a stationary point to the resolution of
+# the hypergradient, of alpha or of the inner solver.
+CONVERGED_STOPS = ("hypergradient below tolerance", "step below resolution",
+                   "solve below resolution")
 
 # The Barzilai-Borwein step in alpha is capped at MAX_STEP.  A trial is
 # accepted if it lowers the criterion by SUFFICIENT_DECREASE * step * |g|^2
@@ -98,11 +102,12 @@ class BilevelConfig:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """One accepted outer iteration: its penalty and what it cost, as numbers.
+    """One accepted outer iteration: one row of ``trajectory.csv``.
 
     ``penalty`` is ``(lam,)`` or the ``(min, max, mean)`` of the weights.
-    ``seconds`` runs from the previous record, so it includes the trials
-    rejected in between.
+    ``inner_iterations`` is the accepted iterate's own solve.  ``seconds``
+    runs from the previous record, so it includes the trials rejected in
+    between.
     """
 
     iteration: int
@@ -112,30 +117,33 @@ class TrajectoryRecord:
     inner_iterations: int
     rel_error: Optional[float]
     seconds: float
-    kink_entries: int = 0  # support entries put on the zero branch
-    newton_steps: int = 0  # accepted Newton steps among inner_iterations
-    newton_trials: int = 0  # Newton steps tried, accepted or not
 
 
 @dataclass
 class Trajectory:
-    """Append-only record of an outer run with its termination status.
+    """Append-only record of an outer run, its stage totals and its stop.
 
     ``estimate`` is the solution at the last recorded iteration; its
     ``reg`` is the one full penalty kept, so memory does not grow with length.
     ``rejected_steps`` counts the trials that failed the sufficient-decrease
-    test; none of them is a record.  ``converged`` is true for the three
-    stops of :func:`_descend` that find a stationary point to the
-    resolution of the solver.  ``aborted`` is true when a failure or an
-    out-of-range step after the first iterate stopped the run early (see
-    :func:`tune_scalar`); its ``stop_reason`` then starts with "aborted".
+    test; none of them is a record.  ``inner_iterations``,
+    ``newton_steps`` and ``newton_trials`` total the estimates of every
+    solve the run made, rejected trials and a last solve that took no
+    inner iteration included; ``kink_entries`` totals the support entries
+    put on the zero branch at the recorded iterations.
+
+    ``stop_reason`` names the stop.  ``converged`` is true for the names in
+    CONVERGED_STOPS; ``aborted`` is true when a failure or an out-of-range
+    step after the first iterate stopped the run early (see
+    :func:`tune_scalar`), and ``stop_reason`` then starts with "aborted".
     """
 
-    scalar: bool
     records: List[TrajectoryRecord] = field(default_factory=list)
     rejected_steps: int = 0
-    converged: bool = False
-    aborted: bool = False
+    inner_iterations: int = 0
+    newton_steps: int = 0
+    newton_trials: int = 0
+    kink_entries: int = 0
     stop_reason: str = ""
     estimate: Optional[PrecisionEstimate] = field(default=None, repr=False)
 
@@ -146,22 +154,13 @@ class Trajectory:
     def final(self) -> TrajectoryRecord:
         return self.records[-1]
 
-    def to_csv(self, path) -> None:
-        """One row per outer iteration.
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in CONVERGED_STOPS
 
-        The penalty columns are each record's ``penalty``: lambda for a
-        scalar run, lambda_min/lambda_max/lambda_mean for a matrix run.
-        A missing relative error is written as nan.  The seconds column is
-        wall-clock and is the only nondeterministic field.
-        """
-        lam_header = "lambda" if self.scalar else "lambda_min,lambda_max,lambda_mean"
-        rows = [[r.iteration, *r.penalty, r.criterion, r.hypergrad_norm, r.inner_iterations,
-                 float("nan") if r.rel_error is None else r.rel_error, r.seconds]
-                for r in self.records]
-        save_matrix_csv(
-            rows, path,
-            header=f"iter,{lam_header},criterion,hypergrad_norm,inner_iters,rel_error,seconds",
-        )
+    @property
+    def aborted(self) -> bool:
+        return self.stop_reason.startswith("aborted")
 
 
 def lambda_init(cov_train: np.ndarray, policy: str = "offdiag-max") -> float:
@@ -215,14 +214,15 @@ def default_grid(lam_init: float, points: int = 100) -> np.ndarray:
 class GridPoint:
     """One grid evaluation; criterion and rel_error are nan when failed.
 
-    ``theta`` is kept only at the argmin that :func:`grid_search` returns.
+    ``estimate``, the solver's output at ``lam``, is kept only at the
+    argmin that :func:`grid_search` returns.
     """
 
     lam: float
     criterion: float
     rel_error: float
     failed: bool
-    theta: Optional[np.ndarray] = field(default=None, repr=False)
+    estimate: Optional[PrecisionEstimate] = field(default=None, repr=False)
 
 
 def grid_search(
@@ -239,7 +239,8 @@ def grid_search(
     so the previous one is close).  Solver failures mark their point as
     failed instead of aborting the sweep.  Returns the level minimizing
     the criterion and the curve sorted by increasing level; the point at
-    that level carries its solution.
+    that level carries its estimate, with the inverse and log-determinant
+    the solver computed.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -269,22 +270,15 @@ def grid_search(
         points[int(i)] = GridPoint(lam, crit, re_val, False)
         # ties go to the smaller level, which the downward sweep meets last
         if best_i is None or crit <= points[best_i].criterion:
-            best_i, best_theta = int(i), est.theta
+            best_i, best_est = int(i), est
 
     if best_i is None:
         raise DegenerateInput("every grid point failed to solve")
-    best = points[best_i] = replace(points[best_i], theta=best_theta)
+    best = points[best_i] = replace(points[best_i], estimate=best_est)
     return best.lam, [points[int(i)] for i in np.argsort(grid)]
 
 
-def _abort(traj: Trajectory, iteration: int, reason) -> Trajectory:
-    traj.aborted = True
-    traj.stop_reason = f"aborted at outer iteration {iteration}: {reason}"
-    return traj
-
-
-def _stop(traj: Trajectory, reason: str, converged: bool = True) -> Trajectory:
-    traj.converged = converged
+def _stop(traj: Trajectory, reason: str) -> Trajectory:
     traj.stop_reason = reason
     return traj
 
@@ -318,6 +312,9 @@ def _descend(
     trial halves s and is tried again from the last accepted iterate; it
     gets no hypergradient and no record, and ``traj.rejected_steps``
     counts it.  ``config.max_outer_iter`` bounds the accepted steps.
+    Every solve that returns, rejected or not, adds its estimate's
+    iteration, Newton-step and Newton-trial counts to the trajectory's
+    totals.
 
     The descent stops, converged, when the hypergradient is at most
     OUTER_TOL ("hypergradient below tolerance"), when the next move,
@@ -334,7 +331,7 @@ def _descend(
     """
     scalar = np.ndim(alpha) == 0
     free = np.isfinite(alpha)
-    traj = Trajectory(scalar=scalar)
+    traj = Trajectory()
     step = config.step_size
     t0 = time.perf_counter()
 
@@ -345,7 +342,8 @@ def _descend(
         with np.errstate(over="ignore"):
             penalty = np.exp(alpha)
         if not np.all(((0.0 < penalty) & (penalty < np.inf)) | ~free):
-            return _abort(traj, k, "the step took a penalty to 0 or inf")
+            return _stop(traj, f"aborted at outer iteration {k}: "
+                               "the step took a penalty to 0 or inf")
         reg = (
             Regularization.scalar(float(penalty))
             if scalar
@@ -353,6 +351,9 @@ def _descend(
         )
         try:
             est = solve(cov_train, reg, config.solver, warm_start=warm)
+            traj.inner_iterations += est.iterations
+            traj.newton_steps += est.newton_steps
+            traj.newton_trials += est.newton_trials
             if k and est.iterations == 0:
                 return _stop(traj, "solve below resolution")
             crit = criterion_holdout(est, cov_test)
@@ -369,7 +370,7 @@ def _descend(
                 # keep type and attributes, prefix the message with where it happened
                 exc.args = (f"outer iteration {k}: {exc.args[0]}",) + exc.args[1:]
                 raise
-            return _abort(traj, k, exc)
+            return _stop(traj, f"aborted at outer iteration {k}: {exc}")
         # chain rule through the exponential: d/dalpha = penalty * d/dpenalty
         g = penalty * (np.sum(values) if scalar else values)
         seconds = time.perf_counter() - t0
@@ -396,11 +397,9 @@ def _descend(
                 inner_iterations=est.iterations,
                 rel_error=re_val,
                 seconds=seconds,
-                kink_entries=len(est.support) - len(support),
-                newton_steps=est.newton_steps,
-                newton_trials=est.newton_trials,
             )
         )
+        traj.kink_entries += len(est.support) - len(support)
         t0 = time.perf_counter()
         traj.estimate = est
         warm = est
@@ -409,7 +408,7 @@ def _descend(
         if step * norm <= STEP_RESOLUTION:
             return _stop(traj, "step below resolution")
         if k == config.max_outer_iter:
-            return _stop(traj, "outer iteration budget exhausted", converged=False)
+            return _stop(traj, "outer iteration budget exhausted")
 
 
 def tune_scalar(

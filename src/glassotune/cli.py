@@ -6,18 +6,20 @@ output directory:
 
 * ``grid_curve.csv``     level, criterion, relative error per grid point
                          (modes grid and compare)
-* ``trajectory.csv``     one row per outer descent iteration
+* ``trajectory.csv``     one row per recorded outer descent iteration
                          (modes scalar, matrix, compare)
 * ``summary.json``       the full config echoed back plus final levels,
                          held-out and population criteria, errors,
-                         iteration, Newton-step, rejected-step and kink
-                         counts, stop reasons, abort flags and timings
+                         each descent's totals over all its solves,
+                         rejected-step and kink counts, stop reasons,
+                         abort flags and timings
 * ``lambda_opt.csv``, ``theta_true.csv``, ``theta_hat.csv``
                          with ``--emit-matrices``
 * ``error.json``         written instead of summary.json when a numerical
                          failure propagates
 
-A run first removes these names from the output directory, so it holds only
+This module writes every one of these layouts.  A run first removes
+these names from the output directory, so it holds only
 the run's own outputs.  Exit codes: 0 success, 2 usage error (including an
 output directory that cannot be created or cleared), 3 numerical failure.
 A descent that aborts early still exits 0: its trajectory up to the abort is
@@ -223,6 +225,9 @@ def _descent_stage(summary: dict, stage: str, tune, init: Regularization,
                    population: np.ndarray) -> Trajectory:
     """Run one descent stage and record its summary fields and seconds.
 
+    The ``*_total``, ``kink_entries`` and stop fields are copied from the
+    trajectory, which owns them.
+
     ``population`` is the true covariance, against which the final
     estimate's population criterion is taken after the stage's timer
     stops.  An aborted descent also gets a stderr line.
@@ -233,7 +238,7 @@ def _descent_stage(summary: dict, stage: str, tune, init: Regularization,
     if traj.aborted:
         print(f"warning: {stage} descent {traj.stop_reason}", file=sys.stderr)
     final = traj.final
-    if traj.scalar:
+    if traj.estimate.reg.is_scalar:
         record = {"lambda_opt": final.penalty[0]}
         level = f"lambda={final.penalty[0]:.6g} "
     else:
@@ -243,11 +248,11 @@ def _descent_stage(summary: dict, stage: str, tune, init: Regularization,
         "criterion": final.criterion,
         "rel_error": final.rel_error,
         "outer_iterations": len(traj),
-        "inner_iterations_total": int(sum(r.inner_iterations for r in traj.records)),
-        "newton_steps_total": int(sum(r.newton_steps for r in traj.records)),
-        "newton_trials_total": int(sum(r.newton_trials for r in traj.records)),
+        "inner_iterations_total": traj.inner_iterations,
+        "newton_steps_total": traj.newton_steps,
+        "newton_trials_total": traj.newton_trials,
         "rejected_steps": traj.rejected_steps,
-        "kink_entries": int(sum(r.kink_entries for r in traj.records)),
+        "kink_entries": traj.kink_entries,
         "converged": traj.converged,
         "aborted": traj.aborted,
         "stop_reason": traj.stop_reason,
@@ -305,10 +310,9 @@ def run(config: ExperimentConfig) -> int:
                 "failed_points": int(sum(g.failed for g in curve)),
                 "seconds": time.perf_counter() - t0,
             }
-            summary["grid"]["population_criterion"] = criterion_holdout(
-                at_best.theta, population).value
-            # penalty and estimate of the last stage, exported as computed
-            final = (Regularization.scalar(best), at_best.theta)
+            # the estimate of the last stage, exported as computed
+            final = at_best.estimate
+            summary["grid"]["population_criterion"] = criterion_holdout(final, population).value
             print(f"grid: best lambda={best:.6g} criterion={at_best.criterion:.9g}")
 
         if config.mode != "grid":
@@ -322,8 +326,8 @@ def run(config: ExperimentConfig) -> int:
                 descent = _descent_stage(summary, "matrix", tune,
                                          Regularization.scalar(lam_opt), config, data, truth,
                                          population)
-            descent.to_csv(out / "trajectory.csv")
-            final = (descent.estimate.reg, descent.estimate.theta)
+            write_trajectory(descent, out / "trajectory.csv")
+            final = descent.estimate
 
         if config.mode == "compare":
             lam_grid = summary["grid"]["lambda_best"]
@@ -343,11 +347,11 @@ def run(config: ExperimentConfig) -> int:
                   f"within_one_cell={summary['compare']['within_one_cell']}")
 
         if config.emit_matrices:
-            reg, theta = final
+            reg = final.reg
             save_matrix_csv([[reg.lam]] if reg.is_scalar else reg.weights,
                             out / "lambda_opt.csv")
             save_matrix_csv(truth.theta_true, out / "theta_true.csv")
-            save_matrix_csv(theta, out / "theta_hat.csv")
+            save_matrix_csv(final.theta, out / "theta_hat.csv")
 
     except GlassoTuneError as exc:
         _write_json(out / "error.json", {"error": type(exc).__name__, "message": str(exc),
@@ -357,6 +361,22 @@ def run(config: ExperimentConfig) -> int:
 
     _write_json(out / "summary.json", summary)
     return 0
+
+
+def write_trajectory(traj: Trajectory, path: Path) -> None:
+    """``trajectory.csv``: one row per record of the descent.
+
+    The penalty columns are each record's ``penalty``: lambda for a
+    scalar run, lambda_min/lambda_max/lambda_mean for a matrix run.  A
+    missing relative error is written as nan.  The seconds column is
+    wall-clock and is the only nondeterministic field.
+    """
+    penalty = "lambda" if traj.estimate.reg.is_scalar else "lambda_min,lambda_max,lambda_mean"
+    rows = [[r.iteration, *r.penalty, r.criterion, r.hypergrad_norm, r.inner_iterations,
+             float("nan") if r.rel_error is None else r.rel_error, r.seconds]
+            for r in traj.records]
+    save_matrix_csv(rows, path, header=f"iter,{penalty},criterion,hypergrad_norm,"
+                                       "inner_iters,rel_error,seconds")
 
 
 def _write_json(path: Path, record: dict) -> None:

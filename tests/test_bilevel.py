@@ -6,6 +6,7 @@ import pytest
 import glassotune.bilevel
 import glassotune.glasso
 from glassotune.bilevel import (
+    CONVERGED_STOPS,
     INIT_BACKOFF,
     BilevelConfig,
     GridPoint,
@@ -219,8 +220,9 @@ class TestGridSearch:
         grid = default_grid(lambda_init(data.cov_train), points=6)
         best, curve = grid_search(data.cov_train, data.cov_test, grid)
         at_best = next(g for g in curve if g.lam == best)
-        assert all(g.theta is None for g in curve if g is not at_best)
-        assert criterion_holdout(at_best.theta, data.cov_test).value == at_best.criterion
+        assert all(g.estimate is None for g in curve if g is not at_best)
+        assert at_best.estimate.reg.lam == best
+        assert criterion_holdout(at_best.estimate.theta, data.cov_test).value == at_best.criterion
 
     def test_deterministic(self):
         _, data = make_instance(4, 200, seed=2)
@@ -357,13 +359,15 @@ class TestTuneScalar:
         # Just below lambda_init one off-diagonal pair is on the support,
         # far inside the kink band; the rule takes both entries off it.
         _, data = make_instance(4, 100, seed=2)
+        # A tiny first step stops the descent at that one iterate.
         cfg = BilevelConfig(
             init=Regularization.scalar(lambda_init(data.cov_train) - 1e-8),
-            max_outer_iter=1,
+            step_size=1e-12,
             solver=SolverConfig(tol=1e-11),
         )
         _, traj = tune_scalar(data.cov_train, data.cov_test, cfg)
-        assert traj.records[0].kink_entries == 2
+        assert len(traj) == 1
+        assert traj.kink_entries == 2
 
     def test_repeated_midrun_failure_aborts_with_trajectory(self, monkeypatch):
         _, data = make_instance(5, 400, seed=3)
@@ -510,9 +514,8 @@ class TestTuneMatrix:
         assert cold.records[0].inner_iterations > 0
         assert warm.records[0].inner_iterations == 0
         assert warm.records[0].criterion == pytest.approx(straj.final.criterion, abs=1e-9)
-        for r in warm.records:
-            assert 0 <= r.newton_steps <= r.inner_iterations
-            assert r.newton_steps <= r.newton_trials
+        assert 0 <= warm.newton_steps <= warm.inner_iterations
+        assert warm.newton_steps <= warm.newton_trials
 
     def test_rejects_zero_scalar_init(self):
         _, data = make_instance(3, 100, seed=1)
@@ -543,9 +546,6 @@ class TestTuneMatrix:
         np.testing.assert_array_equal(a.estimate.reg.weights, b.estimate.reg.weights)
 
 
-STOPS = ("hypergradient below tolerance", "step below resolution", "solve below resolution")
-
-
 def recorded_solves(monkeypatch):
     """Make the tuners' solves append (warm start, penalty, estimate) to a list."""
     real = glassotune.bilevel.solve
@@ -560,6 +560,16 @@ def recorded_solves(monkeypatch):
     return calls
 
 
+def solve_totals(calls):
+    """Inner iterations, Newton steps and Newton trials over the recorded solves."""
+    return tuple(sum(getattr(est, name) for *_, est in calls)
+                 for name in ("iterations", "newton_steps", "newton_trials"))
+
+
+def stage_totals(traj):
+    return traj.inner_iterations, traj.newton_steps, traj.newton_trials
+
+
 def run_tuner(tuner, data, **kwargs):
     """tune_scalar from its default start, or tune_matrix from a constant level."""
     if tuner == "scalar":
@@ -569,6 +579,23 @@ def run_tuner(tuner, data, **kwargs):
         _, traj = tune_matrix(data.cov_train, data.cov_test,
                               BilevelConfig(init=init, **kwargs))
     return traj
+
+
+class TestStopStatus:
+    @pytest.mark.parametrize("reason, converged, aborted", [
+        *((stop, True, False) for stop in CONVERGED_STOPS),
+        ("outer iteration budget exhausted", False, False),
+        ("aborted at outer iteration 3: the step took a penalty to 0 or inf", False, True),
+    ])
+    def test_read_from_the_stop_reason(self, reason, converged, aborted):
+        traj = Trajectory(stop_reason=reason)
+        assert (traj.converged, traj.aborted) == (converged, aborted)
+
+    def test_is_not_stored_apart_from_the_stop_reason(self):
+        traj = Trajectory()
+        for name in ("converged", "aborted"):
+            with pytest.raises(AttributeError):
+                setattr(traj, name, True)
 
 
 class TestOuterStep:
@@ -582,7 +609,7 @@ class TestOuterStep:
         _, data = make_instance(100, 2000, seed=seed, density=0.05)
         _, traj = tune_scalar(data.cov_train, data.cov_test)
         assert traj.converged and not traj.aborted
-        assert traj.stop_reason in STOPS
+        assert traj.stop_reason in CONVERGED_STOPS
         assert len(traj) <= 30
         assert traj.final.criterion <= fixed_step_criterion
 
@@ -624,7 +651,12 @@ class TestOuterStep:
         traj = run_tuner(tuner, data, max_outer_iter=1, step_size=0.1)
         assert traj.rejected_steps == 1
         assert len(calls) == 3 and len(traj) == 2
-        (_, reg0, est0), (_, reg1, _), (warm2, reg2, est2) = calls
+        (_, reg0, est0), (_, reg1, est1), (warm2, reg2, est2) = calls
+        # the totals count the rejected trial's solve, which no record holds
+        assert stage_totals(traj) == solve_totals(calls)
+        assert est1.iterations > 0
+        assert traj.inner_iterations == est1.iterations + sum(
+            r.inner_iterations for r in traj.records)
         # tried again from the last accepted estimate, at half the step
         assert warm2 is est0
         move = np.log(reg1.thresholds(6)) - np.log(reg0.thresholds(6))
@@ -655,6 +687,7 @@ class TestOuterStep:
         assert traj.stop_reason == "solve below resolution"
         (*_, last) = calls
         assert last[2].iterations == 0
+        assert stage_totals(traj) == solve_totals(calls)
         # that trial is not a record: the last record is an earlier solve
         assert traj.estimate is not last[2]
         assert len(traj) + traj.rejected_steps == len(calls) - 1
@@ -692,53 +725,10 @@ class TestTrajectoryRecord:
 
 
 class TestTrajectoryCsv:
-    def _scalar_traj(self):
-        _, data = make_instance(4, 200, seed=0)
-        _, traj = tune_scalar(
-            data.cov_train, data.cov_test, BilevelConfig(max_outer_iter=2)
-        )
-        return traj
-
-    def test_scalar_layout(self, tmp_path):
-        traj = self._scalar_traj()
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert (
-            lines[0]
-            == "iter,lambda,criterion,hypergrad_norm,inner_iters,rel_error,seconds"
-        )
-        assert len(lines) == len(traj) + 1
-        for i, line in enumerate(lines[1:]):
-            cols = line.split(",")
-            assert len(cols) == 7
-            assert cols[0] == str(i)
-            assert (float(cols[1]),) == traj.records[i].penalty
-            assert cols[5] == "nan"  # no ground truth passed
-
-    def test_matrix_layout(self, tmp_path):
-        _, data = make_instance(4, 200, seed=0)
-        lam = 0.3 * lambda_init(data.cov_train)
-        _, traj = tune_matrix(
-            data.cov_train,
-            data.cov_test,
-            BilevelConfig(init=Regularization.scalar(lam), max_outer_iter=2),
-        )
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == (
-            "iter,lambda_min,lambda_max,lambda_mean,"
-            "criterion,hypergrad_norm,inner_iters,rel_error,seconds"
-        )
-        for line, record in zip(lines[1:], traj.records, strict=True):
-            cols = line.split(",")
-            assert len(cols) == 9
-            assert tuple(float(c) for c in cols[1:4]) == record.penalty
-            assert float(cols[1]) <= float(cols[3]) <= float(cols[2])
+    """The containers that the CLI's CSV writers read (layouts: test_cli.py)."""
 
     def test_container_basics(self):
-        traj = Trajectory(scalar=True)
+        traj = Trajectory()
         assert len(traj) == 0
         traj.records.append(
             TrajectoryRecord(0, (0.5,), 1.25, 0.3, 7, None, 0.01)

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import glassotune as gt
+import glassotune.bilevel
+import glassotune.implicit
 from glassotune.cli import (
     ExperimentConfig,
     _build_parser,
@@ -17,10 +19,11 @@ from glassotune.cli import (
     main,
     parse_config,
     run,
+    write_trajectory,
 )
 from glassotune.datagen import load_matrix_csv
 
-from conftest import cli_env, fail_support_check
+from conftest import cli_env, fail_support_check, make_instance
 
 
 def small_config(tmp_path, **overrides):
@@ -344,6 +347,46 @@ class TestNewtonTrialsReported:
                           "hypergrad_norm,inner_iters,rel_error,seconds")
 
 
+class TestStageTotals:
+    def test_descent_totals_count_every_solve(self, tmp_path, monkeypatch):
+        # The summary copies the trajectory's totals, which take in every
+        # solve of the descent, not only the ones trajectory.csv records.
+        real = glassotune.bilevel.solve
+        estimates = []
+
+        def recording(*args, **kwargs):
+            estimates.append(real(*args, **kwargs))
+            return estimates[-1]
+
+        monkeypatch.setattr(glassotune.bilevel, "solve", recording)
+        # this loose tolerance gives one rejected trial and a last solve
+        # that takes no inner iteration, neither of them a record
+        assert run(small_config(tmp_path, mode="scalar", p=10, n=400, inner_tol=1e-4)) == 0
+        scalar = read_summary(tmp_path)["scalar"]
+        assert scalar["rejected_steps"] == 1
+        assert scalar["stop_reason"] == "solve below resolution"
+        assert len(estimates) == scalar["outer_iterations"] + 2
+        for field, count in (("inner_iterations_total", "iterations"),
+                             ("newton_steps_total", "newton_steps"),
+                             ("newton_trials_total", "newton_trials")):
+            assert scalar[field] == sum(getattr(est, count) for est in estimates)
+
+    def test_grid_mode_factorizes_no_estimate_again(self, tmp_path, monkeypatch):
+        # The grid's population criterion reads the log-determinant and the
+        # inverse that the solve of its argmin already computed.
+        real = glassotune.implicit.cholesky
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return real(a)
+
+        monkeypatch.setattr(glassotune.implicit, "cholesky", counting)
+        assert run(small_config(tmp_path, mode="grid")) == 0
+        assert np.isfinite(read_summary(tmp_path)["grid"]["population_criterion"])
+        assert calls == []
+
+
 class TestPopulationCriterion:
     @pytest.mark.parametrize("mode", ["grid", "scalar", "matrix"])
     def test_matches_numpy_on_the_exported_estimate(self, tmp_path, mode):
@@ -410,6 +453,53 @@ class TestRunCompare:
         a["config"].pop("output_dir")
         b["config"].pop("output_dir")
         assert without_timings(a) == without_timings(b)
+
+
+class TestTrajectoryCsv:
+    def _scalar_traj(self):
+        _, data = make_instance(4, 200, seed=0)
+        _, traj = gt.tune_scalar(
+            data.cov_train, data.cov_test, gt.BilevelConfig(max_outer_iter=2)
+        )
+        return traj
+
+    def test_scalar_layout(self, tmp_path):
+        traj = self._scalar_traj()
+        path = tmp_path / "traj.csv"
+        write_trajectory(traj, path)
+        lines = path.read_text().splitlines()
+        assert (
+            lines[0]
+            == "iter,lambda,criterion,hypergrad_norm,inner_iters,rel_error,seconds"
+        )
+        assert len(lines) == len(traj) + 1
+        for i, line in enumerate(lines[1:]):
+            cols = line.split(",")
+            assert len(cols) == 7
+            assert cols[0] == str(i)
+            assert (float(cols[1]),) == traj.records[i].penalty
+            assert cols[5] == "nan"  # no ground truth passed
+
+    def test_matrix_layout(self, tmp_path):
+        _, data = make_instance(4, 200, seed=0)
+        lam = 0.3 * gt.lambda_init(data.cov_train)
+        _, traj = gt.tune_matrix(
+            data.cov_train,
+            data.cov_test,
+            gt.BilevelConfig(init=gt.Regularization.scalar(lam), max_outer_iter=2),
+        )
+        path = tmp_path / "traj.csv"
+        write_trajectory(traj, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == (
+            "iter,lambda_min,lambda_max,lambda_mean,"
+            "criterion,hypergrad_norm,inner_iters,rel_error,seconds"
+        )
+        for line, record in zip(lines[1:], traj.records, strict=True):
+            cols = line.split(",")
+            assert len(cols) == 9
+            assert tuple(float(c) for c in cols[1:4]) == record.penalty
+            assert float(cols[1]) <= float(cols[3]) <= float(cols[2])
 
 
 class TestAbortedDescent:
