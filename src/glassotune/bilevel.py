@@ -83,9 +83,10 @@ class BilevelConfig:
     ``step_size``, the first outer step in alpha, must be finite and
     positive; later steps are Barzilai-Borwein quotients.  ``init`` is a
     Regularization holding strictly positive starting levels (zeros
-    allowed in the matrix case and stay pinned).  None picks
-    :func:`starting_level` for the scalar tuner; the matrix tuner needs
-    an init and raises ValueError without one.
+    allowed in the matrix case and stay pinned); a scalar init of 0 has
+    no log and raises ValueError here.  None picks :func:`starting_level`
+    for the scalar tuner; the matrix tuner needs an init and raises
+    ValueError without one.
     """
 
     step_size: float = 0.1
@@ -98,6 +99,8 @@ class BilevelConfig:
             raise ValueError("step_size must be finite and > 0")
         if self.max_outer_iter < 1:
             raise ValueError("max_outer_iter must be >= 1")
+        if self.init is not None and self.init.is_scalar and self.init.lam <= 0.0:
+            raise ValueError("init must be > 0 for the log parametrization")
 
 
 @dataclass(frozen=True)
@@ -167,16 +170,17 @@ def lambda_init(cov_train: np.ndarray, policy: str = "offdiag-max") -> float:
     """Starting level for the scalar tuner.
 
     ``offdiag-max`` (default) returns the largest absolute off-diagonal
-    entry of the training covariance: the smallest level at which the
-    solution is exactly diagonal, so the descent starts from the sparsest
-    informative point.  ``max-entry`` returns the largest absolute entry,
-    diagonal included (an upper bound on the former).
+    entry of the symmetrized training covariance, the only part the
+    solver sees: the smallest level at which the solution is exactly
+    diagonal, so the descent starts from the sparsest informative point.
+    ``max-entry`` returns the largest absolute entry, diagonal included
+    (an upper bound on the former).
 
     Raises ValueError unless cov_train is a finite square matrix, and
     DegenerateInput when the chosen maximum is zero, since no positive
     starting level can be derived from it.
     """
-    cov = _as_matrix(cov_train, "cov_train")
+    cov = symmetrize(_as_matrix(cov_train, "cov_train"))
     if policy not in INIT_POLICIES:
         raise ValueError(f"lambda-init policy must be one of {INIT_POLICIES}, got {policy!r}")
     if policy == "max-entry":
@@ -440,14 +444,9 @@ def tune_scalar(
         config = BilevelConfig()
     cov_train, cov_test = symmetrize(cov_train), symmetrize(cov_test)
 
-    if config.init is None:
-        lam = starting_level(cov_train)
-    else:
-        if not config.init.is_scalar:
-            raise ValueError("scalar tuner needs a scalar init")
-        lam = config.init.lam
-        if lam <= 0.0:
-            raise ValueError("init must be > 0 for the log parametrization")
+    if config.init is not None and not config.init.is_scalar:
+        raise ValueError("scalar tuner needs a scalar init")
+    lam = starting_level(cov_train) if config.init is None else config.init.lam
 
     traj = _descend(cov_train, cov_test, float(np.log(lam)), config, theta_true, None)
     return traj.estimate.reg.lam, traj
@@ -481,8 +480,6 @@ def tune_matrix(
     init = config.init
     if init is None:
         raise ValueError("matrix tuner needs an init; start it at tune_scalar's optimum")
-    if init.is_scalar and init.lam <= 0.0:
-        raise ValueError("init must be > 0 for the log parametrization")
     weights = np.full((p, p), init.thresholds(p))
     with np.errstate(divide="ignore"):
         alpha = np.log(weights)  # zero weights pin their alpha at -inf

@@ -29,7 +29,8 @@ stderr line.
 Each field of :class:`ExperimentConfig` is one setting and its only
 declaration: the flag is ``--`` and the name with dashes, the config-file
 key is the name, the default's type reads the text (yes/no for a bool),
-and ``--help`` shows the field's help and default.  ``--config FILE`` reads
+the field's rule says which values are allowed, and ``--help`` shows the
+field's help, rule and default.  ``--config FILE`` reads
 ``key = value`` lines; flags override the file's values.
 
 Seeds are derived from ``--seed`` as seed (ground truth), seed+1 (samples),
@@ -71,7 +72,7 @@ from .datagen import (
 from .exceptions import GlassoTuneError
 from .glasso import Regularization, SolverConfig
 from .implicit import criterion_holdout
-from .linalg import cholesky, spd_inverse
+from .linalg import spd_inverse
 # Not called here; perfbench/tracer.py wraps this name in this module.
 from .glasso import solve  # noqa: F401
 
@@ -81,56 +82,49 @@ OUTPUT_FILES = ("grid_curve.csv", "trajectory.csv", "summary.json", "lambda_opt.
                 "theta_true.csv", "theta_hat.csv", "error.json")
 
 
-def _setting(default, help: str):
-    return field(default=default, metadata={"help": help})
+def _setting(default, help: str, allowed: Optional[Callable[[object], bool]] = None,
+             rule: str = ""):
+    """A setting's default, its --help text and the rule its values keep.
+
+    ``allowed`` is the rule's predicate and ``rule`` its words, which both
+    --help and the error for a value outside the rule show.
+    """
+    return field(default=default, metadata={"help": f"{help}, {rule}" if rule else help,
+                                            "allowed": allowed, "rule": rule})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A fully determined experiment; every run artifact derives from it."""
 
-    mode: str = _setting("compare", "what to run: " + " | ".join(MODES))
-    p: int = _setting(100, "dimension")
-    n: int = _setting(2000, "number of samples")
-    density: float = _setting(0.05, "nonzero fraction in the ground-truth factor")
-    seed: int = _setting(0, "base seed")
-    split_ratio: float = _setting(0.5, "train fraction of the sample split")
-    rho: float = _setting(0.1, "first outer step size")
-    max_outer_iter: int = _setting(200, "outer iteration budget")
-    inner_tol: float = _setting(1e-8, "inner solver fixed-point tolerance")
-    grid_points: int = _setting(100, "points in the log-spaced grid")
+    mode: str = _setting("compare", "what to run", lambda v: v in MODES,
+                         "one of " + " | ".join(MODES))
+    p: int = _setting(100, "dimension", lambda v: v >= 2, ">= 2")
+    n: int = _setting(2000, "number of samples", lambda v: v >= 2, ">= 2")
+    density: float = _setting(0.05, "nonzero fraction in the ground-truth factor",
+                              lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+    seed: int = _setting(0, "base seed", lambda v: v >= 0, ">= 0")
+    split_ratio: float = _setting(0.5, "train fraction of the sample split",
+                                  lambda v: 0.0 < v < 1.0, "in (0, 1)")
+    rho: float = _setting(0.1, "first outer step size", lambda v: 0.0 < v < np.inf,
+                          "finite and > 0")
+    max_outer_iter: int = _setting(200, "outer iteration budget", lambda v: v >= 1, ">= 1")
+    inner_tol: float = _setting(1e-8, "inner solver fixed-point tolerance",
+                                lambda v: 0.0 < v < np.inf, "finite and > 0")
+    grid_points: int = _setting(100, "points in the log-spaced grid", lambda v: v >= 1, ">= 1")
     output_dir: str = _setting(".", "directory for result files")
     emit_matrices: bool = _setting(
         False, "also write lambda_opt/theta_true/theta_hat CSVs (bare flag: yes)")
     lambda_init_policy: str = _setting(
-        "offdiag-max", "how to pick the starting level: " + " | ".join(INIT_POLICIES))
+        "offdiag-max", "how to pick the starting level", lambda v: v in INIT_POLICIES,
+        "one of " + " | ".join(INIT_POLICIES))
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.p < 2:
-            raise ValueError("p must be >= 2")
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if not 0.0 < self.density <= 1.0:
-            raise ValueError("density must lie in (0, 1]")
-        if not 0.0 < self.split_ratio < 1.0:
-            raise ValueError("split-ratio must lie strictly between 0 and 1")
-        if not 0.0 < self.rho < np.inf:
-            raise ValueError("rho must be finite and > 0")
-        if self.max_outer_iter < 1:
-            raise ValueError("max-outer-iter must be >= 1")
-        if not 0.0 < self.inner_tol < np.inf:
-            raise ValueError("inner-tol must be finite and > 0")
-        if self.grid_points < 1:
-            raise ValueError("grid-points must be >= 1")
-        if self.lambda_init_policy not in INIT_POLICIES:
-            raise ValueError(
-                f"lambda-init-policy must be one of {INIT_POLICIES}, "
-                f"got {self.lambda_init_policy!r}"
-            )
+        for setting in fields(self):
+            allowed, value = setting.metadata["allowed"], getattr(self, setting.name)
+            if allowed is not None and not allowed(value):
+                raise ValueError(f"{setting.name.replace('_', '-')} must be "
+                                 f"{setting.metadata['rule']}, got {value!r}")
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(tol=self.inner_tol)
@@ -288,7 +282,7 @@ def run(config: ExperimentConfig) -> int:
         summary["lambda_start"] = lam_start
         summary["seconds_data"] = time.perf_counter() - t0
         # the expected held-out criterion is taken against the true covariance
-        population = spd_inverse(cholesky(truth.theta_true))
+        population = spd_inverse(truth.lower)
         print(f"data: p={config.p} n={config.n} seed={config.seed} "
               f"lambda_init={lam0:.6g}")
 

@@ -14,6 +14,7 @@ is zero-mean throughout; no covariance computation centers the data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -47,7 +48,10 @@ class GroundTruth:
     """A known sparse SPD precision matrix and its off-diagonal support.
 
     ``support_mask[i, j]`` is true iff ``i != j`` and
-    ``|theta_true[i, j]| > PATTERN_TOL``.
+    ``|theta_true[i, j]| > PATTERN_TOL``.  ``lower`` is the Cholesky
+    factor of ``theta_true``, computed once and kept: :meth:`from_matrix`
+    takes it as its SPD guard, and sampling and the population covariance
+    reuse it.
     """
 
     theta_true: np.ndarray = field(repr=False)
@@ -57,14 +61,23 @@ class GroundTruth:
     def dim(self) -> int:
         return self.theta_true.shape[0]
 
+    @cached_property
+    def lower(self) -> np.ndarray:
+        return cholesky(self.theta_true)
+
     @classmethod
     def from_matrix(cls, theta: np.ndarray) -> "GroundTruth":
-        """Wrap an SPD matrix, reading the mask off its nonzero pattern."""
+        """Wrap an SPD matrix, reading the mask off its nonzero pattern.
+
+        Raises NotPositiveDefinite unless the symmetric part of ``theta``
+        factorizes.
+        """
         theta = symmetrize(theta)
-        cholesky(theta)  # SPD guard
         offdiag = ~np.eye(theta.shape[0], dtype=bool)
         mask = (np.abs(theta) > PATTERN_TOL) & offdiag
-        return cls(theta_true=theta, support_mask=mask)
+        truth = cls(theta_true=theta, support_mask=mask)
+        truth.lower  # SPD guard, and the factor kept for sampling
+        return truth
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,16 +142,15 @@ def sample_gaussian(truth: GroundTruth, n: int, seed: int) -> np.ndarray:
     """``n`` i.i.d. draws from ``N(0, theta_true^{-1})`` as an (n, p) array.
 
     Samples are realized as ``x = L^{-T} z`` with standard-normal ``z`` and
-    ``L`` the Cholesky factor of ``theta_true``, so their covariance is
-    ``(L L^T)^{-1}``.  Deterministic given ``seed``.
+    ``L = truth.lower``, the Cholesky factor of ``theta_true`` that the
+    ground truth keeps, so their covariance is ``(L L^T)^{-1}``.
+    Deterministic given ``seed``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    p = truth.dim
-    lower = cholesky(truth.theta_true)
-    z = _standard_normal(_generator(seed), (n, p))
+    z = _standard_normal(_generator(seed), (n, truth.dim))
     # x_i = L^{-T} z_i, i.e. X = Z @ L^{-1} row-wise.
-    x = scipy.linalg.solve_triangular(lower.T, z.T, lower=False, check_finite=False)
+    x = scipy.linalg.solve_triangular(truth.lower.T, z.T, lower=False, check_finite=False)
     return np.ascontiguousarray(x.T)
 
 

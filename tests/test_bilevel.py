@@ -111,6 +111,16 @@ class TestLambdaInit:
         assert starting_level(cov) == 0.5 * INIT_BACKOFF
         assert starting_level(cov) > lambda_init(cov)
 
+    def test_reads_the_symmetric_part(self):
+        # The solver sees only (S + S^T) / 2, whose off-diagonal is 1: its
+        # solution turns diagonal at 1, not at the raw entry 2.
+        cov = np.array([[1.0, 2.0], [0.0, 1.0]])
+        assert lambda_init(cov) == 1.0
+        assert lambda_init(cov, policy="max-entry") == 1.0
+        assert starting_level(cov) == INIT_BACKOFF
+        assert solve(cov, Regularization.scalar(1.01)).theta[0, 1] == 0.0
+        assert solve(cov, Regularization.scalar(0.99)).theta[0, 1] != 0.0
+
 
 class TestDefaultGrid:
     def test_endpoints_and_size(self):
@@ -236,7 +246,8 @@ class TestGridSearch:
 class TestBilevelConfig:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"step_size": 0.0}, {"max_outer_iter": 0}, {"step_size": float("inf")}],
+        [{"step_size": 0.0}, {"max_outer_iter": 0}, {"step_size": float("inf")},
+         {"init": Regularization.scalar(0.0)}],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

@@ -10,7 +10,11 @@ import pytest
 
 import glassotune as gt
 import glassotune.bilevel
+import glassotune.cli
+import glassotune.datagen
+import glassotune.glasso
 import glassotune.implicit
+import glassotune.linalg
 from glassotune.cli import (
     ExperimentConfig,
     _build_parser,
@@ -226,6 +230,71 @@ def test_help_shows_every_flag_with_its_default(capsys, monkeypatch):
         assert _converter(f)(shown["--" + f.name.replace("_", "-")]) == f.default, f.name
 
 
+# Every setting that has a rule: the rule's words, values at its edge that
+# it allows, and values just outside it.  A float setting is also checked
+# against nan and inf.
+TINY, HUGE = 5e-324, 1.7976931348623157e308
+ONE_UP, ONE_DOWN = float(np.nextafter(1, 2)), float(np.nextafter(1, 0))
+SETTING_RULES = {
+    "mode": ("one of grid | scalar | matrix | compare", ["grid", "compare"], ["bogus", "Grid"]),
+    "p": (">= 2", [2], [1]),
+    "n": (">= 2", [2], [1]),
+    "density": ("in (0, 1]", [TINY, 1.0], [0.0, ONE_UP]),
+    "seed": (">= 0", [0], [-1]),
+    "split_ratio": ("in (0, 1)", [TINY, ONE_DOWN], [0.0, 1.0]),
+    "rho": ("finite and > 0", [TINY, HUGE], [0.0, -TINY]),
+    "max_outer_iter": (">= 1", [1], [0]),
+    "inner_tol": ("finite and > 0", [TINY, HUGE], [0.0, -TINY]),
+    "grid_points": (">= 1", [1], [0]),
+    "lambda_init_policy": ("one of offdiag-max | max-entry", ["max-entry"], ["median"]),
+}
+
+
+def _rule_cases():
+    for name, (_, allowed, rejected) in SETTING_RULES.items():
+        if isinstance(ExperimentConfig.__dataclass_fields__[name].default, float):
+            rejected = [*rejected, float("nan"), float("inf")]
+        yield from (pytest.param(name, value, True, id=f"{name}={value}") for value in allowed)
+        yield from (pytest.param(name, value, False, id=f"{name}={value}") for value in rejected)
+
+
+def test_setting_rules_cover_every_setting_with_a_rule():
+    assert set(SETTING_RULES) == {f.name for f in fields(ExperimentConfig)
+                                  if f.metadata["allowed"] is not None}
+
+
+@pytest.mark.parametrize("name, value, ok", _rule_cases())
+def test_setting_rule_holds_directly_by_flag_and_by_file(tmp_path, capsys, name, value, ok):
+    flag, rule = name.replace("_", "-"), SETTING_RULES[name][0]
+    message = f"{flag} must be {rule}, got {value!r}"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{flag} = {value}\n")
+    for argv in ([f"--{flag}={value}"], ["--config", str(path)]):
+        if ok:
+            assert getattr(parse_config(argv), name) == value
+            continue
+        with pytest.raises(SystemExit) as info:
+            parse_config(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"glassotune: error: {message}"
+    if ok:
+        assert getattr(ExperimentConfig(**{name: value}), name) == value
+    else:
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig(**{name: value})
+        assert str(info.value) == message
+
+
+def test_help_shows_each_rule_before_the_default(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # no wrapping inside a rule
+    with pytest.raises(SystemExit):
+        parse_config(["--help"])
+    options = " ".join(capsys.readouterr().out.split("options:", 1)[1].split())
+    for name, (rule, _, _) in SETTING_RULES.items():
+        default = ExperimentConfig.__dataclass_fields__[name].default
+        assert f", {rule} (default: {default})" in options, name
+
+
 class TestRunGrid:
     def test_outputs(self, tmp_path):
         cfg = small_config(tmp_path, mode="grid")
@@ -385,6 +454,25 @@ class TestStageTotals:
         assert run(small_config(tmp_path, mode="grid")) == 0
         assert np.isfinite(read_summary(tmp_path)["grid"]["population_criterion"])
         assert calls == []
+
+    def test_theta_true_is_factorized_once(self, tmp_path, monkeypatch):
+        # The ground truth keeps the factor of its SPD check; sampling and
+        # the population covariance read it instead of factorizing again.
+        config = small_config(tmp_path, mode="scalar")
+        theta = gt.make_sparse_spd(config.p, config.density, config.seed).theta_true
+        real = glassotune.linalg.cholesky
+        calls = []
+
+        def counting(a):
+            calls.append(np.array_equal(a, theta))
+            return real(a)
+
+        for module in (glassotune.cli, glassotune.datagen, glassotune.glasso,
+                       glassotune.implicit):
+            if hasattr(module, "cholesky"):
+                monkeypatch.setattr(module, "cholesky", counting)
+        assert run(config) == 0
+        assert sum(calls) == 1
 
 
 class TestPopulationCriterion:

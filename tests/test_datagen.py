@@ -15,6 +15,7 @@ from glassotune.datagen import (
     split_samples,
 )
 from glassotune.exceptions import DegenerateSplit, NotPositiveDefinite
+from glassotune.linalg import cholesky
 
 
 class TestGroundTruth:
@@ -39,6 +40,12 @@ class TestGroundTruth:
 
     def test_dim(self):
         assert GroundTruth.from_matrix(np.eye(5)).dim == 5
+
+    def test_keeps_the_factor_of_its_spd_check(self):
+        truth = GroundTruth.from_matrix(np.array([[2.0, 0.3], [0.1, 1.0]]))
+        assert "lower" in vars(truth)  # computed by the check, not on first use
+        np.testing.assert_array_equal(truth.lower, cholesky(truth.theta_true))
+        assert truth.lower is truth.lower
 
 
 class TestMakeSparseSpd:
