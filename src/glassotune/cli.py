@@ -165,8 +165,9 @@ def _build_parser() -> argparse.ArgumentParser:
         convert = _converter(setting)
         # a bare --emit-matrices means yes and leaves the next option alone
         extra = dict(nargs="?", const=True, metavar="yes|no") if convert is boolean else {}
+        default = ("no", "yes")[setting.default] if convert is boolean else setting.default
         parser.add_argument("--" + setting.name.replace("_", "-"), type=convert,
-                            help=f"{setting.metadata['help']} (default: {setting.default})",
+                            help=f"{setting.metadata['help']} (default: {default})",
                             **extra)
     parser.add_argument("--config", metavar="FILE",
                         help="key=value file; flags override its values")

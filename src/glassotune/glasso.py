@@ -20,17 +20,17 @@ for any gamma > 0, and the solver's residual is the sup-norm defect of that
 equation at the step in effect when it stopped.
 
 The prox iteration converges only linearly.  So after every accepted prox
-step the solver tries one inexact Newton step on the problem with theta's
-sign pattern held (Oztoprak, Nocedal, Rennie & Olsen, NeurIPS 2012),
-projected onto theta's orthant face as in OWL-QN (Andrew & Gao, ICML 2007),
-where the objective is smooth and exact, and takes either the full
-projected step or the prox step.  After an accepted Newton step it tries
-Newton again while the prox map keeps theta's sign pattern and the
-residual falls, the orthant-based switch between the two step kinds of
-Byrd, Chin, Nocedal & Oztoprak (Math. Program. 2016); the Notes of
-:func:`solve` give the details.  Only prox steps add entries to the
-support or flip their signs (the face projection can drop entries), and
-only the prox map certifies convergence.
+step the solver tries one inexact Newton step on the free set of QUIC
+(Hsieh, Sustik, Dhillon & Ravikumar, JMLR 2014): theta's support plus the
+zero entries whose gradient exceeds their threshold.  The step holds an
+orthant, theta's signs on its support and the sign that lowers the
+objective on the entries it adds, as OWL-QN's pseudo-gradient picks it
+(Andrew & Gao, ICML 2007); the objective is smooth and exact there, and
+the trial is projected back onto the orthant.  The solver takes either
+the full projected step or the prox step.  After an accepted Newton step
+it tries Newton again if and only if the residual fell; the Notes of
+:func:`solve` give the details.  So Newton steps add entries as well as
+drop them, and only the prox map certifies convergence.
 
 Every iterate is exactly symmetric without being re-symmetrized: the start,
 S, T and the mirrored inverse are exactly symmetric, and the prox and the
@@ -71,8 +71,8 @@ BACKTRACK_FACTOR = 0.5
 DECREASE_SLACK = 1e-12
 
 # Newton steps, tried when the Notes of solve say: conjugate gradients stop
-# at the forcing term min(NEWTON_FORCING, sqrt|g|) of the sign-fixed
-# gradient g, and the solver takes the full projected step if it passes the
+# at the forcing term min(NEWTON_FORCING, sqrt|g|) of the gradient g on the
+# orthant, and the solver takes the full projected step if it passes the
 # Armijo test with constant NEWTON_ARMIJO, and the slack of the prox test,
 # or the prox step if not.
 NEWTON_FORCING = 0.1
@@ -301,45 +301,45 @@ def solve(
 
     After every accepted prox step that does not end the solve, the solver
     first tries a Newton step.  After an accepted Newton step it tries
-    Newton again if two things hold: the prox map already formed for the
-    residual test has exactly theta's sign pattern, and that Newton step
-    lowered the residual.  Otherwise, and always after a rejected Newton
-    trial, the prox step runs.  So Newton steps run on once the signs have
-    settled, where a Newton step cuts the residual far more than a prox
-    step does, and a Newton step that stalls hands over to the prox step.
+    Newton again if and only if that step lowered the residual.
+    Otherwise, and always after a rejected Newton trial, the prox step
+    runs.  So Newton steps follow one another while each cuts the
+    residual, which near the solution is far more than a prox step does,
+    and a Newton step that stalls hands over to the prox step.
 
-    A Newton step, with W = theta^{-1},
-    g = S - W + T * sign(theta) and S the support of theta, solves
-    (W kron W)_SS d = -g_S by conjugate gradients preconditioned with
-    (theta kron theta)_SS, to the relative residual
-    min(NEWTON_FORCING, sqrt|g_S|); projects theta + d onto theta's
-    orthant face (entries that cross zero become 0); and is taken at full
-    length if that trial is SPD and passes an Armijo test with constant
-    NEWTON_ARMIJO.  Otherwise the prox step is taken as usual.  Newton
-    steps count towards MAX_ITER, ``iterations`` and ``newton_steps`` and
-    leave gamma as it was; ``newton_trials`` counts the rejected ones too.
+    A Newton step, with W = theta^{-1} and G = S - W, first picks the
+    orthant xi: sign(theta) on theta's support, -sign(G) on the zero
+    entries with |G| > T strictly, and 0 elsewhere.  The free set F is
+    {xi != 0}.  On the orthant the penalty is the linear <T * xi, theta>,
+    so with g = G + T * xi the step solves (W kron W)_FF d = -g_F by
+    conjugate gradients preconditioned with (theta kron theta)_FF, to the
+    relative residual min(NEWTON_FORCING, sqrt|g_F|); projects theta + d
+    onto the orthant (entries with the other sign than xi become 0); and
+    is taken at full length if that trial is SPD and passes an Armijo test
+    with constant NEWTON_ARMIJO.  Otherwise the prox step is taken as
+    usual.  Newton steps count towards MAX_ITER, ``iterations`` and
+    ``newton_steps`` and leave gamma as it was; ``newton_trials`` counts
+    the rejected ones too.
     That solve runs in float32 end to end, its two Kronecker products,
     iterates and vector updates alike (see
     :func:`~glassotune.linalg.kron_restricted` and
     :func:`~glassotune.linalg.solve_symmetric`): its right-hand side is
-    -g_S rounded to float32, since the direction only has to meet the
+    -g_F rounded to float32, since the direction only has to meet the
     forcing term, and the trial theta + d, the Armijo test, the prox step
     and the stop are float64.  The float32 solve leaves a true residual
     near 1e-7 relative, far below the smallest forcing terms seen, 1.3e-4
-    to 2.3e-4 on p=100 and p=300 sweeps, so no floor on the forcing term
-    is needed.
-    The Newton step itself needs no test of the next prox map's sign
-    pattern: on theta's face the penalty is linear, so the Armijo test
-    there is on the exact objective.  The sign test only picks the step
-    after it: where the prox map would add, drop or flip an entry, that
-    step is a prox step.
+    to 2.0e-4 on the 100-point grid sweeps at p=100 (seeds 0-4) and p=300
+    (seeds 0-1), so no floor on the forcing term is needed.  The Armijo
+    test compares true objective values: theta and the projected trial
+    both lie on the orthant, where the penalty is linear.
 
     The returned theta is exactly symmetric, ``array_equal(theta,
     theta.T)``, with no re-symmetrizing in the loop: cov and the warm start
     are symmetrized once, the inverse is mirrored, the prox treats entries
-    (i, j) and (j, i) alike, and every matrix conjugate gradients form from
-    the Kronecker products is exactly symmetric and zero off the support,
-    so the Newton direction is too.  Its inverse comes back with it as
+    (i, j) and (j, i) alike, the orthant is symmetric as the gradient is,
+    and every matrix conjugate gradients form from the Kronecker products
+    is exactly symmetric and zero off the free set, so the Newton
+    direction is too.  Its inverse comes back with it as
     ``theta_inv``.
     """
     if config is None:
@@ -405,10 +405,8 @@ def solve(
             )
 
         if before_newton is not None:
-            # Newton again only while it still cuts the residual and the
-            # prox map would keep theta's sign pattern.
-            try_newton = (residual < before_newton
-                          and np.array_equal(np.sign(cand), np.sign(theta)))
+            # Newton again only while it still cuts the residual.
+            try_newton = residual < before_newton
         if try_newton:
             newton_trials += 1
             newton = _newton_step(cov, thr, theta, theta_inv, grad, f_theta)
@@ -468,46 +466,51 @@ def _newton_step(
     grad: np.ndarray,
     f_theta: float,
 ) -> Optional[tuple]:
-    """One inexact Newton step with theta's signs held (see :func:`solve`).
+    """One inexact Newton step on the free set (see :func:`solve`).
 
     Returns the accepted ``(theta, lower, logdet, f_theta)`` of the full
     projected step, or None if it fails, so that the prox step runs
     instead.
-    With the signs held the penalty is the linear <T * sign(theta), theta>,
-    so on the support the objective is smooth with gradient ``grad + T *
-    sign(theta)`` and Hessian (W kron W)_SS; its preconditioner
-    (theta kron theta)_SS is the same block of the Hessian's exact inverse.
+    On the orthant xi the penalty is the linear <T * xi, theta>, so on the
+    free set F = {xi != 0} the objective is smooth with gradient ``grad +
+    T * xi`` and Hessian (W kron W)_FF; its preconditioner
+    (theta kron theta)_FF is the same block of the Hessian's exact inverse.
+    An entry joins F only where its gradient exceeds its threshold, so its
+    orthant sign is the one along which the objective falls.
     The gradient, the direction d and every conjugate-gradient iterate are
-    p x p matrices, zero off the support, so the trial is ``theta + d``.
+    p x p matrices, zero off F, so the trial is ``theta + d``.
     Both operators get float32 copies of W and theta and the right-hand
     side is rounded to float32, so the conjugate gradients run in float32
     end to end; the trial ``theta + d`` is formed in float64, exactly
-    symmetric and zero off the support as d is.
+    symmetric and zero off F as d is.
     """
-    support = SupportSet.from_matrix_mask(theta != 0.0)
-    sign_thr = thr * np.sign(theta)
+    # The orthant: theta's signs on its support, and -sign(grad) on each
+    # zero entry whose gradient exceeds its threshold, so that it can enter.
+    xi = np.where(theta != 0.0, np.sign(theta), -np.sign(grad) * (np.abs(grad) > thr))
+    free = SupportSet.from_matrix_mask(xi != 0.0)
+    sign_thr = thr * xi
     g_mat = grad + sign_thr
-    g = np.where(support.mask, g_mat, 0.0)
+    g = np.where(free.mask, g_mat, 0.0)
     try:
         d = solve_symmetric(
-            kron_restricted(theta_inv.astype(np.float32), support),
+            kron_restricted(theta_inv.astype(np.float32), free),
             np.negative(g, dtype=np.float32),
-            precondition=kron_restricted(theta.astype(np.float32), support),
+            precondition=kron_restricted(theta.astype(np.float32), free),
             rtol=min(NEWTON_FORCING, np.sqrt(float(np.linalg.norm(g)))),
-            dim=len(support),
+            dim=len(free),
         )
     except SingularSystem:
         return None
     trial = theta + d
-    # Project onto theta's orthant face: entries that cross zero stop at it.
-    trial[trial * theta < 0.0] = 0.0
+    # Project onto the orthant: entries that leave it stop at zero.
+    trial[trial * xi < 0.0] = 0.0
     try:
         lower = cholesky(trial)
     except NotPositiveDefinite:
         return None
     ld_trial = logdet(lower)
     f_trial = -ld_trial + float(np.vdot(cov, trial))
-    # On the face the full objective is f + <T * sign(theta), theta>.
+    # On the orthant the full objective is f + <T * xi, theta>.
     step = trial - theta
     slack = DECREASE_SLACK * max(1.0, abs(f_theta))
     if (f_trial + float(np.vdot(sign_thr, step))

@@ -230,6 +230,16 @@ def test_help_shows_every_flag_with_its_default(capsys, monkeypatch):
         assert _converter(f)(shown["--" + f.name.replace("_", "-")]) == f.default, f.name
 
 
+def test_help_shows_a_bool_default_as_the_flag_reads_it(capsys, monkeypatch):
+    # --emit-matrices reads yes/no, so its default shows as no, not False.
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        parse_config(["--help"])
+    options = " ".join(capsys.readouterr().out.split("options:", 1)[1].split())
+    assert re.search(r"--emit-matrices \[yes\|no\] .*?\(default: no\)", options)
+    assert "False" not in options and "True" not in options
+
+
 # Every setting that has a rule: the rule's words, values at its edge that
 # it allows, and values just outside it.  A float setting is also checked
 # against nan and inf.
