@@ -33,6 +33,10 @@ the field's rule says which values are allowed, and ``--help`` shows the
 field's help, rule and default.  ``--config FILE`` reads
 ``key = value`` lines; flags override the file's values.
 
+Run as a program (:func:`main`), and only then, the module gives scipy's
+OpenBLAS one thread when ``OPENBLAS_NUM_THREADS`` is unset and numpy
+loads an OpenBLAS of its own (:func:`_one_scipy_blas_thread`).
+
 Seeds are derived from ``--seed`` as seed (ground truth), seed+1 (samples),
 seed+2 (train/test split), so every artifact is reproducible from the
 config alone; wall-clock timings are the only nondeterministic outputs.
@@ -41,7 +45,9 @@ config alone; wall-clock timings are the only nondeterministic outputs.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -380,8 +386,43 @@ def _write_json(path: Path, record: dict) -> None:
         fh.write("\n")
 
 
+def _one_scipy_blas_thread() -> None:
+    """Give scipy's OpenBLAS one thread when numpy loads another OpenBLAS.
+
+    numpy and scipy wheels each bundle an OpenBLAS with its own thread
+    pool (``libscipy_openblas64_`` and ``libscipy_openblas``), and two busy
+    pools contend for the cores.  With ``OPENBLAS_NUM_THREADS`` unset and
+    both loaded, scipy's pool is set to one thread through its
+    ``scipy_openblas_set_num_threads`` symbol, so numpy's products keep
+    the default threads.  An explicit ``OPENBLAS_NUM_THREADS`` is never
+    overridden, and off Linux (no ``/proc/self/maps``) or with a single
+    OpenBLAS nothing changes.
+    """
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        return
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return
+    if len(paths) < 2:
+        return
+    for path in paths:
+        try:
+            setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads", None)
+        except OSError:
+            continue
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
 def main(argv: Optional[List[str]] = None) -> None:
+    """The console script: :func:`run` on the parsed flags, after
+    :func:`_one_scipy_blas_thread`; importing the package or calling
+    :func:`run` leaves BLAS threads alone."""
     config = parse_config(argv)
+    _one_scipy_blas_thread()
     sys.exit(run(config))
 
 

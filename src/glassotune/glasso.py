@@ -22,15 +22,19 @@ equation at the step in effect when it stopped.
 The prox iteration converges only linearly.  So after every accepted prox
 step the solver tries one inexact Newton step on the free set of QUIC
 (Hsieh, Sustik, Dhillon & Ravikumar, JMLR 2014): theta's support plus the
-zero entries whose gradient exceeds their threshold.  The step holds an
-orthant, theta's signs on its support and the sign that lowers the
-objective on the entries it adds, as OWL-QN's pseudo-gradient picks it
-(Andrew & Gao, ICML 2007); the objective is smooth and exact there, and
-the trial is projected back onto the orthant.  The solver takes either
-the full projected step or the prox step.  After an accepted Newton step
-it tries Newton again if and only if the residual fell; the Notes of
-:func:`solve` give the details.  So Newton steps add entries as well as
-drop them, and only the prox map certifies convergence.
+zero entries whose gradient exceeds their threshold, which are the zero
+entries the prox candidate of the residual check moves.  The step holds an
+orthant, theta's signs on its support and the candidate's, the sign that
+lowers the objective, on the entries it adds, as OWL-QN's pseudo-gradient
+picks it (Andrew & Gao, ICML 2007); the objective is smooth and exact
+there, and the trial is projected back onto the orthant.  Its conjugate
+gradients stop at a forcing term that tightens as the gradient falls, but
+not past what the stop test can see (Kelley's safeguard).  The solver
+takes either the full projected step or the prox step.
+After an accepted Newton step it tries Newton again if and only if the
+residual fell; the Notes of :func:`solve` give the details.  So Newton
+steps add entries as well as drop them, and only the prox map certifies
+convergence.
 
 Every iterate is exactly symmetric without being re-symmetrized: the start,
 S, T and the mirrored inverse are exactly symmetric, and the prox and the
@@ -71,11 +75,14 @@ BACKTRACK_FACTOR = 0.5
 DECREASE_SLACK = 1e-12
 
 # Newton steps, tried when the Notes of solve say: conjugate gradients stop
-# at the forcing term min(NEWTON_FORCING, sqrt|g|) of the gradient g on the
-# orthant, and the solver takes the full projected step if it passes the
-# Armijo test with constant NEWTON_ARMIJO, and the slack of the prox test,
-# or the prox step if not.
+# at the forcing term min(NEWTON_FORCING, max(sqrt|g|, NEWTON_SAFEGUARD *
+# tau / |g|)) of the gradient g on the orthant, where tau is the |g| at
+# which the stop test passes (Kelley's safeguard, with his constant 0.5),
+# and the solver takes the full projected step if it passes the Armijo test
+# with constant NEWTON_ARMIJO, and the slack of the prox test, or the prox
+# step if not.
 NEWTON_FORCING = 0.1
+NEWTON_SAFEGUARD = 0.5
 NEWTON_ARMIJO = 1e-4
 
 
@@ -308,18 +315,28 @@ def solve(
     and a Newton step that stalls hands over to the prox step.
 
     A Newton step, with W = theta^{-1} and G = S - W, first picks the
-    orthant xi: sign(theta) on theta's support, -sign(G) on the zero
-    entries with |G| > T strictly, and 0 elsewhere.  The free set F is
-    {xi != 0}.  On the orthant the penalty is the linear <T * xi, theta>,
-    so with g = G + T * xi the step solves (W kron W)_FF d = -g_F by
-    conjugate gradients preconditioned with (theta kron theta)_FF, to the
-    relative residual min(NEWTON_FORCING, sqrt|g_F|); projects theta + d
-    onto the orthant (entries with the other sign than xi become 0); and
-    is taken at full length if that trial is SPD and passes an Armijo test
-    with constant NEWTON_ARMIJO.  Otherwise the prox step is taken as
-    usual.  Newton steps count towards MAX_ITER, ``iterations`` and
-    ``newton_steps`` and leave gamma as it was; ``newton_trials`` counts
-    the rejected ones too.
+    orthant xi: sign(theta) on theta's support and, on the zero entries,
+    the sign of the prox candidate soft_threshold(theta - gamma * G,
+    gamma * T) that the residual check has just formed.  That candidate
+    is nonzero at a zero entry exactly where gamma|G| > gamma T, with sign
+    -sign(G), so xi is -sign(G) on the zero entries with |G| > T strictly,
+    short of exact ties after the scaling by gamma, and 0 elsewhere.  The
+    free set F is {xi != 0}.  On the orthant the penalty is the linear
+    <T * xi, theta>, so with g = G + T * xi the step solves
+    (W kron W)_FF d = -g_F by conjugate gradients preconditioned with
+    (theta kron theta)_FF, to the relative residual
+    min(NEWTON_FORCING, max(sqrt|g_F|, NEWTON_SAFEGUARD * tau / |g_F|)).
+    Here tau = tol * min(1, 1/gamma) is the |g_F| below which the prox
+    residual, about gamma |g_F|, passes the stop test; the safeguard
+    (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
+    1995, section 6.3) keeps the last solves from driving the linear
+    residual far below what that test can see.  The step then projects
+    theta + d onto the orthant (entries with the other sign than xi
+    become 0) and is taken at full length if that trial is SPD and passes
+    an Armijo test with constant NEWTON_ARMIJO.  Otherwise the prox step
+    is taken as usual.  Newton steps count towards MAX_ITER,
+    ``iterations`` and ``newton_steps`` and leave gamma as it was;
+    ``newton_trials`` counts the rejected ones too.
     That solve runs in float32 end to end, its two Kronecker products,
     iterates and vector updates alike (see
     :func:`~glassotune.linalg.kron_restricted` and
@@ -327,9 +344,9 @@ def solve(
     -g_F rounded to float32, since the direction only has to meet the
     forcing term, and the trial theta + d, the Armijo test, the prox step
     and the stop are float64.  The float32 solve leaves a true residual
-    near 1e-7 relative, far below the smallest forcing terms seen, 1.3e-4
-    to 2.0e-4 on the 100-point grid sweeps at p=100 (seeds 0-4) and p=300
-    (seeds 0-1), so no floor on the forcing term is needed.  The Armijo
+    near 1e-7 relative, far below the smallest forcing terms seen, 1.4e-3
+    to 1.7e-3 on the 100-point grid sweeps at p=100 (seeds 0-4) and p=300
+    (seeds 0-1), so no floor for float32 round-off is needed.  The Armijo
     test compares true objective values: theta and the projected trial
     both lie on the orthant, where the penalty is linear.
 
@@ -409,7 +426,8 @@ def solve(
             try_newton = residual < before_newton
         if try_newton:
             newton_trials += 1
-            newton = _newton_step(cov, thr, theta, theta_inv, grad, f_theta)
+            newton = _newton_step(cov, thr, theta, theta_inv, grad, f_theta, cand,
+                                  config.tol * min(1.0, 1.0 / gamma))
             if newton is not None:
                 theta, lower, ld, f_theta = newton
                 theta_inv = spd_inverse(lower)
@@ -458,6 +476,13 @@ def solve(
     raise AssertionError("unreachable")
 
 
+def _orthant(theta: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    # theta's signs on its support, and the prox candidate's on each zero
+    # entry: with gradient G, threshold T and step gamma that is -sign(G)
+    # where gamma|G| > gamma T and 0 elsewhere.
+    return np.sign(np.where(theta != 0.0, theta, cand))
+
+
 def _newton_step(
     cov: np.ndarray,
     thr: float | np.ndarray,
@@ -465,18 +490,24 @@ def _newton_step(
     theta_inv: np.ndarray,
     grad: np.ndarray,
     f_theta: float,
+    cand: np.ndarray,
+    g_tol: float,
 ) -> Optional[tuple]:
     """One inexact Newton step on the free set (see :func:`solve`).
 
-    Returns the accepted ``(theta, lower, logdet, f_theta)`` of the full
-    projected step, or None if it fails, so that the prox step runs
-    instead.
+    ``cand`` is the prox candidate at theta, whose signs on theta's zero
+    entries give the orthant there, and ``g_tol`` the free-set gradient
+    norm below which the stop test passes (tau in the Notes of
+    :func:`solve`), which sets the safeguard on the forcing term.  Returns the accepted ``(theta, lower, logdet,
+    f_theta)`` of the full projected step, or None if it fails, so that
+    the prox step runs instead.
     On the orthant xi the penalty is the linear <T * xi, theta>, so on the
     free set F = {xi != 0} the objective is smooth with gradient ``grad +
     T * xi`` and Hessian (W kron W)_FF; its preconditioner
     (theta kron theta)_FF is the same block of the Hessian's exact inverse.
-    An entry joins F only where its gradient exceeds its threshold, so its
-    orthant sign is the one along which the objective falls.
+    An entry joins F only where the candidate moves it, that is where its
+    gradient exceeds its threshold, so its orthant sign is the one along
+    which the objective falls.
     The gradient, the direction d and every conjugate-gradient iterate are
     p x p matrices, zero off F, so the trial is ``theta + d``.
     Both operators get float32 copies of W and theta and the right-hand
@@ -484,26 +515,28 @@ def _newton_step(
     end to end; the trial ``theta + d`` is formed in float64, exactly
     symmetric and zero off F as d is.
     """
-    # The orthant: theta's signs on its support, and -sign(grad) on each
-    # zero entry whose gradient exceeds its threshold, so that it can enter.
-    xi = np.where(theta != 0.0, np.sign(theta), -np.sign(grad) * (np.abs(grad) > thr))
+    xi = _orthant(theta, cand)
     free = SupportSet.from_matrix_mask(xi != 0.0)
     sign_thr = thr * xi
     g_mat = grad + sign_thr
-    g = np.where(free.mask, g_mat, 0.0)
+    g = g_mat * free.mask
+    g_norm = float(np.linalg.norm(g))
+    # Kelley's safeguard: a linear residual below half of g_tol is more
+    # than the stop test can see.  A zero g needs no iteration at all.
+    floor = NEWTON_SAFEGUARD * g_tol / g_norm if g_norm > 0.0 else 0.0
     try:
         d = solve_symmetric(
             kron_restricted(theta_inv.astype(np.float32), free),
             np.negative(g, dtype=np.float32),
             precondition=kron_restricted(theta.astype(np.float32), free),
-            rtol=min(NEWTON_FORCING, np.sqrt(float(np.linalg.norm(g)))),
+            rtol=min(NEWTON_FORCING, max(np.sqrt(g_norm), floor)),
             dim=len(free),
         )
     except SingularSystem:
         return None
     trial = theta + d
     # Project onto the orthant: entries that leave it stop at zero.
-    trial[trial * xi < 0.0] = 0.0
+    np.copyto(trial, 0.0, where=trial * xi < 0.0)
     try:
         lower = cholesky(trial)
     except NotPositiveDefinite:

@@ -188,7 +188,7 @@ class SupportSet:
         # shared by every kron_restricted on the set
         half = self._halves.get(dtype)
         if half is None:
-            half = self._halves[dtype] = np.where(self.mask, 0.5, 0.0).astype(dtype)
+            half = self._halves[dtype] = np.multiply(self.mask, 0.5, dtype=dtype)
         return half
 
     def __len__(self) -> int:
@@ -212,9 +212,10 @@ def kron_restricted(w: np.ndarray, support: SupportSet) -> Operator:
     dtype of ``w``, and that of the output through the dtype of ``X``: a
     float32 ``w`` stays float32, ``X`` is rounded to it and ``C`` is formed
     in it; the output, and the tail ``mask * (C + C.T) / 2`` that forms it,
-    take ``X``'s dtype, float32 or else float64.  The tail is one pass
-    each: a contiguous copy of ``C.T``, then ``+= C``, then ``*=`` the
-    support's cached ``0.5``/``0`` mask.  The output is exactly symmetric
+    take ``X``'s dtype, float32 or else float64.  The tail is two passes:
+    ``C.T + C`` into a new contiguous array, then ``*=`` the support's
+    cached ``0.5``/``0`` mask, looked up once per operator in ``w``'s
+    dtype, which widens exactly.  The output is exactly symmetric
     and exactly zero off the support in every precision.  A float64 ``X``
     gets ``(C + C.T) / 2`` in float64, bit for bit, so a float64 ``w`` gives
     the float64 product; a float32 ``w`` or ``X`` agrees with it to float32
@@ -225,14 +226,15 @@ def kron_restricted(w: np.ndarray, support: SupportSet) -> Operator:
     if support.mask.shape != w.shape:
         raise ValueError("support shape does not match the matrix")
 
+    half = support._half(w.dtype)
+
     def apply(x: np.ndarray) -> np.ndarray:
         x = _as_float(x)
         c = w @ x.astype(w.dtype, copy=False) @ w
-        # One pass each: a contiguous copy of C.T, then + C, then * half, in
-        # the wider of the two dtypes, so that C.T is not rounded before C.
-        out = c.T.astype(np.promote_types(c.dtype, x.dtype), order="C")
-        out += c
-        out *= support._half(out.dtype)
+        # In the wider of the two dtypes, so that C is not rounded before
+        # the sum.
+        out = np.add(c.T, c, dtype=np.promote_types(c.dtype, x.dtype))
+        out *= half
         return out.astype(x.dtype, copy=False)
 
     return apply

@@ -678,7 +678,57 @@ class TestStaleOutputs:
         assert {p.name for p in tmp_path.iterdir()} == expected | {"notes.txt"}
 
 
+# Prints the thread count of each OpenBLAS pool, by its getter's name,
+# after importing the CLI and again when main hands over to run.
+_BLAS_PROBE = """
+import ctypes, json, sys
+import glassotune.cli as cli
+
+def threads():
+    found = {}
+    with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                found[name] = getter()
+                break
+    return found
+
+before = threads()
+cli.run = lambda config: print(json.dumps([before, threads()])) or 0
+cli.main(sys.argv[1:])
+"""
+
+
 class TestMain:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+    @pytest.mark.parametrize("explicit", [None, "2"])
+    def test_scipy_blas_gets_one_thread_unless_the_variable_is_set(self, tmp_path, explicit):
+        # numpy's pool keeps its threads; scipy's drops to one only when
+        # OPENBLAS_NUM_THREADS is unset.
+        env = cli_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if explicit is not None:
+            env["OPENBLAS_NUM_THREADS"] = explicit
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE, "--output-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        before, after = json.loads(proc.stdout.splitlines()[-1])
+        numpy_pool, scipy_pool = ("scipy_openblas_get_num_threads64_",
+                                  "scipy_openblas_get_num_threads")
+        if set(before) != {numpy_pool, scipy_pool}:
+            pytest.skip("numpy and scipy do not each load their own OpenBLAS")
+        assert after[numpy_pool] == before[numpy_pool]
+        assert after[scipy_pool] == (1 if explicit is None else before[scipy_pool])
+        if explicit is not None:
+            # both pools read the variable
+            assert before[scipy_pool] == before[numpy_pool]
+
     def test_success_exit_code(self, tmp_path):
         argv = ["--mode", "grid", "--p", "4", "--n", "60", "--density", "0.4",
                 "--seed", "1", "--grid-points", "5",

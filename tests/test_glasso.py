@@ -888,8 +888,11 @@ class TestNewtonSteps:
             return real(w, support)
 
         monkeypatch.setattr(glassotune.glasso, "kron_restricted", factory)
+        grad = cov - np.eye(3)
+        # the prox candidate at gamma = 1
+        cand = soft_threshold(theta - grad, weights)
         step = glassotune.glasso._newton_step(
-            cov, weights, theta, np.eye(3), cov - np.eye(3), float(np.trace(cov)))
+            cov, weights, theta, np.eye(3), grad, float(np.trace(cov)), cand, 1e-8)
         expected = np.eye(3, dtype=bool)
         expected[0, 1] = expected[1, 0] = True
         assert len(free) == 2
@@ -928,7 +931,7 @@ class TestNewtonSteps:
         # An accepted Newton step that leaves the residual where it was is
         # followed by a prox step, even where the signs would allow Newton
         # again, so a stalled Newton step cannot hold up the solve.
-        def stalled(cov, thr, theta, theta_inv, grad, f_theta):
+        def stalled(cov, thr, theta, theta_inv, grad, f_theta, cand, g_tol):
             lower = cholesky(theta)
             return theta.copy(), lower, logdet(lower), f_theta
 
@@ -943,6 +946,74 @@ class TestNewtonSteps:
         assert est.newton_steps > 0
         assert est.fixed_point_residual <= 1e-8 * min(1.0, est.gamma)
         assert check_optimality(est, cov_p100_seed0) <= 1e-6
+
+
+class TestNewtonFreeSet:
+    # The Newton step reads its orthant off the prox candidate.
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_prox_candidate_gives_the_gradient_rule(self, data):
+        # Wherever gamma|G| != gamma T after rounding, the orthant is theta's
+        # signs on its support and, on the zero entries, -sign(G) where
+        # |G| > T and 0 elsewhere.  Values are drawn from a small set too,
+        # so that ties and zero weights occur.
+        p = data.draw(st.integers(1, 5))
+        values = st.sampled_from([0.0, 0.2, -0.2, 0.5, -0.5]) | st.floats(-2.0, 2.0)
+        weights = st.sampled_from([0.0, 0.2, 0.5]) | st.floats(0.0, 2.0)
+
+        def symmetric(elements):
+            a = np.array(data.draw(st.lists(elements, min_size=p * p, max_size=p * p)))
+            a = a.reshape(p, p)
+            return np.triu(a) + np.triu(a, 1).T
+
+        theta, grad = symmetric(values), symmetric(values)
+        gamma = data.draw(st.floats(1e-3, 1e3))
+        thr = data.draw(weights) if data.draw(st.booleans()) else symmetric(weights)
+        cand = soft_threshold(theta - gamma * grad, gamma * thr)
+        xi = glassotune.glasso._orthant(theta, cand)
+        t = np.broadcast_to(thr, theta.shape)
+        rule = np.where(theta != 0.0, np.sign(theta),
+                        np.where(np.abs(grad) > t, -np.sign(grad), 0.0))
+        decided = (theta != 0.0) | (gamma * np.abs(grad) != gamma * t)
+        np.testing.assert_array_equal(xi[decided], rule[decided])
+
+
+class TestNewtonSafeguard:
+    @pytest.mark.parametrize("lam", [0.1, 0.018, 0.005])
+    def test_no_more_products_and_the_same_steps(self, cov_p100_seed0, monkeypatch, lam):
+        # Against the forcing term without the safeguard (NEWTON_SAFEGUARD
+        # = 0): the same accepted steps and Newton trials, no more products
+        # with K, and both estimates pass the stop test and the optimality
+        # check.  The forcing term stays between min(NEWTON_FORCING,
+        # sqrt|g|) and NEWTON_FORCING.
+        real = glassotune.glasso.solve_symmetric
+        runs = {}
+        for safeguard in (0.0, glassotune.glasso.NEWTON_SAFEGUARD):
+            products, forcing = [0], []
+
+            def system(apply, rhs, precondition, rtol, *, dim):
+                def counted(x):
+                    products[0] += 1
+                    return apply(x)
+
+                forcing.append((rtol, np.sqrt(np.linalg.norm(rhs.astype(float)))))
+                return real(counted, rhs, precondition, rtol, dim=dim)
+
+            monkeypatch.setattr(glassotune.glasso, "solve_symmetric", system)
+            monkeypatch.setattr(glassotune.glasso, "NEWTON_SAFEGUARD", safeguard)
+            est = solve(cov_p100_seed0, Regularization.scalar(lam))
+            runs[safeguard] = est, products[0]
+            assert est.fixed_point_residual <= 1e-8 * min(1.0, est.gamma)
+            assert check_optimality(est, cov_p100_seed0) <= 1e-6
+            assert forcing
+            for rtol, root in forcing:
+                # root is read off the float32 right-hand side
+                assert min(glassotune.glasso.NEWTON_FORCING, root) * (1 - 1e-6) <= rtol
+                assert rtol <= glassotune.glasso.NEWTON_FORCING
+        (plain, plain_products), (guarded, guarded_products) = runs.values()
+        assert ((guarded.iterations, guarded.newton_steps, guarded.newton_trials)
+                == (plain.iterations, plain.newton_steps, plain.newton_trials))
+        assert guarded_products <= plain_products
 
 
 class TestFloat32Products:
