@@ -37,8 +37,10 @@ steps add entries as well as drop them, and only the prox map certifies
 convergence.
 
 Every iterate is exactly symmetric without being re-symmetrized: the start,
-S, T and the mirrored inverse are exactly symmetric, and the prox and the
-Newton direction treat entries (i, j) and (j, i) alike.
+S, T and the mirrored inverse are exactly symmetric, and the prox treats
+entries (i, j) and (j, i) alike.  The Newton direction is the one matrix
+symmetrized in the loop, once per step, since the Kronecker products of
+its conjugate gradients are symmetric only to round-off.
 """
 
 from __future__ import annotations
@@ -351,13 +353,12 @@ def solve(
     both lie on the orthant, where the penalty is linear.
 
     The returned theta is exactly symmetric, ``array_equal(theta,
-    theta.T)``, with no re-symmetrizing in the loop: cov and the warm start
-    are symmetrized once, the inverse is mirrored, the prox treats entries
-    (i, j) and (j, i) alike, the orthant is symmetric as the gradient is,
-    and every matrix conjugate gradients form from the Kronecker products
-    is exactly symmetric and zero off the free set, so the Newton
-    direction is too.  Its inverse comes back with it as
-    ``theta_inv``.
+    theta.T)``: cov and the warm start are symmetrized once, the inverse
+    is mirrored, the prox treats entries (i, j) and (j, i) alike, and the
+    orthant is symmetric as the gradient is.  The conjugate gradients'
+    Kronecker products are symmetric only to round-off, so each Newton
+    direction is symmetrized once, as its solve returns it, and is zero
+    off the free set.  Its inverse comes back with it as ``theta_inv``.
     """
     if config is None:
         config = SolverConfig()
@@ -512,8 +513,10 @@ def _newton_step(
     p x p matrices, zero off F, so the trial is ``theta + d``.
     Both operators get float32 copies of W and theta and the right-hand
     side is rounded to float32, so the conjugate gradients run in float32
-    end to end; the trial ``theta + d`` is formed in float64, exactly
-    symmetric and zero off F as d is.
+    end to end.  Their solution is symmetric only to round-off, like the
+    products that form it, so d is replaced by its symmetric part
+    ``(d + d.T) / 2`` once; the trial ``theta + d`` is then formed in
+    float64, exactly symmetric and zero off F as d is.
     """
     xi = _orthant(theta, cand)
     free = SupportSet.from_matrix_mask(xi != 0.0)
@@ -534,6 +537,8 @@ def _newton_step(
         )
     except SingularSystem:
         return None
+    d += d.T
+    d *= 0.5
     trial = theta + d
     # Project onto the orthant: entries that leave it stop at zero.
     np.copyto(trial, 0.0, where=trial * xi < 0.0)

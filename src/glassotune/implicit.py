@@ -130,9 +130,10 @@ def jacobian_scalar(est: PrecisionEstimate, support: SupportSet) -> np.ndarray:
     ``support``: the solution y of the restricted system
     K y = -sign(theta)_S, with K the restricted Kronecker square of
     theta^{-1}.  K is symmetric, so y is the adjoint solution of
-    :func:`hypergradient_weighted` against -sign(theta), read back from
-    its output -sign(theta) * y: sign(theta) is +-1 on the support, so
-    that product undoes exactly, and it stops where that solve does.  It
+    :func:`hypergradient_weighted` against -sign(theta), symmetrized there
+    once, read back from its output -sign(theta) * y: sign(theta) is +-1
+    on the support, so that product undoes exactly, and it stops where
+    that solve does.  It
     does not depend on the prox step gamma: the step scales both sides of
     the system and cancels.
 
@@ -170,7 +171,12 @@ def hypergradient_weighted(
     solve runs on p x p matrices zero off the support: its right-hand side
     is grad_c masked to the support, its solution Y is y put back on it, and
 
-        out = -sign(theta) * Y,   zero off the support.
+        out = -sign(theta) * (Y + Y.T) / 2,   zero off the support.
+
+    The Kronecker products are symmetric only to round-off (see
+    :func:`~glassotune.linalg.kron_restricted`), and so is Y; taking its
+    symmetric part once is what makes the output, and
+    :func:`jacobian_scalar`, exactly symmetric.
 
     The right-hand side, and so every vector of the solve, is float64, and
     the products with K run in float64, so the stop holds for the float64
@@ -194,6 +200,8 @@ def hypergradient_weighted(
         rtol=max(CG_RTOL, est.tol),
         dim=len(support),
     )
+    y += y.T
+    y *= 0.5
     return -np.sign(est.theta) * y
 
 

@@ -11,8 +11,10 @@ Conventions, fixed package-wide:
   Each public entry point symmetrizes its matrix arguments,
   ``A <- (A + A.T) / 2``, so a covariance is symmetrized again at every
   call; the matrices computed from it are exactly symmetric by
-  construction (mirrored inverses, entrywise maps, products ``C + C.T``)
-  and are never symmetrized again.
+  construction (mirrored inverses, entrywise maps) and are never
+  symmetrized again.  The one exception is a :func:`kron_restricted`
+  product, symmetric only to round-off: each caller that solves with it
+  symmetrizes the solution once instead (see that function).
 * A matrix argument must be finite and square 2-d, of the shape of the
   matrix it goes with if any, or ValueError names it; :func:`_as_matrix`
   is the one place that rule lives.
@@ -30,7 +32,6 @@ Conventions, fixed package-wide:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -162,7 +163,10 @@ class SupportSet:
     """A set of entries of a p x p matrix, held as a read-only boolean mask.
 
     ``len()`` counts its entries.  Raises ValueError unless the mask is a
-    square 2-d array.
+    square 2-d array.  It holds no state besides the mask: a
+    :func:`kron_restricted` operator on the set masks its products
+    itself, and exact symmetry of a solve on the set comes from the one
+    symmetrization of its solution (see there), not from the set.
     """
 
     mask: np.ndarray = field(repr=False)
@@ -179,18 +183,6 @@ class SupportSet:
         """Build from a ``(p, p)`` boolean mask."""
         return cls(mask2d)
 
-    @cached_property
-    def _halves(self) -> dict:
-        return {}
-
-    def _half(self, dtype: np.dtype) -> np.ndarray:
-        # 0.5 on the set, 0 off it, in the dtype of the products it masks:
-        # shared by every kron_restricted on the set
-        half = self._halves.get(dtype)
-        if half is None:
-            half = self._halves[dtype] = np.multiply(self.mask, 0.5, dtype=dtype)
-        return half
-
     def __len__(self) -> int:
         return int(np.count_nonzero(self.mask))
 
@@ -200,42 +192,42 @@ def kron_restricted(w: np.ndarray, support: SupportSet) -> Operator:
 
     Acts on p x p matrices that are zero off the support, one entry per
     coordinate of the restricted system, and returns the map
-    ``X -> mask * (C + C.T) / 2`` with ``C = w @ X @ w``.  For symmetric
-    ``w``, a support closed under transposition and symmetric ``X``, this
-    is ``(w kron w)[support, support] @ vec(X)[support]`` put back on the
-    support; ``C + C.T`` makes the output exactly symmetric.  Each product
-    costs two p x p matrix products and O(p**2) memory, against O(|S|**2)
-    for the explicit block.  Raises ValueError unless the support's mask
-    has the shape of ``w``.
+    ``X -> mask * (w @ X @ w)``.  For symmetric ``w``, a support closed
+    under transposition and symmetric ``X``, this is
+    ``(w kron w)[support, support] @ vec(X)[support]`` put back on the
+    support.  Each product costs two p x p matrix products and O(p**2)
+    memory, against O(|S|**2) for the explicit block.  Raises ValueError
+    unless the support's mask has the shape of ``w``.
+
+    The output is exactly zero off the support but symmetric only to
+    round-off, a few ulp of its largest entry, since the matrix products
+    round entries (i, j) and (j, i) differently; that perturbs a
+    conjugate-gradient solve far below any stop the package uses.  Exact
+    symmetry comes from the solves instead: the Newton step of
+    :func:`~glassotune.glasso.solve` and
+    :func:`~glassotune.implicit.hypergradient_weighted` each symmetrize
+    their solution once.
 
     The caller picks the precision of the two matrix products through the
     dtype of ``w``, and that of the output through the dtype of ``X``: a
-    float32 ``w`` stays float32, ``X`` is rounded to it and ``C`` is formed
-    in it; the output, and the tail ``mask * (C + C.T) / 2`` that forms it,
-    take ``X``'s dtype, float32 or else float64.  The tail is two passes:
-    ``C.T + C`` into a new contiguous array, then ``*=`` the support's
-    cached ``0.5``/``0`` mask, looked up once per operator in ``w``'s
-    dtype, which widens exactly.  The output is exactly symmetric
-    and exactly zero off the support in every precision.  A float64 ``X``
-    gets ``(C + C.T) / 2`` in float64, bit for bit, so a float64 ``w`` gives
-    the float64 product; a float32 ``w`` or ``X`` agrees with it to float32
-    round-off, about 1e-7 relative.  Any other ``w`` or ``X`` is read as
-    float64.
+    float32 ``w`` stays float32, ``X`` is rounded to it and the product and
+    its masking are formed in it; the output takes ``X``'s dtype, float32
+    or else float64, cast from the masked product.  A float64 ``w`` and
+    ``X`` give the float64 product; a float32 ``w`` or ``X`` agrees with it
+    to float32 round-off, about 1e-7 relative.  Any other ``w`` or ``X`` is
+    read as float64.
     """
     w = _as_square(w, "w")
     if support.mask.shape != w.shape:
         raise ValueError("support shape does not match the matrix")
 
-    half = support._half(w.dtype)
+    mask = support.mask.astype(w.dtype)
 
     def apply(x: np.ndarray) -> np.ndarray:
         x = _as_float(x)
         c = w @ x.astype(w.dtype, copy=False) @ w
-        # In the wider of the two dtypes, so that C is not rounded before
-        # the sum.
-        out = np.add(c.T, c, dtype=np.promote_types(c.dtype, x.dtype))
-        out *= half
-        return out.astype(x.dtype, copy=False)
+        c *= mask
+        return c.astype(x.dtype, copy=False)
 
     return apply
 

@@ -65,23 +65,20 @@ def naive_weighted_hypergradient(est, support, grad_c) -> np.ndarray:
 
 
 def reference_kron_restricted(w, support):
-    """Oracle for ``linalg.kron_restricted``: symmetrize, then mask.
+    """Oracle for ``linalg.kron_restricted``: mask the product.
 
-    The map ``X -> where(mask, symmetrize(w @ X @ w), 0)`` on p x p
-    matrices zero off the support, which symmetrizes the whole product and
-    then zeroes it off the support.  ``x`` is cast to ``w``'s dtype first,
-    so a float32 ``w`` gives float32 matrix products, as in the package.
-    A float64 ``x`` is symmetrized and masked in float64; a float32 ``x``
-    with a float32 ``w`` in float32, and comes back float32.  The
-    package's operator must give the same values, bit for bit.
+    The map ``X -> where(mask, w @ X @ w, 0)`` on p x p matrices zero off
+    the support, with no symmetrization: the output is symmetric only to
+    round-off.  ``x`` is cast to ``w``'s dtype first, so a float32 ``w``
+    gives float32 matrix products, as in the package, and the masked
+    product comes back in ``x``'s dtype.  The package's operator must give
+    the same values, bit for bit.
     """
     mask = support.mask
 
     def apply(x):
         c = w @ x.astype(w.dtype, copy=False) @ w
-        if x.dtype == np.float32 and w.dtype == np.float32:
-            return np.where(mask, (c + c.T) / np.float32(2.0), np.float32(0.0))
-        return np.where(mask, symmetrize(c), 0.0)
+        return np.where(mask, c, 0).astype(x.dtype, copy=False)
 
     return apply
 

@@ -318,8 +318,8 @@ class TestHypergradientWeighted:
         assert abs(total - scalar) <= 1e-10 * max(1.0, abs(scalar))
 
     def test_symmetric_output(self, data_p100_seed0):
-        # Neither the criterion gradient nor the hypergradient is
-        # symmetrized: both are exactly symmetric by construction.  On a
+        # The criterion gradient is exactly symmetric by construction, the
+        # hypergradient by the one symmetrization of its adjoint solution.  On a
         # p=3 instance (the matrix form of the criterion) and on the CLI's
         # p=100 seed-0 data near its best level (the estimate form).
         est3, data3, _ = solved_instance(seed=11)
@@ -471,8 +471,8 @@ class TestNonFiniteInputEndToEnd:
 
 class TestSymmetrizeReferenceEndToEnd:
     # The solver's Newton step and the adjoint solve give the same bits
-    # with the symmetrize-then-mask reference product patched in where
-    # glasso and implicit look the operator up.
+    # with the mask-only reference product patched in where glasso and
+    # implicit look the operator up.
     @pytest.mark.parametrize("lam", [0.1, 0.018, 0.005])
     def test_solve_and_adjoint_bit_identical(self, data_p100_seed0, monkeypatch, lam):
         data = data_p100_seed0
@@ -518,9 +518,9 @@ def _counting_reference(products, name):
 
 class TestAdjointReferenceBits:
     # For a given estimate the adjoint gives the bits of the float64
-    # reference, the symmetrize-then-mask products and the allocating
+    # reference, the mask-only products and the allocating
     # conjugate gradients patched in where implicit looks them up: the
-    # lean product tail and the in-place updates change no bit of it.
+    # in-place masking and the in-place updates change no bit of it.
     @pytest.mark.parametrize("lam", [0.1, 0.018, 0.005])
     def test_hypergradient_bit_identical(self, data_p100_seed0, monkeypatch, lam):
         data = data_p100_seed0
@@ -535,6 +535,63 @@ class TestAdjointReferenceBits:
                             reference_solve_symmetric)
         assert np.array_equal(hyper, hypergradient_weighted(est, support, grad_c))
         assert products["implicit"] > 0
+
+
+class TestOneSymmetrizationPerSolve:
+    # The restricted products are symmetric only to round-off, so what
+    # conjugate gradients return is not exactly symmetric; each solve
+    # symmetrizes its solution once, and what it hands on is.  The raw
+    # solutions are recorded where glasso and implicit call the solver;
+    # the Newton direction added to theta is read off the trial that the
+    # step factorizes next.
+    @pytest.mark.parametrize("lam", [0.1, 0.018, 0.005])
+    def test_raw_solutions_asymmetric_handed_on_symmetric(
+        self, data_p100_seed0, monkeypatch, lam
+    ):
+        data = data_p100_seed0
+        raw = {"glasso": [], "implicit": []}
+        steps = []
+        theta = [None]
+        for module, key in ((glassotune.glasso, "glasso"),
+                            (glassotune.implicit, "implicit")):
+            def recording(*args, _real=module.solve_symmetric, _key=key, **kwargs):
+                x = _real(*args, **kwargs)
+                raw[_key].append(x.copy())
+                return x
+
+            monkeypatch.setattr(module, "solve_symmetric", recording)
+        real_step = glassotune.glasso._newton_step
+        real_cholesky = glassotune.glasso.cholesky
+
+        def newton_step(*args):
+            theta[0] = args[2]
+            try:
+                return real_step(*args)
+            finally:
+                theta[0] = None
+
+        def cholesky(a):
+            # The first factorization after a Newton solve is its trial.
+            if theta[0] is not None and len(steps) < len(raw["glasso"]):
+                steps.append(a - theta[0])
+            return real_cholesky(a)
+
+        monkeypatch.setattr(glassotune.glasso, "_newton_step", newton_step)
+        monkeypatch.setattr(glassotune.glasso, "cholesky", cholesky)
+        est = solve(data.cov_train, Regularization.scalar(lam))
+        support = support_from_estimate(est, data.cov_train)
+        grad_c = criterion_holdout(est, data.cov_test).gradient
+        hyper = hypergradient_weighted(est, support, grad_c)
+
+        assert raw["glasso"] and len(steps) == len(raw["glasso"])
+        for d, step in zip(raw["glasso"], steps):
+            assert not np.array_equal(d, d.T)
+            assert np.array_equal(step, step.T)
+        [y] = raw["implicit"]
+        assert not np.array_equal(y, y.T)
+        handed_on = -np.sign(est.theta) * hyper
+        assert np.array_equal(handed_on, handed_on.T)
+        assert np.array_equal(handed_on, (y + y.T) * 0.5)
 
 
 class TestAdjointTolerance:
