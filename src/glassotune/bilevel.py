@@ -3,23 +3,13 @@
 Penalties are positive by construction: the descent runs in alpha with
 lam = exp(alpha) for a single level and weights_kl = exp(alpha_kl)
 entrywise for a weight matrix, so a gradient step never leaves the
-feasible cone in exact arithmetic (a step that underflows or overflows the
-exponential ends the descent).  Both tuners share one outer loop.  Each
-outer iteration solves the training problem (warm-started from the last
-accepted solution), evaluates the hold-out criterion, assembles the exact
-per-entry hypergradient through one adjoint solve of the implicit
-derivative of the solution map, and steps.  A single level is every
-weight tied to it, so its derivative is the per-entry one summed.  The
-chain rule through the exponential turns a derivative in lam into lam
-times it in alpha.
-
-The step in alpha is the Barzilai-Borwein quotient (Barzilai & Borwein,
-IMA J. Numer. Anal. 1988) between the last two accepted iterates, the
-first one the configured ``step_size``, and a trial is accepted only if
-it lowers the criterion enough (a sufficient-decrease guard, Raydan, SIAM
-J. Optim. 1997); a rejected trial halves the step.  Three stops count as
-converged: the hypergradient below OUTER_TOL, a step below the
-resolution of alpha, and a solve that no longer moves theta.
+feasible cone in exact arithmetic.  Both tuners share one outer loop,
+:func:`_descend`, which states the step rule and the stops.  Each outer
+iteration solves the training problem, evaluates the hold-out criterion,
+assembles the exact per-entry hypergradient through one adjoint solve of
+the implicit derivative of the solution map, and steps.  The chain rule
+through the exponential turns a derivative in lam into lam times it in
+alpha.
 
 Zero entries in a matrix initialization stay exactly zero: the exponential
 parametrization moves weights multiplicatively, which is what makes an
@@ -52,19 +42,11 @@ from .linalg import _as_matrix, symmetrize
 # positive slack, so the first hypergradient is a two-sided derivative.
 INIT_BACKOFF = 1.0 + 1e-3
 
-# A descent counts as converged once its hypergradient in alpha is at most
-# OUTER_TOL: in absolute value for a level, in sup-norm for a weight matrix.
+# The step rule and stops of _descend; CONVERGED_STOPS names the stops that
+# count as converged.
 OUTER_TOL = 1e-6
-
-# The stops of _descend that find a stationary point to the resolution of
-# the hypergradient, of alpha or of the inner solver.
 CONVERGED_STOPS = ("hypergradient below tolerance", "step below resolution",
                    "solve below resolution")
-
-# The Barzilai-Borwein step in alpha is capped at MAX_STEP.  A trial is
-# accepted if it lowers the criterion by SUFFICIENT_DECREASE * step * |g|^2
-# or more.  A step whose largest move in alpha, step * |g|_inf, is at most
-# STEP_RESOLUTION cannot move the estimate, and ends the descent.
 MAX_STEP = 1e3
 SUFFICIENT_DECREASE = 1e-4
 STEP_RESOLUTION = 1e-9
@@ -80,13 +62,12 @@ INIT_POLICIES = ("offdiag-max", "max-entry")
 class BilevelConfig:
     """Outer-loop budget and first step size.
 
-    ``step_size``, the first outer step in alpha, must be finite and
-    positive; later steps are Barzilai-Borwein quotients.  ``init`` is a
-    Regularization holding strictly positive starting levels (zeros
-    allowed in the matrix case and stay pinned); a scalar init of 0 has
-    no log and raises ValueError here.  None picks :func:`starting_level`
-    for the scalar tuner; the matrix tuner needs an init and raises
-    ValueError without one.
+    ``step_size``, the first outer step in alpha of :func:`_descend`, must
+    be finite and positive.  ``init`` is a Regularization holding strictly
+    positive starting levels (zeros allowed in the matrix case and stay
+    pinned); a scalar init of 0 has no log and raises ValueError here.
+    None picks :func:`starting_level` for the scalar tuner; the matrix
+    tuner needs an init and raises ValueError without one.
     """
 
     step_size: float = 0.1
@@ -135,10 +116,9 @@ class Trajectory:
     inner iteration included; ``kink_entries`` totals the support entries
     put on the zero branch at the recorded iterations.
 
-    ``stop_reason`` names the stop.  ``converged`` is true for the names in
-    CONVERGED_STOPS; ``aborted`` is true when a failure or an out-of-range
-    step after the first iterate stopped the run early (see
-    :func:`tune_scalar`), and ``stop_reason`` then starts with "aborted".
+    ``stop_reason`` names the stop of :func:`_descend`.  ``converged`` is
+    true for the names in CONVERGED_STOPS, ``aborted`` for a reason that
+    starts with "aborted".
     """
 
     records: List[TrajectoryRecord] = field(default_factory=list)
@@ -300,38 +280,46 @@ def _descend(
     ``alpha`` is a float (one level tied across every entry) or a p x p
     array (one weight per entry).  Both take the per-entry hypergradient
     from one adjoint solve; a tied level moves every weight at once, so
-    its derivative is the sum of the per-entry ones.  The first solve
-    starts from ``warm`` (None: the solver's cold start), every later one
-    from the last accepted estimate, whose factorization it reuses.
+    its derivative is the sum of the per-entry ones, taken on the support
+    that :func:`~glassotune.implicit.support_from_estimate` reads by its
+    kink rule.  The first solve starts from ``warm`` (None: the solver's
+    cold start), every later one from the last accepted estimate, whose
+    factorization it reuses.
 
     From the last accepted iterate (alpha, g) a trial goes to alpha - s g.
     The first step s is ``config.step_size``; after each accepted trial s
     becomes the Barzilai-Borwein quotient <da, da> / <da, dg> of the last
-    two accepted iterates, capped at MAX_STEP, or stays as it was when
-    <da, dg> <= 0.  The sums run over the free entries, those with finite
-    alpha; entries pinned at alpha = -inf stay at penalty 0 and never
-    enter a difference.  A trial is accepted, and recorded, only if its
-    criterion is at most the last accepted one minus SUFFICIENT_DECREASE *
-    s * sum(g^2), so the recorded criteria never increase.  A rejected
-    trial halves s and is tried again from the last accepted iterate; it
-    gets no hypergradient and no record, and ``traj.rejected_steps``
-    counts it.  ``config.max_outer_iter`` bounds the accepted steps.
-    Every solve that returns, rejected or not, adds its estimate's
-    iteration, Newton-step and Newton-trial counts to the trajectory's
-    totals.
+    two accepted iterates (Barzilai & Borwein, IMA J. Numer. Anal. 1988),
+    capped at MAX_STEP, or stays as it was when <da, dg> <= 0.  The sums
+    run over the free entries, those with finite alpha; entries pinned at
+    alpha = -inf stay at penalty 0 and never enter a difference.  A trial
+    is accepted, and recorded, only if its criterion is at most the last
+    accepted one minus SUFFICIENT_DECREASE * s * sum(g^2) (a
+    sufficient-decrease guard, as in Raydan, SIAM J. Optim. 1997), so the
+    recorded criteria never increase.  A rejected trial halves s and is
+    tried again from the last accepted iterate; it gets no hypergradient
+    and no record, and ``traj.rejected_steps`` counts it.  Every solve
+    that returns, rejected or not, adds its estimate's iteration,
+    Newton-step and Newton-trial counts to the trajectory's totals.
 
     The descent stops, converged, when the hypergradient is at most
-    OUTER_TOL ("hypergradient below tolerance"), when the next move,
-    s * |g|_inf, is at most STEP_RESOLUTION ("step below resolution"), or
-    when a solve after the first one takes no inner iteration, so theta
-    did not move and the hypergradient could not change ("solve below
-    resolution").
+    OUTER_TOL, in absolute value for a level and in sup-norm for weights
+    ("hypergradient below tolerance"), when the next move, s * |g|_inf, is
+    at most STEP_RESOLUTION, too small to move the estimate ("step below
+    resolution"), or when a solve after the first one takes no inner
+    iteration, so theta did not move and the hypergradient could not
+    change ("solve below resolution").  The last two end descents whose
+    minimum sits at a kink of the solution map, where the hypergradient
+    jumps and need not fall below its tolerance.  It stops unconverged
+    once ``config.max_outer_iter`` steps are accepted ("outer iteration
+    budget exhausted").
 
     Any GlassoTuneError of the solve, the criterion, the support check or
     the adjoint solve propagates at the first iterate, annotated with the
     iteration index; later it aborts the run, which keeps the iterates
     before it.  So does a step that takes a free entry to a penalty of 0
-    or inf.
+    or inf.  An abort's ``stop_reason`` starts with "aborted at outer
+    iteration k"; a failure is never retried.
     """
     scalar = np.ndim(alpha) == 0
     free = np.isfinite(alpha)
@@ -423,20 +411,9 @@ def tune_scalar(
 ) -> Tuple[float, Trajectory]:
     """Descend the hold-out criterion over a single penalty level.
 
-    Starts at ``config.init`` (or the smallest diagonal-solution level),
-    then repeats: solve the training problem (warm-started from the
-    accepted solution), compute the criterion and its hypergradient, and
-    step alpha = log(lam) by the Barzilai-Borwein rule of :func:`_descend`.
-    Stops by one of that loop's three converged stops or when the
-    iteration budget runs out; the trajectory records which.
-
-    Kinks of the solution map are differentiated by the zero-branch rule
-    of :func:`~glassotune.implicit.support_from_estimate`.  Any
-    GlassoTuneError at the starting point (the inner solve failing to
-    converge or backtracking out of the SPD cone, a failed support check
-    or adjoint solve) propagates, annotated with the iteration index.
-    Mid-run it aborts the run with the trajectory collected so far, and
-    so does a step that underflows lam to 0 or overflows it to inf.
+    Starts at ``config.init``, or at :func:`starting_level` without one,
+    and runs :func:`_descend` over alpha = log(lam), whose docstring states
+    the step rule, the stops and which failures propagate.
 
     Returns the last level tried, ``traj.estimate.reg.lam``, and the trajectory.
     """

@@ -2,29 +2,8 @@
 
 Generates a synthetic sparse-precision dataset, tunes the graphical lasso
 penalty by the selected mode, and writes machine-readable results into an
-output directory:
-
-* ``grid_curve.csv``     level, criterion, relative error per grid point
-                         (modes grid and compare)
-* ``trajectory.csv``     one row per recorded outer descent iteration
-                         (modes scalar, matrix, compare)
-* ``summary.json``       the full config echoed back plus final levels,
-                         held-out and population criteria, errors,
-                         each descent's totals over all its solves,
-                         rejected-step and kink counts, stop reasons,
-                         abort flags and timings
-* ``lambda_opt.csv``, ``theta_true.csv``, ``theta_hat.csv``
-                         with ``--emit-matrices``
-* ``error.json``         written instead of summary.json when a numerical
-                         failure propagates
-
-This module writes every one of these layouts.  A run first removes
-these names from the output directory, so it holds only
-the run's own outputs.  Exit codes: 0 success, 2 usage error (including an
-output directory that cannot be created or cleared), 3 numerical failure.
-A descent that aborts early still exits 0: its trajectory up to the abort is
-valid, and the abort shows as ``"aborted": true`` in ``summary.json`` and a
-stderr line.
+output directory.  This module writes every output file; README's *Output
+files* section states their layouts and the exit codes.
 
 Each field of :class:`ExperimentConfig` is one setting and its only
 declaration: the flag is ``--`` and the name with dashes, the config-file
@@ -33,9 +12,7 @@ the field's rule says which values are allowed, and ``--help`` shows the
 field's help, rule and default.  ``--config FILE`` reads
 ``key = value`` lines; flags override the file's values.
 
-Run as a program (:func:`main`), and only then, the module gives scipy's
-OpenBLAS one thread when ``OPENBLAS_NUM_THREADS`` is unset and numpy
-loads an OpenBLAS of its own (:func:`_one_scipy_blas_thread`).
+Only :func:`main` changes BLAS threads (:func:`_one_scipy_blas_thread`).
 
 Seeds are derived from ``--seed`` as seed (ground truth), seed+1 (samples),
 seed+2 (train/test split), so every artifact is reproducible from the
@@ -365,13 +342,7 @@ def run(config: ExperimentConfig) -> int:
 
 
 def write_trajectory(traj: Trajectory, path: Path) -> None:
-    """``trajectory.csv``: one row per record of the descent.
-
-    The penalty columns are each record's ``penalty``: lambda for a
-    scalar run, lambda_min/lambda_max/lambda_mean for a matrix run.  A
-    missing relative error is written as nan.  The seconds column is
-    wall-clock and is the only nondeterministic field.
-    """
+    """``trajectory.csv``, one row per record, as README's *Output files* lays it out."""
     penalty = "lambda" if traj.estimate.reg.is_scalar else "lambda_min,lambda_max,lambda_mean"
     rows = [[r.iteration, *r.penalty, r.criterion, r.hypergrad_norm, r.inner_iterations,
              float("nan") if r.rel_error is None else r.rel_error, r.seconds]

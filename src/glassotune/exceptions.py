@@ -34,10 +34,8 @@ class NotConverged(GlassoTuneError):
 class DegenerateSupport(GlassoTuneError):
     """An estimate's support is not the support of its fixed point.
 
-    Raised when, outside the kink band, the entries of theta above the
-    support tolerance differ from those whose fixed-point argument clears
-    its threshold.  Kinks themselves are not an error: see
-    ``implicit.support_from_estimate`` for the rule applied there.
+    Raised by :func:`~glassotune.implicit.support_from_estimate`, which
+    states the check; kinks themselves are not an error.
     """
 
 

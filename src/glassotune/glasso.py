@@ -7,40 +7,16 @@ Minimizes, over SPD matrices theta,
 where S is an empirical covariance and T is either a constant level lam or
 an entrywise nonnegative symmetric weight matrix.  Each iteration takes a
 gradient step on the smooth part, whose gradient is S - theta^{-1}, and
-applies entrywise soft-thresholding.  The step gamma follows G-ISTA (Rolfs,
-Rajaratnam, Guillot, Wong & Chaudhary, NeurIPS 2012): after each accepted
-prox step a Barzilai-Borwein quotient proposes the next one, so the step
-grows back after backtracking, and backtracking halves it until the
-candidate is SPD and passes a sufficient-decrease test.  A converged
-iterate satisfies the fixed-point equation
+applies entrywise soft-thresholding.  A converged iterate satisfies the
+fixed-point equation
 
     theta = soft_threshold(theta - gamma * (S - theta^{-1}), gamma * T)
 
 for any gamma > 0, and the solver's residual is the sup-norm defect of that
-equation at the step in effect when it stopped.
-
-The prox iteration converges only linearly.  So after every accepted prox
-step the solver tries one inexact Newton step on the free set of QUIC
-(Hsieh, Sustik, Dhillon & Ravikumar, JMLR 2014): theta's support plus the
-zero entries whose gradient exceeds their threshold, which are the zero
-entries the prox candidate of the residual check moves.  The step holds an
-orthant, theta's signs on its support and the candidate's, the sign that
-lowers the objective, on the entries it adds, as OWL-QN's pseudo-gradient
-picks it (Andrew & Gao, ICML 2007); the objective is smooth and exact
-there, and the trial is projected back onto the orthant.  Its conjugate
-gradients stop at a forcing term that tightens as the gradient falls, but
-not past what the stop test can see (Kelley's safeguard).  The solver
-takes either the full projected step or the prox step.
-After an accepted Newton step it tries Newton again if and only if the
-residual fell; the Notes of :func:`solve` give the details.  So Newton
-steps add entries as well as drop them, and only the prox map certifies
-convergence.
-
-Every iterate is exactly symmetric without being re-symmetrized: the start,
-S, T and the mirrored inverse are exactly symmetric, and the prox treats
-entries (i, j) and (j, i) alike.  The Newton direction is the one matrix
-symmetrized in the loop, once per step, since the Kronecker products of
-its conjugate gradients are symmetric only to round-off.
+equation at the step in effect when it stopped.  The prox iteration
+converges only linearly, so the solver also takes inexact Newton steps on
+QUIC's free set.  The Notes of :func:`solve` state the step-size, Newton
+and stop rules.
 """
 
 from __future__ import annotations
@@ -76,13 +52,8 @@ BACKTRACK_FACTOR = 0.5
 # step is so small that the two objective values agree to round-off.
 DECREASE_SLACK = 1e-12
 
-# Newton steps, tried when the Notes of solve say: conjugate gradients stop
-# at the forcing term min(NEWTON_FORCING, max(sqrt|g|, NEWTON_SAFEGUARD *
-# tau / |g|)) of the gradient g on the orthant, where tau is the |g| at
-# which the stop test passes (Kelley's safeguard, with his constant 0.5),
-# and the solver takes the full projected step if it passes the Armijo test
-# with constant NEWTON_ARMIJO, and the slack of the prox test, or the prox
-# step if not.
+# Newton steps, by the Notes of solve: the cap on the forcing term, the
+# constant of Kelley's safeguard (his 0.5) and the Armijo constant.
 NEWTON_FORCING = 0.1
 NEWTON_SAFEGUARD = 0.5
 NEWTON_ARMIJO = 1e-4
@@ -301,16 +272,20 @@ def solve(
 
     Notes
     -----
-    The residual scales roughly linearly in gamma near the solution, so
+    The step gamma follows G-ISTA (Rolfs, Rajaratnam, Guillot, Wong &
+    Chaudhary, NeurIPS 2012): backtracking halves it until the candidate is
+    SPD and passes a sufficient-decrease test, and each accepted prox step
+    proposes the next by a Barzilai-Borwein quotient, kept only under
+    positive curvature, so the step grows back after backtracking.  The
+    residual scales roughly linearly in gamma near the solution, so
     termination requires ``residual <= tol * min(1, gamma)``; this keeps the
     stationarity violation of the result on the order of tol even after
-    heavy backtracking.  The step grows back after backtracking: each
-    accepted prox step proposes the next by a Barzilai-Borwein quotient,
-    kept only under positive curvature.
+    heavy backtracking.  Only this prox residual certifies convergence.
 
     After every accepted prox step that does not end the solve, the solver
-    first tries a Newton step.  After an accepted Newton step it tries
-    Newton again if and only if that step lowered the residual.
+    first tries a Newton step on the free set of QUIC (Hsieh, Sustik,
+    Dhillon & Ravikumar, JMLR 2014).  After an accepted Newton step it
+    tries Newton again if and only if that step lowered the residual.
     Otherwise, and always after a rejected Newton trial, the prox step
     runs.  So Newton steps follow one another while each cuts the
     residual, which near the solution is far more than a prox step does,
@@ -322,11 +297,13 @@ def solve(
     gamma * T) that the residual check has just formed.  That candidate
     is nonzero at a zero entry exactly where gamma|G| > gamma T, with sign
     -sign(G), so xi is -sign(G) on the zero entries with |G| > T strictly,
-    short of exact ties after the scaling by gamma, and 0 elsewhere.  The
-    free set F is {xi != 0}.  On the orthant the penalty is the linear
-    <T * xi, theta>, so with g = G + T * xi the step solves
-    (W kron W)_FF d = -g_F by conjugate gradients preconditioned with
-    (theta kron theta)_FF, to the relative residual
+    short of exact ties after the scaling by gamma, and 0 elsewhere: the
+    sign along which the objective falls, as OWL-QN's pseudo-gradient
+    picks it (Andrew & Gao, ICML 2007).  So Newton steps add entries as
+    well as drop them.  The free set F is {xi != 0}.  On the orthant the
+    penalty is the linear <T * xi, theta>, so with g = G + T * xi the step
+    solves (W kron W)_FF d = -g_F by conjugate gradients preconditioned
+    with (theta kron theta)_FF, to the relative residual
     min(NEWTON_FORCING, max(sqrt|g_F|, NEWTON_SAFEGUARD * tau / |g_F|)).
     Here tau = tol * min(1, 1/gamma) is the |g_F| below which the prox
     residual, about gamma |g_F|, passes the stop test; the safeguard
@@ -335,30 +312,30 @@ def solve(
     residual far below what that test can see.  The step then projects
     theta + d onto the orthant (entries with the other sign than xi
     become 0) and is taken at full length if that trial is SPD and passes
-    an Armijo test with constant NEWTON_ARMIJO.  Otherwise the prox step
-    is taken as usual.  Newton steps count towards MAX_ITER,
-    ``iterations`` and ``newton_steps`` and leave gamma as it was;
-    ``newton_trials`` counts the rejected ones too.
-    That solve runs in float32 end to end, its two Kronecker products,
-    iterates and vector updates alike (see
-    :func:`~glassotune.linalg.kron_restricted` and
+    an Armijo test with constant NEWTON_ARMIJO and the prox test's slack.
+    Otherwise the prox step is taken as usual.  Newton steps count
+    towards MAX_ITER, ``iterations`` and ``newton_steps`` and leave gamma
+    as it was; ``newton_trials`` counts the rejected ones too.  The Armijo
+    test compares true objective values: theta and the projected trial
+    both lie on the orthant, where the penalty is linear.
+
+    The Newton solve runs in float32 end to end, its two Kronecker
+    products, iterates and vector updates alike (see
     :func:`~glassotune.linalg.solve_symmetric`): its right-hand side is
     -g_F rounded to float32, since the direction only has to meet the
     forcing term, and the trial theta + d, the Armijo test, the prox step
     and the stop are float64.  The float32 solve leaves a true residual
     near 1e-7 relative, far below the smallest forcing terms seen, 1.4e-3
     to 1.7e-3 on the 100-point grid sweeps at p=100 (seeds 0-4) and p=300
-    (seeds 0-1), so no floor for float32 round-off is needed.  The Armijo
-    test compares true objective values: theta and the projected trial
-    both lie on the orthant, where the penalty is linear.
+    (seeds 0-1), so no floor for float32 round-off is needed.
 
     The returned theta is exactly symmetric, ``array_equal(theta,
-    theta.T)``: cov and the warm start are symmetrized once, the inverse
-    is mirrored, the prox treats entries (i, j) and (j, i) alike, and the
-    orthant is symmetric as the gradient is.  The conjugate gradients'
-    Kronecker products are symmetric only to round-off, so each Newton
-    direction is symmetrized once, as its solve returns it, and is zero
-    off the free set.  Its inverse comes back with it as ``theta_inv``.
+    theta.T)``, as is every iterate: cov and the warm start are symmetrized
+    once, the inverse is mirrored, the prox treats entries (i, j) and
+    (j, i) alike, the orthant is symmetric as the gradient is, and each
+    Newton direction is symmetrized once (see
+    :func:`~glassotune.linalg.kron_restricted`).  Its inverse comes back
+    with it as ``theta_inv``.
     """
     if config is None:
         config = SolverConfig()
@@ -401,7 +378,7 @@ def solve(
                 theta=theta,
                 reg=reg,
                 gamma=gamma,
-                support=SupportSet.from_matrix_mask(np.abs(theta) > config.support_tol),
+                support=SupportSet(np.abs(theta) > config.support_tol),
                 fixed_point_residual=residual,
                 iterations=it,
                 newton_steps=newton_steps,
@@ -478,9 +455,8 @@ def solve(
 
 
 def _orthant(theta: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    # theta's signs on its support, and the prox candidate's on each zero
-    # entry: with gradient G, threshold T and step gamma that is -sign(G)
-    # where gamma|G| > gamma T and 0 elsewhere.
+    # xi of the Notes of solve: theta's signs on its support, the prox
+    # candidate's on its zero entries.
     return np.sign(np.where(theta != 0.0, theta, cand))
 
 
@@ -494,38 +470,22 @@ def _newton_step(
     cand: np.ndarray,
     g_tol: float,
 ) -> Optional[tuple]:
-    """One inexact Newton step on the free set (see :func:`solve`).
+    """One inexact Newton step on the free set, by the Notes of :func:`solve`.
 
-    ``cand`` is the prox candidate at theta, whose signs on theta's zero
-    entries give the orthant there, and ``g_tol`` the free-set gradient
-    norm below which the stop test passes (tau in the Notes of
-    :func:`solve`), which sets the safeguard on the forcing term.  Returns the accepted ``(theta, lower, logdet,
-    f_theta)`` of the full projected step, or None if it fails, so that
-    the prox step runs instead.
-    On the orthant xi the penalty is the linear <T * xi, theta>, so on the
-    free set F = {xi != 0} the objective is smooth with gradient ``grad +
-    T * xi`` and Hessian (W kron W)_FF; its preconditioner
-    (theta kron theta)_FF is the same block of the Hessian's exact inverse.
-    An entry joins F only where the candidate moves it, that is where its
-    gradient exceeds its threshold, so its orthant sign is the one along
-    which the objective falls.
-    The gradient, the direction d and every conjugate-gradient iterate are
-    p x p matrices, zero off F, so the trial is ``theta + d``.
-    Both operators get float32 copies of W and theta and the right-hand
-    side is rounded to float32, so the conjugate gradients run in float32
-    end to end.  Their solution is symmetric only to round-off, like the
-    products that form it, so d is replaced by its symmetric part
-    ``(d + d.T) / 2`` once; the trial ``theta + d`` is then formed in
-    float64, exactly symmetric and zero off F as d is.
+    ``cand`` is the prox candidate at theta, whose signs give the orthant
+    on theta's zero entries, and ``g_tol`` is tau of the Notes.  Returns
+    the accepted ``(theta, lower, logdet, f_theta)`` of the full projected
+    step, or None if it fails, so that the prox step runs instead.  The
+    gradient, the direction d and every conjugate-gradient iterate are
+    p x p matrices zero off the free set, so the trial is ``theta + d``.
     """
     xi = _orthant(theta, cand)
-    free = SupportSet.from_matrix_mask(xi != 0.0)
+    free = SupportSet(xi != 0.0)
     sign_thr = thr * xi
     g_mat = grad + sign_thr
     g = g_mat * free.mask
     g_norm = float(np.linalg.norm(g))
-    # Kelley's safeguard: a linear residual below half of g_tol is more
-    # than the stop test can see.  A zero g needs no iteration at all.
+    # Kelley's safeguard; a zero g needs no iteration at all.
     floor = NEWTON_SAFEGUARD * g_tol / g_norm if g_norm > 0.0 else 0.0
     try:
         d = solve_symmetric(
@@ -537,6 +497,7 @@ def _newton_step(
         )
     except SingularSystem:
         return None
+    # the one symmetrization of kron_restricted's docstring
     d += d.T
     d *= 0.5
     trial = theta + d

@@ -3,15 +3,13 @@
 At a non-degenerate solution the soft-threshold fixed point is locally
 smooth in the penalty, and differentiating it on the support of theta
 yields a linear system whose coefficient matrix is the Kronecker square of
-theta^{-1} restricted to support coordinates.  That matrix is SPD and its
-product with a vector is theta^{-1} X theta^{-1}, so the system is solved by
-conjugate gradients without ever forming it, preconditioned by the same
-restriction of the Kronecker square of theta, whose unrestricted form is
-the exact inverse.  The derivative with respect to a scalar penalty
-solves that system against -sign(theta) on the support;
-per-entry weight derivatives share the same coefficient matrix, so their
-contraction against a criterion gradient collapses into a single adjoint
-solve.  Off-support derivatives are exactly zero.
+theta^{-1} restricted to support coordinates, solved matrix-free by
+conjugate gradients.  Per-entry weight derivatives share that matrix, so
+their contraction against a criterion gradient collapses into a single
+adjoint solve (:func:`hypergradient_weighted`); the derivative in a scalar
+level is the same solve against -sign(theta) (:func:`jacobian_scalar`).
+:func:`support_from_estimate` states which entries count as the support,
+kinks included.  Off-support derivatives are exactly zero.
 
 Also provides the hold-out validation criterion (unpenalized Gaussian
 negative log-likelihood on left-out data) and a Frobenius relative error
@@ -41,9 +39,7 @@ from .linalg import (
 # Not called here; perfbench/tracer.py wraps these names in this module.
 from .linalg import unvec, vec  # noqa: F401
 
-# Entries whose fixed-point argument sits within this relative distance of
-# its threshold, or within the solver's tolerance in stationarity units,
-# count as at a kink; support_from_estimate puts them on the zero branch.
+# The relative width of the kink band of support_from_estimate.
 BOUNDARY_TOL = 1e-6
 
 
@@ -116,7 +112,7 @@ def support_from_estimate(est: PrecisionEstimate, cov: np.ndarray) -> SupportSet
         )
     if not near.any():
         return est.support
-    return SupportSet.from_matrix_mask(mask_theta & ~near)
+    return SupportSet(mask_theta & ~near)
 
 
 def _restricted_kron(est: PrecisionEstimate, support: SupportSet) -> Operator:
@@ -130,15 +126,13 @@ def jacobian_scalar(est: PrecisionEstimate, support: SupportSet) -> np.ndarray:
     ``support``: the solution y of the restricted system
     K y = -sign(theta)_S, with K the restricted Kronecker square of
     theta^{-1}.  K is symmetric, so y is the adjoint solution of
-    :func:`hypergradient_weighted` against -sign(theta), symmetrized there
-    once, read back from its output -sign(theta) * y: sign(theta) is +-1
-    on the support, so that product undoes exactly, and it stops where
-    that solve does.  It
-    does not depend on the prox step gamma: the step scales both sides of
-    the system and cancels.
+    :func:`hypergradient_weighted` against -sign(theta), read back from its
+    output -sign(theta) * y: sign(theta) is +-1 on the support, so that
+    product undoes exactly, and y is exactly symmetric and stops where that
+    solve does.  It does not depend on the prox step gamma: the step scales
+    both sides of the system and cancels.
 
-    Raises SingularSystem if conjugate gradients find the restricted
-    coefficient matrix not positive definite or do not converge.
+    Raises SingularSystem as :func:`hypergradient_weighted` does.
     """
     sign = np.sign(est.theta)
     return -sign * hypergradient_weighted(est, support, -sign)
@@ -166,31 +160,28 @@ def hypergradient_weighted(
     The derivative of the solution in weight (k, l) solves the restricted
     system against a one-hot right-hand side -sign(theta_kl) * e_pos(k,l),
     so contracting all of them against grad_c only needs the single adjoint
-    solve y = K^{-1} vec(grad_c)_S (K is symmetric), by conjugate gradients
-    preconditioned with the restricted Kronecker square of theta.  The
-    solve runs on p x p matrices zero off the support: its right-hand side
-    is grad_c masked to the support, its solution Y is y put back on it, and
+    solve y = K^{-1} vec(grad_c)_S (K is symmetric), by
+    :func:`~glassotune.linalg.solve_symmetric` on p x p matrices zero off
+    the support: its right-hand side is grad_c masked to the support, its
+    solution Y is y put back on it and symmetrized once (see
+    :func:`~glassotune.linalg.kron_restricted`), and
 
         out = -sign(theta) * (Y + Y.T) / 2,   zero off the support.
 
-    The Kronecker products are symmetric only to round-off (see
-    :func:`~glassotune.linalg.kron_restricted`), and so is Y; taking its
-    symmetric part once is what makes the output, and
-    :func:`jacobian_scalar`, exactly symmetric.
-
     The right-hand side, and so every vector of the solve, is float64, and
     the products with K run in float64, so the stop holds for the float64
-    system; those with the preconditioner take float32 matrix products
-    (see :func:`~glassotune.linalg.kron_restricted`), which only changes
-    the path the iterates take to that stop.  The stop is the relative
-    residual max(CG_RTOL, est.tol): theta is certified only to the
-    solver's tol, so a tighter stop would buy digits the estimate does not
-    have.  An estimate built by hand (tol 0) gets CG_RTOL.
+    system; those with the preconditioner take float32 matrix products,
+    which only change the path the iterates take to that stop.  The stop
+    is the relative residual max(CG_RTOL, est.tol): theta is certified
+    only to the solver's tol, so a tighter stop would buy digits the
+    estimate does not have.  An estimate built by hand (tol 0) gets
+    CG_RTOL.
 
     Tying every weight to one level makes its derivative the sum of the
     per-entry ones, so the sum of the returned array is the scalar-penalty
     hypergradient.  Raises ValueError unless grad_c is finite and has the
-    shape of theta, and SingularSystem as :func:`jacobian_scalar` does.
+    shape of theta, and SingularSystem if conjugate gradients find the
+    restricted coefficient matrix not positive definite or do not converge.
     """
     grad_c = symmetrize(_as_matrix(grad_c, "grad_c", like=est.theta))
     y = solve_symmetric(
@@ -212,17 +203,17 @@ def criterion_holdout(
 
     value = -logdet(theta) + <cov_test, theta>, gradient = cov_test -
     theta^{-1}.  The gradient vanishes exactly at theta = cov_test^{-1}.
-    ``theta`` is a matrix, factorized here, or an estimate, whose
-    ``logdet`` and ``theta_inv`` are read instead: :func:`solve` seeds
-    both, so its estimates give the same values, bit for bit, with no
-    factorization.  The gradient is exactly symmetric, as cov_test is
-    symmetrized and theta^{-1} is mirrored.  Raises ValueError unless
-    cov_test is finite and has the shape of theta.
+    ``theta`` is a matrix, symmetrized and factorized here, or an estimate,
+    whose ``logdet`` and ``theta_inv`` are read instead:
+    :func:`~glassotune.glasso.solve` seeds both, so its estimates give the
+    same values, bit for bit, with no factorization.  The gradient is
+    exactly symmetric.  Raises ValueError unless a matrix theta is finite
+    and square, and cov_test is finite and has the shape of theta.
     """
     if isinstance(theta, PrecisionEstimate):
         neg_logdet, theta_inv, theta = -theta.logdet, theta.theta_inv, theta.theta
     else:
-        theta = np.asarray(theta, dtype=float)
+        theta = symmetrize(_as_matrix(theta, "theta"))
         lower = cholesky(theta)
         neg_logdet, theta_inv = -logdet(lower), spd_inverse(lower)
     cov_test = symmetrize(_as_matrix(cov_test, "cov_test", like=theta))

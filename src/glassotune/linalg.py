@@ -2,19 +2,15 @@
 
 Conventions, fixed package-wide:
 
-* Matrices are dense float64 ``numpy`` arrays of shape ``(p, p)``.
-  The one exception is a restricted system solved loosely: a float32
-  matrix of a :func:`kron_restricted` product makes that product's two
-  gemms float32, and a float32 vector it acts on comes back float32, so a
-  float32 right-hand side runs :func:`solve_symmetric` in float32 end to
-  end.
+* Matrices are dense float64 ``numpy`` arrays of shape ``(p, p)``, except
+  where :func:`kron_restricted` and :func:`solve_symmetric` take float32
+  from their arguments (see there).
   Each public entry point symmetrizes its matrix arguments,
   ``A <- (A + A.T) / 2``, so a covariance is symmetrized again at every
   call; the matrices computed from it are exactly symmetric by
   construction (mirrored inverses, entrywise maps) and are never
   symmetrized again.  The one exception is a :func:`kron_restricted`
-  product, symmetric only to round-off: each caller that solves with it
-  symmetrizes the solution once instead (see that function).
+  product (see there).
 * A matrix argument must be finite and square 2-d, of the shape of the
   matrix it goes with if any, or ValueError names it; :func:`_as_matrix`
   is the one place that rule lives.
@@ -163,10 +159,7 @@ class SupportSet:
     """A set of entries of a p x p matrix, held as a read-only boolean mask.
 
     ``len()`` counts its entries.  Raises ValueError unless the mask is a
-    square 2-d array.  It holds no state besides the mask: a
-    :func:`kron_restricted` operator on the set masks its products
-    itself, and exact symmetry of a solve on the set comes from the one
-    symmetrization of its solution (see there), not from the set.
+    square 2-d array.
     """
 
     mask: np.ndarray = field(repr=False)
@@ -180,7 +173,11 @@ class SupportSet:
 
     @classmethod
     def from_matrix_mask(cls, mask2d: np.ndarray) -> "SupportSet":
-        """Build from a ``(p, p)`` boolean mask."""
+        """The constructor under another name.
+
+        Kept only for the output check of ``perfbench/run.py``, which
+        ``tests/test_tooling.py`` pins; ROADMAP.md item 5 removes it.
+        """
         return cls(mask2d)
 
     def __len__(self) -> int:
@@ -199,14 +196,16 @@ def kron_restricted(w: np.ndarray, support: SupportSet) -> Operator:
     memory, against O(|S|**2) for the explicit block.  Raises ValueError
     unless the support's mask has the shape of ``w``.
 
-    The output is exactly zero off the support but symmetric only to
-    round-off, a few ulp of its largest entry, since the matrix products
-    round entries (i, j) and (j, i) differently; that perturbs a
+    The output is exactly zero off the support.  It is symmetric only to round-off,
+    a few ulp of its largest entry, since the matrix products round
+    entries (i, j) and (j, i) differently; that perturbs a
     conjugate-gradient solve far below any stop the package uses.  Exact
-    symmetry comes from the solves instead: the Newton step of
-    :func:`~glassotune.glasso.solve` and
-    :func:`~glassotune.implicit.hypergradient_weighted` each symmetrize
-    their solution once.
+    symmetry comes from the solves instead: each caller that solves with
+    these products, the Newton step of :func:`~glassotune.glasso.solve`
+    and :func:`~glassotune.implicit.hypergradient_weighted`, replaces its
+    solution by the symmetric part ``(Y + Y.T) / 2`` once, so the Newton
+    direction, the adjoint solution and everything formed from them are
+    exactly symmetric.
 
     The caller picks the precision of the two matrix products through the
     dtype of ``w``, and that of the output through the dtype of ``X``: a

@@ -362,6 +362,15 @@ class TestCriterionHoldout:
         ) / (2.0 * h)
         assert abs(float(np.sum(out.gradient * delta)) - fd) <= 1e-5 * max(1.0, abs(fd))
 
+    def test_asymmetric_theta_counts_as_its_symmetric_part(self):
+        # The log-determinant reads the lower triangle only and the trace
+        # both, so this theta unsymmetrized would give 2.3119.
+        theta = np.array([[2.0, 0.9], [0.1, 1.0]])
+        out = criterion_holdout(theta, np.eye(2))
+        ref = criterion_holdout(symmetrize(theta), np.eye(2))
+        assert out.value == ref.value == pytest.approx(2.4404, abs=1e-4)
+        assert np.array_equal(out.gradient, ref.gradient)
+
     def test_estimate_form_bit_identical_without_factorizing(self, monkeypatch):
         # Warm-started solves, as in a grid sweep or a descent.
         _, data = make_instance(30, 600, seed=3, density=0.1)
@@ -389,6 +398,8 @@ MATRIX_ARGUMENTS = {
     "criterion_holdout": ("cov_test", True, criterion_holdout),
     "criterion_holdout-matrix": (
         "cov_test", True, lambda est, a: criterion_holdout(est.theta, a)),
+    "criterion_holdout-theta": (
+        "theta", False, lambda est, a: criterion_holdout(a, est.theta_inv)),
     "check_optimality": ("cov", True, check_optimality),
     "support_from_estimate": ("cov", True, support_from_estimate),
     "hypergradient_weighted": (

@@ -4,7 +4,9 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -203,3 +205,58 @@ def test_array_dataclasses_do_not_compare_fieldwise(cls):
     assert not cls.__dataclass_params__.eq or own_eq(cls), (
         f"{cls.__qualname__} has an array field: set eq=False or define __eq__"
     )
+
+
+MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+
+# A Sphinx cross-reference role in a docstring: its kind and its target.
+ROLE = re.compile(r":(func|class|meth|mod):`~?([\w.]+)`")
+
+
+def docstrings(node, cls=None):
+    """Each docstring in ``node``'s tree, with the name of its enclosing class."""
+    if (doc := ast.get_docstring(node)) is not None:
+        yield doc, cls
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from docstrings(child, child.name)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from docstrings(child, cls)
+
+
+def resolve(module, cls, kind, target):
+    """The object a role names, or None.
+
+    A ``glassotune.`` target is a full dotted path; any other resolves in
+    the module's namespace or, for ``:meth:``, in the enclosing class.
+    """
+    parts = target.split(".")
+    if parts[0] == "glassotune":
+        # glassotune.<module>.<name>, or a name the package itself exports
+        i = 2 if len(parts) > 1 and parts[1] in MODULES else 1
+        scopes = [importlib.import_module(".".join(parts[:i]))]
+        parts = parts[i:]
+    else:
+        scopes = [module] + ([getattr(module, cls)] if kind == "meth" and cls else [])
+    for obj in scopes:
+        for attr in parts:
+            obj = getattr(obj, attr, None)
+        if obj is not None and inspect.ismodule(obj) == (kind == "mod"):
+            return obj
+    return None
+
+
+def test_docstring_cross_references_resolve():
+    # README and docstrings point to the one docstring that states each
+    # contract; a pointer that names nothing points nowhere.
+    seen, broken = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "glassotune" if path.stem == "__init__" else f"glassotune.{path.stem}"
+        module = importlib.import_module(name)
+        for doc, cls in docstrings(ast.parse(path.read_text(encoding="utf-8"))):
+            for kind, target in ROLE.findall(doc):
+                seen += 1
+                if resolve(module, cls, kind, target) is None:
+                    broken.append(f"{name}: :{kind}:`{target}`")
+    assert seen > 0
+    assert not broken, broken
