@@ -78,8 +78,8 @@ class BilevelConfig:
     def __post_init__(self):
         if not 0.0 < self.step_size < np.inf:
             raise ValueError("step_size must be finite and > 0")
-        if self.max_outer_iter < 1:
-            raise ValueError("max_outer_iter must be >= 1")
+        if not (isinstance(self.max_outer_iter, (int, np.integer)) and self.max_outer_iter >= 1):
+            raise ValueError("max_outer_iter must be an integer >= 1")
         if self.init is not None and self.init.is_scalar and self.init.lam <= 0.0:
             raise ValueError("init must be > 0 for the log parametrization")
 
@@ -186,7 +186,12 @@ def starting_level(cov_train: np.ndarray, policy: str = "offdiag-max") -> float:
 
 
 def default_grid(lam_init: float, points: int = 100) -> np.ndarray:
-    """Log-spaced grid over [lam_init * GRID_SPAN, lam_init]."""
+    """Log-spaced grid over [lam_init * GRID_SPAN, lam_init].
+
+    Raises ValueError unless lam_init is finite and > 0 and points >= 1.
+    """
+    if not 0.0 < lam_init < np.inf:
+        raise ValueError("lam_init must be finite and > 0")
     if points < 1:
         raise ValueError("points must be >= 1")
     if points == 1:

@@ -6,11 +6,13 @@ output directory.  This module writes every output file; README's *Output
 files* section states their layouts and the exit codes.
 
 Each field of :class:`ExperimentConfig` is one setting and its only
-declaration: the flag is ``--`` and the name with dashes, the config-file
-key is the name, the default's type reads the text (yes/no for a bool),
-the field's rule says which values are allowed, and ``--help`` shows the
-field's help, rule and default.  ``--config FILE`` reads
-``key = value`` lines; flags override the file's values.
+declaration: the flag is ``--`` and the name with dashes, the default's
+type reads the text (yes/no for a bool), the field's rule says which
+values are allowed, and ``--help`` shows the field's help, rule and
+default.  ``--config FILE`` names a file of flags, split into words as a
+POSIX shell splits them after each line whose first non-blank character
+is ``#`` is dropped; the flag parser reads them before the command line's
+own, which override them.
 
 Only :func:`main` changes BLAS threads (:func:`_one_scipy_blas_thread`).
 
@@ -25,6 +27,7 @@ import argparse
 import ctypes
 import json
 import os
+import shlex
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -132,7 +135,7 @@ def boolean(text: str) -> bool:
 
 
 def _converter(setting) -> Callable[[str], object]:
-    """The one reader of a setting's text, from a flag or a config file."""
+    """The one reader of a setting's text."""
     return boolean if type(setting.default) is bool else type(setting.default)
 
 
@@ -153,45 +156,33 @@ def _build_parser() -> argparse.ArgumentParser:
                             help=f"{setting.metadata['help']} (default: {default})",
                             **extra)
     parser.add_argument("--config", metavar="FILE",
-                        help="key=value file; flags override its values")
+                        help="file of flags; the command line's own override them")
     return parser
 
 
-def _read_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
-    # keys match flag names with dashes/underscores ignored, case-insensitive
-    canonical = {f.name.replace("_", ""): f for f in fields(ExperimentConfig)}
-    values = {}
+def _read_config_file(path: str, parser: argparse.ArgumentParser) -> List[str]:
+    """The flags a config file holds: its words as a POSIX shell splits them,
+    after each line whose first non-blank character is ``#`` is dropped."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+        return shlex.split("\n".join(line for line in lines
+                                      if not line.lstrip().startswith("#")))
+    except (OSError, ValueError) as exc:
         parser.error(f"cannot read config file {path}: {exc}")
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            parser.error(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = (part.strip() for part in line.partition("="))
-        normalized = key.lower().replace("-", "").replace("_", "")
-        if normalized not in canonical:
-            parser.error(f"{path}:{lineno}: unknown config key {key!r}")
-        setting = canonical[normalized]
-        convert = _converter(setting)
-        try:
-            values[setting.name] = convert(value)
-        except ValueError:
-            parser.error(f"{path}:{lineno}: invalid {convert.__name__} value for {key}: "
-                         f"{value!r}")
-    return values
 
 
 def parse_config(argv: Optional[List[str]] = None) -> ExperimentConfig:
-    """Resolve flags over config-file values over defaults."""
+    """Resolve flags over config-file flags over defaults."""
     parser = _build_parser()
-    args = vars(parser.parse_args(argv))
-    path = args.pop("config")
-    values = {} if path is None else _read_config_file(path, parser)
-    values.update((name, value) for name, value in args.items() if value is not None)
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        in_file = parser.parse_args(_read_config_file(args.config, parser))
+        if in_file.config is not None:
+            parser.error(f"config file {args.config} may not hold --config")
+        # the command line's own flags are parsed over the file's
+        args = parser.parse_args(argv, namespace=in_file)
+    values = {name: value for name, value in vars(args).items()
+              if name != "config" and value is not None}
     try:
         return ExperimentConfig(**values)
     except ValueError as exc:

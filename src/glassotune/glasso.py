@@ -361,7 +361,6 @@ def solve(
     f_theta = -ld + float(np.vdot(cov, theta))
 
     gamma = _default_gamma(cov)
-    try_newton = False
     # The residual before the last step if it was an accepted Newton step.
     before_newton = None
     newton_steps = newton_trials = 0
@@ -399,10 +398,8 @@ def solve(
                 residual=residual,
             )
 
-        if before_newton is not None:
-            # Newton again only while it still cuts the residual.
-            try_newton = residual < before_newton
-        if try_newton:
+        # Newton after a prox step, and again only while it still cuts the residual.
+        if it and (before_newton is None or residual < before_newton):
             newton_trials += 1
             newton = _newton_step(cov, thr, theta, theta_inv, grad, f_theta, cand,
                                   config.tol * min(1.0, 1.0 / gamma))
@@ -413,7 +410,6 @@ def solve(
                 newton_steps += 1
                 continue
         before_newton = None
-        try_newton = True
 
         for attempt in range(MAX_BACKTRACKS):
             if attempt:

@@ -139,11 +139,14 @@ def jacobian_scalar(est: PrecisionEstimate, support: SupportSet) -> np.ndarray:
 
 
 def hypergradient_scalar(jac: np.ndarray, grad_c: np.ndarray) -> float:
-    """Chain rule for the scalar penalty: <jacobian, criterion gradient>.
+    """Chain rule for the scalar penalty: <jacobian, criterion gradient>,
+    taken between the symmetric parts of both.
 
-    Raises ValueError unless grad_c is finite and has the shape of jac.
+    Raises ValueError unless jac is a finite square matrix and grad_c is
+    finite and has its shape.
     """
-    return float(np.sum(jac * _as_matrix(grad_c, "grad_c", like=jac)))
+    jac = symmetrize(_as_matrix(jac, "jac"))
+    return float(np.sum(jac * symmetrize(_as_matrix(grad_c, "grad_c", like=jac))))
 
 
 def hypergradient_weighted(
@@ -223,12 +226,13 @@ def criterion_holdout(
 
 
 def relative_error(theta_hat: np.ndarray, theta_true: np.ndarray) -> float:
-    """Frobenius distance to the ground truth, relative to its norm.
+    """Frobenius distance to the ground truth, relative to its norm, between
+    the symmetric parts of both.
 
     Raises ValueError unless both are finite square matrices of one shape.
     """
-    theta_true = _as_matrix(theta_true, "theta_true")
-    theta_hat = _as_matrix(theta_hat, "theta_hat", like=theta_true)
+    theta_true = symmetrize(_as_matrix(theta_true, "theta_true"))
+    theta_hat = symmetrize(_as_matrix(theta_hat, "theta_hat", like=theta_true))
     denom = float(np.linalg.norm(theta_true))
     num = float(np.linalg.norm(theta_true - theta_hat))
     if denom == 0.0:

@@ -145,6 +145,12 @@ class TestDefaultGrid:
         with pytest.raises(ValueError):
             default_grid(1.0, points=0)
 
+    @pytest.mark.parametrize("lam_init", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("points", [1, 3])
+    def test_rejects_a_level_that_is_not_finite_and_positive(self, lam_init, points):
+        with pytest.raises(ValueError, match="lam_init must be finite and > 0"):
+            default_grid(lam_init, points)
+
 
 class TestBadHoldout:
     # p=8 seed 0, with a NaN at (0, 1) of the held-out covariance.
@@ -246,8 +252,8 @@ class TestGridSearch:
 class TestBilevelConfig:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"step_size": 0.0}, {"max_outer_iter": 0}, {"step_size": float("inf")},
-         {"init": Regularization.scalar(0.0)}],
+        [{"step_size": 0.0}, {"max_outer_iter": 0}, {"max_outer_iter": 2.5},
+         {"step_size": float("inf")}, {"init": Regularization.scalar(0.0)}],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

@@ -56,6 +56,20 @@ def without_timings(obj):
     return obj
 
 
+def config_file(tmp_path, text: str) -> str:
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def usage_error(argv, capsys) -> str:
+    """The last stderr line of parse_config(argv), which must exit 2."""
+    with pytest.raises(SystemExit) as info:
+        parse_config(argv)
+    assert info.value.code == 2
+    return capsys.readouterr().err.splitlines()[-1]
+
+
 class TestParseConfig:
     def test_defaults(self):
         cfg = parse_config([])
@@ -77,118 +91,107 @@ class TestParseConfig:
         assert cfg.lambda_init_policy == "max-entry"
 
     def test_config_file(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text(
-            "# comment\n"
-            "\n"
-            "mode = scalar\n"
-            "MAX-OUTER-ITER = 17\n"
-            "split_ratio=0.6\n"
-            "emitmatrices = yes\n"
-        )
-        cfg = parse_config(["--config", str(path)])
-        assert cfg.mode == "scalar"
-        assert cfg.max_outer_iter == 17
-        assert cfg.split_ratio == 0.6
-        assert cfg.emit_matrices
+        # A config file holds flags: comment lines go, the rest split as a
+        # shell splits them, and a # inside a word is part of the value.
+        path = config_file(tmp_path, "# comment\n"
+                                     "\n"
+                                     "--mode scalar\n"
+                                     "  --max-outer-iter 17 --split-ratio=0.6\n"
+                                     "--emit-matrices yes\n"
+                                     "--output-dir out#1\n")
+        flags = ["--mode", "scalar", "--max-outer-iter", "17", "--split-ratio=0.6",
+                 "--emit-matrices", "yes", "--output-dir", "out#1"]
+        cfg = parse_config(["--config", path])
+        assert cfg == parse_config(flags)
+        assert (cfg.mode, cfg.max_outer_iter, cfg.split_ratio) == ("scalar", 17, 0.6)
+        assert cfg.emit_matrices and cfg.output_dir == "out#1"
+        assert not parse_config(["--config", path, "--emit-matrices", "no"]).emit_matrices
+
+    def test_quoted_value_keeps_its_spaces_and_backslashes(self, tmp_path):
+        path = config_file(tmp_path, "--output-dir 'my runs\\p 20'\n")
+        assert parse_config(["--config", path]).output_dir == "my runs\\p 20"
 
     def test_flags_override_file(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("p = 7\nmode = grid\n")
-        cfg = parse_config(["--config", str(path), "--p", "9"])
+        path = config_file(tmp_path, "--p 7\n--mode grid\n")
+        cfg = parse_config(["--config", path, "--p", "9"])
         assert cfg.p == 9
         assert cfg.mode == "grid"
 
-    def test_flag_turns_off_file_emit_matrices(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("emit-matrices = yes\n")
+    def test_flag_turns_off_file_emit_matrices(self, tmp_path, capsys):
+        path = config_file(tmp_path, "--emit-matrices yes\n")
         for flag in (["--emit-matrices", "no"], ["--emit-matrices=off"]):
-            assert not parse_config(["--config", str(path), *flag]).emit_matrices
+            assert not parse_config(["--config", path, *flag]).emit_matrices
         # bare, it means yes and leaves the next option alone
         cfg = parse_config(["--emit-matrices", "--seed", "4"])
         assert cfg.emit_matrices and cfg.seed == 4
-        with pytest.raises(SystemExit) as info:
-            parse_config(["--emit-matrices", "maybe"])
-        assert info.value.code == 2
+        assert usage_error(["--emit-matrices", "maybe"], capsys).endswith(
+            "argument --emit-matrices: invalid boolean value: 'maybe'")
 
-    def test_unknown_key_is_usage_error(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("pp = 7\n")
-        with pytest.raises(SystemExit) as info:
-            parse_config(["--config", str(path)])
-        assert info.value.code == 2
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys):
+        path = config_file(tmp_path, "--pp 7\n")
+        assert usage_error(["--config", path], capsys) == (
+            "glassotune: error: unrecognized arguments: --pp 7")
 
-    def test_bad_value_is_usage_error(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("p = seven\n")
-        with pytest.raises(SystemExit) as info:
-            parse_config(["--config", str(path)])
-        assert info.value.code == 2
+    def test_bad_value_is_usage_error(self, tmp_path, capsys):
+        path = config_file(tmp_path, "--p seven\n")
+        assert usage_error(["--config", path], capsys) == (
+            "glassotune: error: argument --p: invalid int value: 'seven'")
 
-    def test_bad_bool_is_usage_error(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("emit-matrices = maybe\n")
-        with pytest.raises(SystemExit) as info:
-            parse_config(["--config", str(path)])
-        assert info.value.code == 2
+    def test_bad_bool_is_usage_error(self, tmp_path, capsys):
+        path = config_file(tmp_path, "--emit-matrices maybe\n")
+        assert usage_error(["--config", path], capsys) == (
+            "glassotune: error: argument --emit-matrices: invalid boolean value: 'maybe'")
 
     @pytest.mark.parametrize("source", ["flag", "file"])
     def test_bad_bool_names_the_setting_and_the_value(self, tmp_path, capsys, source):
-        path = tmp_path / "run.cfg"
-        path.write_text("emit-matrices = maybe\n")
-        argv = ["--config", str(path)] if source == "file" else ["--emit-matrices", "maybe"]
-        with pytest.raises(SystemExit) as info:
-            parse_config(argv)
-        assert info.value.code == 2
-        message = capsys.readouterr().err.splitlines()[-1]
+        argv = ["--emit-matrices", "maybe"]
+        if source == "file":
+            argv = ["--config", config_file(tmp_path, " ".join(argv))]
+        message = usage_error(argv, capsys)
         assert "emit-matrices" in message and "'maybe'" in message
         assert not re.search(r"\b_[a-z]", message)  # names no private function
-        if source == "file":
-            assert message.startswith(f"glassotune: error: {path}:1: ")
 
     def test_hash_inside_a_line_is_part_of_the_value(self, tmp_path, capsys):
         # Only a line starting with # is a comment: an output path may hold one.
-        path = tmp_path / "run.cfg"
-        path.write_text("# comment\noutput-dir = out#1\n")
-        assert parse_config(["--config", str(path)]).output_dir == "out#1"
-        path.write_text("output-dir = out#1\np = 5 # five\n")
-        with pytest.raises(SystemExit) as info:
-            parse_config(["--config", str(path)])
-        assert info.value.code == 2
-        message = capsys.readouterr().err.splitlines()[-1]
-        assert message.startswith(f"glassotune: error: {path}:2: ")
-        assert "'5 # five'" in message
+        path = config_file(tmp_path, "# comment\n--output-dir out#1\n")
+        assert parse_config(["--config", path]).output_dir == "out#1"
+        path = config_file(tmp_path, "--output-dir out#1\n--p 5 # five\n")
+        assert usage_error(["--config", path], capsys) == (
+            "glassotune: error: unrecognized arguments: # five")
 
-    def test_missing_file_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as info:
-            parse_config(["--config", str(tmp_path / "absent.cfg")])
-        assert info.value.code == 2
+    def test_missing_file_is_usage_error(self, tmp_path, capsys):
+        path = str(tmp_path / "absent.cfg")
+        message = usage_error(["--config", path], capsys)
+        assert message.startswith(f"glassotune: error: cannot read config file {path}: ")
+        assert "No such file" in message
 
-    def test_missing_equals_is_usage_error(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("just a line\n")
-        with pytest.raises(SystemExit) as info:
-            parse_config(["--config", str(path)])
-        assert info.value.code == 2
+    def test_unbalanced_quotes_are_usage_error(self, tmp_path, capsys):
+        path = config_file(tmp_path, "--p 5\n--output-dir 'out\n")
+        assert usage_error(["--config", path], capsys) == (
+            f"glassotune: error: cannot read config file {path}: No closing quotation")
 
-    def test_domain_error_is_usage_error(self):
-        with pytest.raises(SystemExit) as info:
-            parse_config(["--p", "1"])
-        assert info.value.code == 2
+    def test_config_file_naming_another_is_usage_error(self, tmp_path, capsys):
+        path = config_file(tmp_path, "--p 5 --config other.cfg\n")
+        assert usage_error(["--config", path], capsys) == (
+            f"glassotune: error: config file {path} may not hold --config")
+
+    def test_domain_error_is_usage_error(self, capsys):
+        assert usage_error(["--p", "1"], capsys) == (
+            "glassotune: error: p must be >= 2, got 1")
 
     @pytest.mark.parametrize(
         "flag, value",
         [("--rho", "inf"), ("--inner-tol", "inf"), ("--seed", "-1")],
     )
-    def test_non_finite_or_negative_setting_is_usage_error(self, flag, value):
-        with pytest.raises(SystemExit) as info:
-            parse_config([flag, value])
-        assert info.value.code == 2
+    def test_non_finite_or_negative_setting_is_usage_error(self, flag, value, capsys):
+        message = usage_error([flag, value], capsys)
+        assert message.startswith(f"glassotune: error: {flag[2:]} must be ")
+        assert message.endswith(f", got {value}")
 
-    def test_unknown_mode_is_usage_error(self):
-        with pytest.raises(SystemExit) as info:
-            parse_config(["--mode", "bogus"])
-        assert info.value.code == 2
+    def test_unknown_mode_is_usage_error(self, capsys):
+        assert usage_error(["--mode", "bogus"], capsys) == (
+            "glassotune: error: mode must be one of grid | scalar | matrix | compare, "
+            "got 'bogus'")
 
     def test_config_validation_direct(self):
         with pytest.raises(ValueError):
@@ -277,16 +280,15 @@ def test_setting_rules_cover_every_setting_with_a_rule():
 def test_setting_rule_holds_directly_by_flag_and_by_file(tmp_path, capsys, name, value, ok):
     flag, rule = name.replace("_", "-"), SETTING_RULES[name][0]
     message = f"{flag} must be {rule}, got {value!r}"
-    path = tmp_path / "run.cfg"
-    path.write_text(f"{flag} = {value}\n")
-    for argv in ([f"--{flag}={value}"], ["--config", str(path)]):
+    # argparse reads a word such as -5e-324 as an option, in a file as on
+    # the command line, so a value that starts with a dash joins its flag
+    sep = "=" if str(value).startswith("-") else " "
+    path = config_file(tmp_path, f"--{flag}{sep}{value}\n")
+    for argv in ([f"--{flag}={value}"], ["--config", path]):
         if ok:
             assert getattr(parse_config(argv), name) == value
             continue
-        with pytest.raises(SystemExit) as info:
-            parse_config(argv)
-        assert info.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == f"glassotune: error: {message}"
+        assert usage_error(argv, capsys) == f"glassotune: error: {message}"
     if ok:
         assert getattr(ExperimentConfig(**{name: value}), name) == value
     else:

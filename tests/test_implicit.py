@@ -406,7 +406,11 @@ MATRIX_ARGUMENTS = {
         "grad_c", True, lambda est, a: hypergradient_weighted(est, est.support, a)),
     "hypergradient_scalar": (
         "grad_c", True, lambda est, a: hypergradient_scalar(est.theta, a)),
+    "hypergradient_scalar-jac": (
+        "jac", False, lambda est, a: hypergradient_scalar(a, est.theta)),
     "relative_error": ("theta_hat", True, lambda est, a: relative_error(a, est.theta)),
+    "relative_error-theta_true": (
+        "theta_true", False, lambda est, a: relative_error(est.theta, a)),
     "solve-warm_start": (
         "warm_start", True, lambda est, a: solve(est.theta_inv, est.reg, warm_start=a)),
     "solve-warm_start-estimate": (
@@ -434,6 +438,27 @@ def test_input_of_another_shape_raises(check):
         bad[0, 1] = value
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             call(est, bad)
+
+
+# Each matrix argument of the two plain-matrix entry points: the call
+# given that argument and a fixed asymmetric partner.
+ASYMMETRIC_ARGUMENTS = {
+    "relative_error-theta_hat": lambda a, b: relative_error(a, b),
+    "relative_error-theta_true": lambda a, b: relative_error(b, a),
+    "hypergradient_scalar-jac": lambda a, b: hypergradient_scalar(a, b),
+    "hypergradient_scalar-grad_c": lambda a, b: hypergradient_scalar(b, a),
+}
+
+
+@pytest.mark.parametrize("check", ASYMMETRIC_ARGUMENTS)
+def test_asymmetric_argument_counts_as_its_symmetric_part(check):
+    # Unsymmetrized, relative_error([[1, 1], [0, 1]], 2I) gave 0.6124 and
+    # hypergradient_scalar([[1, 2], [0, 1]], [[0, 1], [0, 0]]) gave 2.0.
+    call = ASYMMETRIC_ARGUMENTS[check]
+    a = np.array([[1.0, 2.0], [0.0, 1.0]])
+    partner = np.array([[2.0, 0.5], [0.0, 3.0]])
+    assert call(a, partner) == call(symmetrize(a), partner)
+    assert call(a, partner) != call(np.array([[1.0, 2.0], [2.0, 1.0]]), partner)
 
 
 @pytest.fixture(scope="module")
