@@ -51,8 +51,10 @@ MAX_STEP = 1e3
 SUFFICIENT_DECREASE = 1e-4
 STEP_RESOLUTION = 1e-9
 
-# default_grid spans [lam_init * GRID_SPAN, lam_init].
+# default_grid spans [lam_init * GRID_SPAN, lam_init]; grid_search stops at
+# the first solved level at or below its best level / GRID_STOP_SPAN.
 GRID_SPAN = 1e-3
+GRID_STOP_SPAN = 1.2
 
 # The policies lambda_init knows, its default first.
 INIT_POLICIES = ("offdiag-max", "max-entry")
@@ -226,10 +228,19 @@ def grid_search(
     The sweep runs from the largest level down, warm-starting each solve
     from the previous solution (solutions vary continuously in the level,
     so the previous one is close).  Solver failures mark their point as
-    failed instead of aborting the sweep.  Returns the level minimizing
-    the criterion and the curve sorted by increasing level; the point at
-    that level carries its estimate, with the inverse and log-determinant
-    the solver computed.
+    failed instead of aborting the sweep.  The sweep stops after the first
+    solved level at or below ``best / GRID_STOP_SPAN`` (GRID_STOP_SPAN =
+    1.2), ``best`` being the level of the lowest criterion so far: supports
+    grow as the level falls, so the levels below the minimum are the
+    costliest to solve.  On the default 100-point grid, whose cells are
+    x1.072, that is the third point past the best; on a coarser grid it
+    can be the first.  A failed point never stops the sweep.
+
+    Returns the level minimizing the criterion over the evaluated levels,
+    ties going to the smaller one, and the curve of those levels, failed
+    ones included, sorted by increasing level; the point at the argmin
+    carries its estimate, with the inverse and log-determinant the solver
+    computed.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -260,11 +271,13 @@ def grid_search(
         # ties go to the smaller level, which the downward sweep meets last
         if best_i is None or crit <= points[best_i].criterion:
             best_i, best_est = int(i), est
+        elif lam <= points[best_i].lam / GRID_STOP_SPAN:
+            break
 
     if best_i is None:
         raise DegenerateInput("every grid point failed to solve")
     best = points[best_i] = replace(points[best_i], estimate=best_est)
-    return best.lam, [points[int(i)] for i in np.argsort(grid)]
+    return best.lam, [points[int(i)] for i in np.argsort(grid) if int(i) in points]
 
 
 def _stop(traj: Trajectory, reason: str) -> Trajectory:

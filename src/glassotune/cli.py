@@ -79,25 +79,30 @@ def _setting(default, help: str, allowed: Optional[Callable[[object], bool]] = N
                                             "allowed": allowed, "rule": rule})
 
 
+def _integer_from(low: int):
+    """The predicate and words of an int setting's rule: an integer >= low."""
+    return (lambda v: isinstance(v, (int, np.integer)) and v >= low), f"an integer >= {low}"
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A fully determined experiment; every run artifact derives from it."""
 
     mode: str = _setting("compare", "what to run", lambda v: v in MODES,
                          "one of " + " | ".join(MODES))
-    p: int = _setting(100, "dimension", lambda v: v >= 2, ">= 2")
-    n: int = _setting(2000, "number of samples", lambda v: v >= 2, ">= 2")
+    p: int = _setting(100, "dimension", *_integer_from(2))
+    n: int = _setting(2000, "number of samples", *_integer_from(2))
     density: float = _setting(0.05, "nonzero fraction in the ground-truth factor",
                               lambda v: 0.0 < v <= 1.0, "in (0, 1]")
-    seed: int = _setting(0, "base seed", lambda v: v >= 0, ">= 0")
+    seed: int = _setting(0, "base seed", *_integer_from(0))
     split_ratio: float = _setting(0.5, "train fraction of the sample split",
                                   lambda v: 0.0 < v < 1.0, "in (0, 1)")
     rho: float = _setting(0.1, "first outer step size", lambda v: 0.0 < v < np.inf,
                           "finite and > 0")
-    max_outer_iter: int = _setting(200, "outer iteration budget", lambda v: v >= 1, ">= 1")
+    max_outer_iter: int = _setting(200, "outer iteration budget", *_integer_from(1))
     inner_tol: float = _setting(1e-8, "inner solver fixed-point tolerance",
                                 lambda v: 0.0 < v < np.inf, "finite and > 0")
-    grid_points: int = _setting(100, "points in the log-spaced grid", lambda v: v >= 1, ">= 1")
+    grid_points: int = _setting(100, "points in the log-spaced grid", *_integer_from(1))
     output_dir: str = _setting(".", "directory for result files")
     emit_matrices: bool = _setting(
         False, "also write lambda_opt/theta_true/theta_hat CSVs (bare flag: yes)")
@@ -275,7 +280,7 @@ def run(config: ExperimentConfig) -> int:
                 "lambda_best": best,
                 "criterion": at_best.criterion,
                 "rel_error": at_best.rel_error,
-                "points": len(curve),
+                "points": len(curve),  # the levels evaluated, up to the sweep's stop
                 "failed_points": int(sum(g.failed for g in curve)),
                 "seconds": time.perf_counter() - t0,
             }

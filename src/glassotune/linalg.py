@@ -44,8 +44,19 @@ Operator = Callable[[np.ndarray], np.ndarray]
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """The symmetric part ``(a + a.T) / 2`` of a square ``a``, as a new array."""
+    """The symmetric part ``(a + a.T) / 2`` of a square ``a``, as a new array.
+
+    An ``a`` equal to its transpose bit for bit comes back as a copy,
+    which is the formula's result bit for bit, -0.0 included; only an entry
+    above half the largest double differs, where the formula overflows.
+    That check costs less than the formula, and the package's own calls
+    pass it.  Any other ``a``, one with a -0.0 facing a +0.0 included,
+    takes the formula.
+    """
     a = _as_square(np.asarray(a, dtype=float))
+    bits = a.view(np.int64)
+    if (bits == bits.T).all():
+        return a.copy()
     return (a + a.T) / 2.0
 
 

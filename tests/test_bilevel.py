@@ -19,7 +19,7 @@ from glassotune.bilevel import (
     tune_matrix,
     tune_scalar,
 )
-from glassotune.exceptions import DegenerateInput, DegenerateSupport
+from glassotune.exceptions import DegenerateInput, DegenerateSupport, NotConverged
 from glassotune.glasso import Regularization, SolverConfig, solve
 from glassotune.implicit import (
     criterion_holdout,
@@ -187,12 +187,64 @@ class TestGridSearch:
         best, curve = grid_search(
             data.cov_train, data.cov_test, grid, theta_true=truth.theta_true
         )
-        assert len(curve) == 12
-        lams = [g.lam for g in curve]
-        assert lams == sorted(lams)
+        # the evaluated levels: the grid's largest, in increasing order
+        assert 0 < len(curve) < 12
+        assert [g.lam for g in curve] == list(grid[-len(curve):])
         solved = [g for g in curve if not g.failed]
         assert best == min(solved, key=lambda g: g.criterion).lam
         assert all(np.isfinite(g.rel_error) for g in solved)
+
+    def test_stop_keeps_the_full_sweeps_best(self, monkeypatch):
+        truth, data = make_instance(10, 300, seed=0)
+        grid = default_grid(lambda_init(data.cov_train), points=30)
+        best, curve = grid_search(data.cov_train, data.cov_test, grid, theta_true=truth.theta_true)
+        monkeypatch.setattr(glassotune.bilevel, "GRID_STOP_SPAN", np.inf)
+        full_best, full = grid_search(data.cov_train, data.cov_test, grid,
+                                      theta_true=truth.theta_true)
+        assert len(full) == 30 > len(curve)
+        assert best == full_best
+        # the stopped sweep is the full one's first part, bit for bit
+        assert [(g.lam, g.criterion, g.rel_error) for g in curve] == [
+            (g.lam, g.criterion, g.rel_error) for g in full[-len(curve):]]
+        kept, full_kept = (next(g.estimate for g in c if g.lam == best) for c in (curve, full))
+        np.testing.assert_array_equal(kept.theta, full_kept.theta)
+        np.testing.assert_array_equal(kept.theta_inv, full_kept.theta_inv)
+        assert kept.logdet == full_kept.logdet
+
+    def test_stops_at_the_first_level_at_or_below_best_over_the_span(self):
+        _, data = make_instance(10, 300, seed=1)
+        grid = default_grid(lambda_init(data.cov_train), points=30)
+        best, curve = grid_search(data.cov_train, data.cov_test, grid)
+        cut = best / glassotune.bilevel.GRID_STOP_SPAN
+        assert glassotune.bilevel.GRID_STOP_SPAN == 1.2
+        assert curve[0].lam <= cut < min(g.lam for g in curve[1:])
+        assert curve[0].lam == grid[-len(curve)]
+
+    def test_failed_point_past_the_best_does_not_stop(self, monkeypatch):
+        _, data = make_instance(10, 300, seed=1)
+        grid = default_grid(lambda_init(data.cov_train), points=30)
+        best, curve = grid_search(data.cov_train, data.cov_test, grid)
+        # fail the level the sweep stopped at
+        stop = curve[0].lam
+
+        def failing_solve(cov, reg, *args, **kwargs):
+            if reg.lam == stop:
+                raise NotConverged("injected", 0, float("nan"))
+            return solve(cov, reg, *args, **kwargs)
+
+        monkeypatch.setattr(glassotune.bilevel, "solve", failing_solve)
+        best_f, curve_f = grid_search(data.cov_train, data.cov_test, grid)
+        assert best_f == best
+        assert [g.lam for g in curve_f] == list(grid[-len(curve) - 1:])
+        assert [g.failed for g in curve_f[:2]] == [False, True]
+
+    def test_coarse_grid_stops_one_cell_past_its_best(self):
+        _, data = make_instance(20, 500, seed=3)
+        lam0 = lambda_init(data.cov_train)
+        grid = default_grid(lam0, points=4)
+        best, curve = grid_search(data.cov_train, data.cov_test, grid)
+        assert best == grid[2]  # lam0 / 10
+        assert [g.lam for g in curve] == list(grid[1:])
 
     def test_rel_error_nan_without_truth(self):
         _, data = make_instance(3, 100, seed=1)

@@ -177,7 +177,7 @@ class TestParseConfig:
 
     def test_domain_error_is_usage_error(self, capsys):
         assert usage_error(["--p", "1"], capsys) == (
-            "glassotune: error: p must be >= 2, got 1")
+            "glassotune: error: p must be an integer >= 2, got 1")
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -200,6 +200,13 @@ class TestParseConfig:
             ExperimentConfig(inner_tol=0.0)
         with pytest.raises(ValueError):
             ExperimentConfig(lambda_init_policy="median")
+
+    @pytest.mark.parametrize("value", [2.0, 6.5])
+    @pytest.mark.parametrize("name", ["p", "n", "seed", "max_outer_iter", "grid_points"])
+    def test_int_setting_rejects_a_float(self, name, value):
+        # the flag's int() never yields a float; a direct build can
+        with pytest.raises(ValueError, match=f"{name.replace('_', '-')} must be an integer"):
+            ExperimentConfig(**{name: value})
 
 
 def test_readme_flag_list_matches_parser():
@@ -250,15 +257,15 @@ TINY, HUGE = 5e-324, 1.7976931348623157e308
 ONE_UP, ONE_DOWN = float(np.nextafter(1, 2)), float(np.nextafter(1, 0))
 SETTING_RULES = {
     "mode": ("one of grid | scalar | matrix | compare", ["grid", "compare"], ["bogus", "Grid"]),
-    "p": (">= 2", [2], [1]),
-    "n": (">= 2", [2], [1]),
+    "p": ("an integer >= 2", [2], [1]),
+    "n": ("an integer >= 2", [2], [1]),
     "density": ("in (0, 1]", [TINY, 1.0], [0.0, ONE_UP]),
-    "seed": (">= 0", [0], [-1]),
+    "seed": ("an integer >= 0", [0], [-1]),
     "split_ratio": ("in (0, 1)", [TINY, ONE_DOWN], [0.0, 1.0]),
     "rho": ("finite and > 0", [TINY, HUGE], [0.0, -TINY]),
-    "max_outer_iter": (">= 1", [1], [0]),
+    "max_outer_iter": ("an integer >= 1", [1], [0]),
     "inner_tol": ("finite and > 0", [TINY, HUGE], [0.0, -TINY]),
-    "grid_points": (">= 1", [1], [0]),
+    "grid_points": ("an integer >= 1", [1], [0]),
     "lambda_init_policy": ("one of offdiag-max | max-entry", ["max-entry"], ["median"]),
 }
 
@@ -313,14 +320,19 @@ class TestRunGrid:
         assert run(cfg) == 0
         lines = (tmp_path / "grid_curve.csv").read_text().splitlines()
         assert lines[0] == "lambda,criterion,rel_error"
-        assert len(lines) == cfg.grid_points + 1
         lams = [float(l.split(",")[0]) for l in lines[1:]]
-        assert lams == sorted(lams) and lams[0] > 0
         assert not (tmp_path / "trajectory.csv").exists()
 
         summary = read_summary(tmp_path)
         assert summary["config"]["p"] == 6
-        assert summary["grid"]["points"] == cfg.grid_points
+        # one row per evaluated level: the grid's largest ones, down to the
+        # first at or below the best level / GRID_STOP_SPAN
+        points = summary["grid"]["points"]
+        assert 0 < points == len(lams) < cfg.grid_points
+        grid = gt.default_grid(summary["lambda_init"], cfg.grid_points)
+        assert lams == list(grid[-points:])
+        best = summary["grid"]["lambda_best"]
+        assert lams[0] <= best / glassotune.bilevel.GRID_STOP_SPAN < lams[1]
         assert summary["grid"]["failed_points"] == 0
         crits = [float(l.split(",")[1]) for l in lines[1:]]
         assert summary["grid"]["criterion"] == pytest.approx(min(crits))

@@ -630,6 +630,24 @@ def test_symmetrize(rng):
     np.testing.assert_allclose(s, (a + a.T) / 2)
 
 
+@pytest.mark.parametrize("kind", ["random", "symmetric", "signed zeros",
+                                  "-0.0 facing +0.0", "subnormal"])
+def test_symmetrize_bits_equal_the_formula(rng, kind):
+    a = rng.standard_normal((5, 5))
+    if kind == "symmetric":
+        a = (a + a.T) / 2
+    elif kind in ("signed zeros", "-0.0 facing +0.0"):
+        a = np.zeros((3, 3))
+        a[0, 0] = a[1, 2] = a[2, 1] = -0.0
+        if kind == "-0.0 facing +0.0":
+            a[0, 1] = -0.0
+    elif kind == "subnormal":
+        a = (a + a.T) * 1e-310  # symmetric, every entry subnormal
+    s = symmetrize(a)
+    assert s is not a
+    np.testing.assert_array_equal(s.view(np.int64), ((a + a.T) / 2).view(np.int64))
+
+
 def test_symmetrize_rejects_non_square():
     # (a + a.T) / 2 would broadcast a row or a column to a square matrix.
     for a in (np.ones((1, 5)), np.ones((5, 1)), np.ones((2, 3))):
