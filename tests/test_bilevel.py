@@ -215,10 +215,8 @@ class TestGridSearch:
         _, data = make_instance(10, 300, seed=1)
         grid = default_grid(lambda_init(data.cov_train), points=30)
         best, curve = grid_search(data.cov_train, data.cov_test, grid)
-        cut = best / glassotune.bilevel.GRID_STOP_SPAN
         assert glassotune.bilevel.GRID_STOP_SPAN == 1.2
-        assert curve[0].lam <= cut < min(g.lam for g in curve[1:])
-        assert curve[0].lam == grid[-len(curve)]
+        assert curve[0].lam <= best / 1.2 < curve[1].lam
 
     def test_failed_point_past_the_best_does_not_stop(self, monkeypatch):
         _, data = make_instance(10, 300, seed=1)
