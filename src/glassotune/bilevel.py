@@ -45,8 +45,10 @@ INIT_BACKOFF = 1.0 + 1e-3
 # The step rule and stops of _descend; CONVERGED_STOPS names the stops that
 # count as converged.
 OUTER_TOL = 1e-6
+FLAT_WINDOW = 3
+FLAT_TOL = 1e-3
 CONVERGED_STOPS = ("hypergradient below tolerance", "step below resolution",
-                   "solve below resolution")
+                   "solve below resolution", "held-out criterion flat")
 MAX_STEP = 1e3
 SUFFICIENT_DECREASE = 1e-4
 STEP_RESOLUTION = 1e-9
@@ -55,9 +57,6 @@ STEP_RESOLUTION = 1e-9
 # the first solved level at or below its best level / GRID_STOP_SPAN.
 GRID_SPAN = 1e-3
 GRID_STOP_SPAN = 1.2
-
-# The policies lambda_init knows, its default first.
-INIT_POLICIES = ("offdiag-max", "max-entry")
 
 
 @dataclass(frozen=True)
@@ -148,54 +147,46 @@ class Trajectory:
         return self.stop_reason.startswith("aborted")
 
 
-def lambda_init(cov_train: np.ndarray, policy: str = "offdiag-max") -> float:
+def lambda_init(cov_train: np.ndarray) -> float:
     """Starting level for the scalar tuner.
 
-    ``offdiag-max`` (default) returns the largest absolute off-diagonal
-    entry of the symmetrized training covariance, the only part the
-    solver sees: the smallest level at which the solution is exactly
-    diagonal, so the descent starts from the sparsest informative point.
-    ``max-entry`` returns the largest absolute entry, diagonal included
-    (an upper bound on the former).
+    Returns the largest absolute off-diagonal entry of the symmetrized
+    training covariance, the only part the solver sees: the smallest
+    level at which the solution is exactly diagonal, so the descent starts
+    from the sparsest informative point.
 
     Raises ValueError unless cov_train is a finite square matrix, and
-    DegenerateInput when the chosen maximum is zero, since no positive
-    starting level can be derived from it.
+    DegenerateInput when that entry is zero (or there is none), since no
+    positive starting level can be derived from it.
     """
     cov = symmetrize(_as_matrix(cov_train, "cov_train"))
-    if policy not in INIT_POLICIES:
-        raise ValueError(f"lambda-init policy must be one of {INIT_POLICIES}, got {policy!r}")
-    if policy == "max-entry":
-        val = float(np.max(np.abs(cov)))
-    else:
-        off = ~np.eye(cov.shape[0], dtype=bool)
-        val = float(np.max(np.abs(cov[off]))) if off.any() else 0.0
+    off = ~np.eye(cov.shape[0], dtype=bool)
+    val = float(np.max(np.abs(cov[off]))) if off.any() else 0.0
     if val <= 0.0:
-        raise DegenerateInput(
-            f"lambda_init policy {policy!r} found no positive entry to scale from"
-        )
+        raise DegenerateInput("lambda_init found no positive off-diagonal entry to scale from")
     return val
 
 
-def starting_level(cov_train: np.ndarray, policy: str = "offdiag-max") -> float:
+def starting_level(cov_train: np.ndarray) -> float:
     """Differentiable starting level for descent: lambda_init nudged up.
 
     :func:`lambda_init` itself is the kink where the worst entry has zero
     slack; one step of INIT_BACKOFF above it the solution is still diagonal
     but strictly inside the threshold, so the derivative is two-sided.
     """
-    return lambda_init(cov_train, policy) * INIT_BACKOFF
+    return lambda_init(cov_train) * INIT_BACKOFF
 
 
 def default_grid(lam_init: float, points: int = 100) -> np.ndarray:
     """Log-spaced grid over [lam_init * GRID_SPAN, lam_init].
 
-    Raises ValueError unless lam_init is finite and > 0 and points >= 1.
+    Raises ValueError unless lam_init is finite and > 0 and points is an
+    integer >= 1.
     """
     if not 0.0 < lam_init < np.inf:
         raise ValueError("lam_init must be finite and > 0")
-    if points < 1:
-        raise ValueError("points must be >= 1")
+    if not (isinstance(points, (int, np.integer)) and points >= 1):
+        raise ValueError("points must be an integer >= 1")
     if points == 1:
         return np.array([float(lam_init)])
     return np.geomspace(lam_init * GRID_SPAN, lam_init, points)
@@ -330,7 +321,13 @@ def _descend(
     minimum sits at a kink of the solution map, where the hypergradient
     jumps and need not fall below its tolerance.  It stops unconverged
     once ``config.max_outer_iter`` steps are accepted ("outer iteration
-    budget exhausted").
+    budget exhausted").  Weights, never a level, also stop, converged, at
+    record k >= FLAT_WINDOW (3) once the recorded held-out criterion C
+    fell by less than FLAT_TOL (1e-3) relative over the last FLAT_WINDOW
+    records, C_{k-3} - C_k < 1e-3 |C_k| ("held-out criterion flat"):
+    p(p+1)/2 weights tuned on one held-out split overfit it, and past that
+    point the held-out criterion keeps falling while the estimate's
+    expected one rises.
 
     Any GlassoTuneError of the solve, the criterion, the support check or
     the adjoint solve propagates at the first iterate, annotated with the
@@ -417,6 +414,10 @@ def _descend(
             return _stop(traj, "hypergradient below tolerance")
         if step * norm <= STEP_RESOLUTION:
             return _stop(traj, "step below resolution")
+        if not scalar and k >= FLAT_WINDOW and (
+                traj.records[-1 - FLAT_WINDOW].criterion - crit.value
+                < FLAT_TOL * abs(crit.value)):
+            return _stop(traj, "held-out criterion flat")
         if k == config.max_outer_iter:
             return _stop(traj, "outer iteration budget exhausted")
 

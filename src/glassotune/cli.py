@@ -38,7 +38,6 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .bilevel import (
-    INIT_POLICIES,
     BilevelConfig,
     Trajectory,
     default_grid,
@@ -106,9 +105,6 @@ class ExperimentConfig:
     output_dir: str = _setting(".", "directory for result files")
     emit_matrices: bool = _setting(
         False, "also write lambda_opt/theta_true/theta_hat CSVs (bare flag: yes)")
-    lambda_init_policy: str = _setting(
-        "offdiag-max", "how to pick the starting level", lambda v: v in INIT_POLICIES,
-        "one of " + " | ".join(INIT_POLICIES))
 
     def __post_init__(self):
         for setting in fields(self):
@@ -256,8 +252,8 @@ def run(config: ExperimentConfig) -> int:
         truth = make_sparse_spd(config.p, config.density, config.seed)
         samples = sample_gaussian(truth, config.n, config.seed + 1)
         data = split_samples(samples, config.split_ratio, config.seed + 2)
-        lam0 = lambda_init(data.cov_train, config.lambda_init_policy)
-        lam_start = starting_level(data.cov_train, config.lambda_init_policy)
+        lam0 = lambda_init(data.cov_train)
+        lam_start = starting_level(data.cov_train)
         summary["lambda_init"] = lam0
         summary["lambda_start"] = lam_start
         summary["seconds_data"] = time.perf_counter() - t0

@@ -22,9 +22,6 @@ import scipy.linalg
 from .exceptions import DegenerateSplit
 from .linalg import cholesky, symmetrize
 
-# Nonzero pattern threshold used to read a sparsity mask off a matrix.
-PATTERN_TOL = 1e-12
-
 
 def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
@@ -45,17 +42,14 @@ def _standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """A known sparse SPD precision matrix and its off-diagonal support.
+    """A known sparse SPD precision matrix.
 
-    ``support_mask[i, j]`` is true iff ``i != j`` and
-    ``|theta_true[i, j]| > PATTERN_TOL``.  ``lower`` is the Cholesky
-    factor of ``theta_true``, computed once and kept: :meth:`from_matrix`
-    takes it as its SPD guard, and sampling and the population covariance
-    reuse it.
+    ``lower`` is the Cholesky factor of ``theta_true``, computed once and
+    kept: :meth:`from_matrix` takes it as its SPD guard, and sampling and
+    the population covariance reuse it.
     """
 
     theta_true: np.ndarray = field(repr=False)
-    support_mask: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -67,26 +61,20 @@ class GroundTruth:
 
     @classmethod
     def from_matrix(cls, theta: np.ndarray) -> "GroundTruth":
-        """Wrap an SPD matrix, reading the mask off its nonzero pattern.
+        """Wrap the symmetric part of an SPD matrix.
 
         Raises NotPositiveDefinite unless the symmetric part of ``theta``
         factorizes.
         """
-        theta = symmetrize(theta)
-        offdiag = ~np.eye(theta.shape[0], dtype=bool)
-        mask = (np.abs(theta) > PATTERN_TOL) & offdiag
-        truth = cls(theta_true=theta, support_mask=mask)
+        truth = cls(theta_true=symmetrize(theta))
         truth.lower  # SPD guard, and the factor kept for sampling
         return truth
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Samples with a train/test partition and the two empirical covariances."""
+    """A train/test partition of samples and its two empirical covariances."""
 
-    p: int
-    n: int
-    samples: np.ndarray = field(repr=False)
     train_indices: np.ndarray = field(repr=False)
     test_indices: np.ndarray = field(repr=False)
     cov_train: np.ndarray = field(repr=False)
@@ -176,7 +164,7 @@ def split_samples(samples: np.ndarray, ratio: float, seed: int) -> Dataset:
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
         raise ValueError("samples must be an (n, p) array")
-    n, p = x.shape
+    n = x.shape[0]
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie in (0, 1)")
     n_train = int(np.floor(n * ratio))
@@ -188,9 +176,6 @@ def split_samples(samples: np.ndarray, ratio: float, seed: int) -> Dataset:
     train = perm[:n_train]
     test = perm[n_train:]
     return Dataset(
-        p=p,
-        n=n,
-        samples=x,
         train_indices=train,
         test_indices=test,
         cov_train=empirical_covariance(x[train]),

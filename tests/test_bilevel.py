@@ -7,6 +7,8 @@ import glassotune.bilevel
 import glassotune.glasso
 from glassotune.bilevel import (
     CONVERGED_STOPS,
+    FLAT_TOL,
+    FLAT_WINDOW,
     INIT_BACKOFF,
     BilevelConfig,
     GridPoint,
@@ -78,17 +80,9 @@ class TestLambdaInit:
         cov = np.array([[2.0, 0.5], [0.5, 3.0]])
         assert lambda_init(cov) == 0.5
 
-    def test_max_entry(self):
-        cov = np.array([[2.0, 0.5], [0.5, 3.0]])
-        assert lambda_init(cov, policy="max-entry") == 3.0
-
     def test_uses_magnitudes(self):
         cov = np.array([[1.0, -0.7], [-0.7, 1.0]])
         assert lambda_init(cov) == 0.7
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            lambda_init(np.eye(2), policy="midpoint")
 
     def test_diagonal_covariance_is_degenerate(self):
         with pytest.raises(DegenerateInput):
@@ -96,7 +90,7 @@ class TestLambdaInit:
 
     def test_zero_matrix_is_degenerate(self):
         with pytest.raises(DegenerateInput):
-            lambda_init(np.zeros((2, 2)), policy="max-entry")
+            lambda_init(np.zeros((2, 2)))
 
     def test_one_by_one_has_no_offdiag(self):
         with pytest.raises(DegenerateInput):
@@ -116,7 +110,6 @@ class TestLambdaInit:
         # solution turns diagonal at 1, not at the raw entry 2.
         cov = np.array([[1.0, 2.0], [0.0, 1.0]])
         assert lambda_init(cov) == 1.0
-        assert lambda_init(cov, policy="max-entry") == 1.0
         assert starting_level(cov) == INIT_BACKOFF
         assert solve(cov, Regularization.scalar(1.01)).theta[0, 1] == 0.0
         assert solve(cov, Regularization.scalar(0.99)).theta[0, 1] != 0.0
@@ -144,6 +137,11 @@ class TestDefaultGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             default_grid(1.0, points=0)
+
+    @pytest.mark.parametrize("points", [2.5, 3.0])
+    def test_rejects_a_float_count(self, points):
+        with pytest.raises(ValueError, match="points must be an integer >= 1"):
+            default_grid(1.0, points)
 
     @pytest.mark.parametrize("lam_init", [0.0, -1.0, float("nan"), float("inf")])
     @pytest.mark.parametrize("points", [1, 3])
@@ -397,6 +395,17 @@ class TestTuneScalar:
         values = hypergradient_weighted(est, support, crit.gradient)
         assert traj.final.hypergrad_norm == est.reg.lam * abs(np.sum(values))
 
+    def test_never_takes_the_flat_criterion_stop(self, monkeypatch):
+        # The stop is for weights only: with a threshold that every record
+        # from k = FLAT_WINDOW on would meet, a level's descent runs as before.
+        _, data = make_instance(10, 400, seed=1)
+        _, before = tune_scalar(data.cov_train, data.cov_test)
+        monkeypatch.setattr(glassotune.bilevel, "FLAT_TOL", np.inf)
+        _, after = tune_scalar(data.cov_train, data.cov_test)
+        assert len(before) > FLAT_WINDOW + 1
+        assert untimed(after) == untimed(before)
+        assert after.stop_reason == before.stop_reason == "hypergradient below tolerance"
+
     def test_rejects_matrix_init(self):
         _, data = make_instance(3, 100, seed=1)
         with pytest.raises(ValueError):
@@ -512,10 +521,12 @@ class TestTuneMatrix:
         assert len(traj) == 1
         assert_final_weights(traj, weights)
 
-    def test_kink_no_longer_aborts_cli_p20_seed0(self):
+    def test_kink_no_longer_aborts_cli_p20_seed0(self, monkeypatch):
         # The CLI's p=20 seed-0 data: the matrix stage used to stop at a
         # kink at outer iteration 140; the zero-branch rule runs it through
         # its whole budget, and the fixed step keeps the criterion falling.
+        # The flat-criterion stop would end it long before the kink.
+        monkeypatch.setattr(glassotune.bilevel, "FLAT_TOL", 0.0)
         _, data = make_instance(20, 500, seed=0, density=0.05)
         lam, straj = tune_scalar(data.cov_train, data.cov_test)
         _, traj = tune_matrix(data.cov_train, data.cov_test,
@@ -525,6 +536,23 @@ class TestTuneMatrix:
         assert traj.stop_reason == "outer iteration budget exhausted"
         assert len(traj) == BilevelConfig().max_outer_iter + 1
         assert np.all(np.diff([r.criterion for r in traj.records]) <= 0.0)
+
+    def test_stops_once_the_held_out_criterion_is_flat(self):
+        # The same data at the default threshold: the stage stops at the
+        # first record whose criterion fell by less than FLAT_TOL relative
+        # over the last FLAT_WINDOW records.
+        _, data = make_instance(20, 500, seed=0, density=0.05)
+        lam, straj = tune_scalar(data.cov_train, data.cov_test)
+        _, traj = tune_matrix(data.cov_train, data.cov_test,
+                              BilevelConfig(init=Regularization.scalar(lam)),
+                              warm_start=straj.estimate)
+        assert traj.stop_reason == "held-out criterion flat"
+        assert traj.converged and not traj.aborted
+        crit = np.array([r.criterion for r in traj.records])
+        fall = (crit[:-FLAT_WINDOW] - crit[FLAT_WINDOW:]) / np.abs(crit[FLAT_WINDOW:])
+        assert fall[-1] < FLAT_TOL
+        assert np.all(fall[:-1] >= FLAT_TOL)
+        assert FLAT_WINDOW < len(traj) < BilevelConfig().max_outer_iter + 1
 
     def test_stationary_at_matched_holdout(self):
         # If the hold-out covariance is exactly the inverse of the solution,

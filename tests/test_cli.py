@@ -76,19 +76,16 @@ class TestParseConfig:
         assert cfg.mode == "compare"
         assert (cfg.p, cfg.n) == (100, 2000)
         assert cfg.density == 0.05
-        assert cfg.lambda_init_policy == "offdiag-max"
         assert not cfg.emit_matrices
 
     def test_flags(self):
         cfg = parse_config(
-            ["--mode", "grid", "--p", "10", "--n", "50", "--rho", "0.2",
-             "--emit-matrices", "--lambda-init-policy", "max-entry"]
+            ["--mode", "grid", "--emit-matrices", "--p", "10", "--n", "50", "--rho", "0.2"]
         )
         assert cfg.mode == "grid"
         assert (cfg.p, cfg.n) == (10, 50)
         assert cfg.rho == 0.2
         assert cfg.emit_matrices
-        assert cfg.lambda_init_policy == "max-entry"
 
     def test_config_file(self, tmp_path):
         # A config file holds flags: comment lines go, the rest split as a
@@ -198,8 +195,11 @@ class TestParseConfig:
             ExperimentConfig(split_ratio=1.0)
         with pytest.raises(ValueError):
             ExperimentConfig(inner_tol=0.0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(lambda_init_policy="median")
+
+    def test_lambda_init_policy_flag_is_gone(self, capsys):
+        # the starting level has one rule, so there is no setting to choose it
+        assert usage_error(["--lambda-init-policy", "offdiag-max"], capsys) == (
+            "glassotune: error: unrecognized arguments: --lambda-init-policy offdiag-max")
 
     @pytest.mark.parametrize("value", [2.0, 6.5])
     @pytest.mark.parametrize("name", ["p", "n", "seed", "max_outer_iter", "grid_points"])
@@ -266,7 +266,6 @@ SETTING_RULES = {
     "max_outer_iter": ("an integer >= 1", [1], [0]),
     "inner_tol": ("finite and > 0", [TINY, HUGE], [0.0, -TINY]),
     "grid_points": ("an integer >= 1", [1], [0]),
-    "lambda_init_policy": ("one of offdiag-max | max-entry", ["max-entry"], ["median"]),
 }
 
 

@@ -17,16 +17,25 @@ from glassotune.datagen import (
 from glassotune.exceptions import DegenerateSplit, NotPositiveDefinite
 from glassotune.linalg import cholesky
 
+# The threshold that reads the off-diagonal nonzero pattern off theta_true.
+PATTERN_TOL = 1e-12
+
+
+def support_mask(truth: GroundTruth) -> np.ndarray:
+    """Entry (i, j) is true iff i != j and |theta_true[i, j]| > PATTERN_TOL."""
+    theta = truth.theta_true
+    return (np.abs(theta) > PATTERN_TOL) & ~np.eye(truth.dim, dtype=bool)
+
 
 class TestGroundTruth:
     def test_mask_excludes_diagonal(self):
         theta = np.array([[2.0, 0.5], [0.5, 1.0]])
         truth = GroundTruth.from_matrix(theta)
-        assert truth.support_mask.tolist() == [[False, True], [True, False]]
+        assert support_mask(truth).tolist() == [[False, True], [True, False]]
 
     def test_diagonal_matrix_has_empty_mask(self):
         truth = GroundTruth.from_matrix(np.diag([1.0, 2.0, 3.0]))
-        assert not truth.support_mask.any()
+        assert not support_mask(truth).any()
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
@@ -68,7 +77,7 @@ class TestMakeSparseSpd:
         truth = make_sparse_spd(4, 1.0, seed=3)
         # With density 1 every strictly-lower factor entry is nonzero, so the
         # product has a fully dense off-diagonal.
-        assert truth.support_mask.sum() == 4 * 3
+        assert support_mask(truth).sum() == 4 * 3
 
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
@@ -274,7 +283,7 @@ class TestGoldenValues:
 
     def test_make_sparse_spd(self):
         truth = make_sparse_spd(5, 0.4, seed=7)
-        np.testing.assert_array_equal(truth.support_mask, np.array(self.MASK_5, dtype=bool))
+        np.testing.assert_array_equal(support_mask(truth), np.array(self.MASK_5, dtype=bool))
         self.assert_rel(truth.theta_true, self.THETA_5)
 
     def test_sample_gaussian(self):
@@ -292,7 +301,7 @@ class TestGoldenValues:
         # p=100, n=2000, density 0.05, split 0.5 at CLI seed 0: the shape
         # every benchmark workload generates.
         truth = make_sparse_spd(100, 0.05, seed=0)
-        flat = np.flatnonzero(truth.support_mask.ravel())
+        flat = np.flatnonzero(support_mask(truth).ravel())
         assert flat.size == 1252
         assert int(flat.sum()) == 6839316
         np.testing.assert_array_equal(flat[:10], [5, 9, 14, 20, 30, 72, 106, 158, 163, 183])
