@@ -11,7 +11,7 @@ the implicit derivative of the solution map, and steps.  The chain rule
 through the exponential turns a derivative in lam into lam times it in
 alpha.
 
-Zero entries in a matrix initialization stay exactly zero: the exponential
+Zero weights in the matrix tuner's start stay exactly zero: the exponential
 parametrization moves weights multiplicatively, which is what makes an
 unpenalized diagonal stay unpenalized.
 """
@@ -61,19 +61,14 @@ GRID_STOP_SPAN = 1.2
 
 @dataclass(frozen=True)
 class BilevelConfig:
-    """Outer-loop budget and first step size.
+    """Outer-loop budget, first step size and inner solver of both tuners.
 
     ``step_size``, the first outer step in alpha of :func:`_descend`, must
-    be finite and positive.  ``init`` is a Regularization holding strictly
-    positive starting levels (zeros allowed in the matrix case and stay
-    pinned); a scalar init of 0 has no log and raises ValueError here.
-    None picks :func:`starting_level` for the scalar tuner; the matrix
-    tuner needs an init and raises ValueError without one.
+    be finite and positive.  Each tuner takes its own start.
     """
 
     step_size: float = 0.1
     max_outer_iter: int = 200
-    init: Optional[Regularization] = None
     solver: SolverConfig = SolverConfig()
 
     def __post_init__(self):
@@ -81,8 +76,6 @@ class BilevelConfig:
             raise ValueError("step_size must be finite and > 0")
         if not (isinstance(self.max_outer_iter, (int, np.integer)) and self.max_outer_iter >= 1):
             raise ValueError("max_outer_iter must be an integer >= 1")
-        if self.init is not None and self.init.is_scalar and self.init.lam <= 0.0:
-            raise ValueError("init must be > 0 for the log parametrization")
 
 
 @dataclass(frozen=True)
@@ -231,11 +224,12 @@ def grid_search(
     ties going to the smaller one, and the curve of those levels, failed
     ones included, sorted by increasing level; the point at the argmin
     carries its estimate, with the inverse and log-determinant the solver
-    computed.
+    computed.  Raises ValueError unless grid is a nonempty 1-d sequence of
+    positive, finite levels.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("grid must be a nonempty 1-d sequence of levels")
     if np.any(grid <= 0.0) or not np.all(np.isfinite(grid)):
         raise ValueError("grid levels must be positive and finite")
     if solver is None:
@@ -282,7 +276,7 @@ def _descend(
     alpha,
     config: BilevelConfig,
     theta_true: Optional[np.ndarray],
-    warm: Optional[np.ndarray | PrecisionEstimate],
+    warm: Optional[PrecisionEstimate],
 ) -> Trajectory:
     """The outer loop of both tuners, over alpha = log(penalty).
 
@@ -427,22 +421,24 @@ def tune_scalar(
     cov_test: np.ndarray,
     config: Optional[BilevelConfig] = None,
     theta_true: Optional[np.ndarray] = None,
+    start: Optional[float] = None,
 ) -> Tuple[float, Trajectory]:
     """Descend the hold-out criterion over a single penalty level.
 
-    Starts at ``config.init``, or at :func:`starting_level` without one,
-    and runs :func:`_descend` over alpha = log(lam), whose docstring states
-    the step rule, the stops and which failures propagate.
+    Starts at the level ``start``, :func:`starting_level` when None, and
+    runs :func:`_descend` over alpha = log(lam) from a cold first solve;
+    that function's docstring states the step rule, the stops and which
+    failures propagate.  Raises ValueError before any solve unless the
+    start is finite and > 0, since alpha = log(start).
 
     Returns the last level tried, ``traj.estimate.reg.lam``, and the trajectory.
     """
     if config is None:
         config = BilevelConfig()
     cov_train, cov_test = symmetrize(cov_train), symmetrize(cov_test)
-
-    if config.init is not None and not config.init.is_scalar:
-        raise ValueError("scalar tuner needs a scalar init")
-    lam = starting_level(cov_train) if config.init is None else config.init.lam
+    lam = starting_level(cov_train) if start is None else start
+    if not 0.0 < lam < np.inf:
+        raise ValueError("start must be finite and > 0 for the log parametrization")
 
     traj = _descend(cov_train, cov_test, float(np.log(lam)), config, theta_true, None)
     return traj.estimate.reg.lam, traj
@@ -451,34 +447,36 @@ def tune_scalar(
 def tune_matrix(
     cov_train: np.ndarray,
     cov_test: np.ndarray,
-    config: BilevelConfig,
+    start: PrecisionEstimate,
+    config: Optional[BilevelConfig] = None,
     theta_true: Optional[np.ndarray] = None,
-    warm_start: Optional[np.ndarray | PrecisionEstimate] = None,
 ) -> Tuple[np.ndarray, Trajectory]:
-    """Descend the hold-out criterion over a full matrix of penalty weights.
+    """Refine an estimate by descending the hold-out criterion over a full
+    matrix of penalty weights.
 
     Same loop as :func:`tune_scalar` with one alpha per entry.  The
     hypergradient's zero off-support pattern freezes those entries for the
-    step.  ``config.init`` is required (ValueError without it): a scalar
-    level fills a constant starting matrix, a matrix is taken as given.
-    Starting at the scalar tuner's optimum makes the matrix run a pure
-    refinement; pass that tuner's estimate as ``warm_start`` too, so the
-    first solve starts at its own solution.  An estimate, unlike its
-    theta, is not factorized again (see :func:`~glassotune.glasso.solve`).
+    step.  The starting weights are ``start.reg``'s: a level fills a
+    constant matrix, a weight matrix is taken as given, its zeros pinned.
+    The first solve warm-starts from ``start`` itself, whose inverse and
+    log-determinant it reuses (see :func:`~glassotune.glasso.solve`), so a
+    start that :func:`solve` or :func:`tune_scalar` returned needs no inner
+    iteration there.  Raises ValueError before any solve for a start of
+    another size than ``cov_train``.
 
     Returns the last weight matrix tried, ``traj.estimate.reg.weights``
     (read-only, as :class:`~glassotune.glasso.Regularization` stores it),
     and the trajectory.
     """
+    if config is None:
+        config = BilevelConfig()
     cov_train, cov_test = symmetrize(cov_train), symmetrize(cov_test)
     p = cov_train.shape[0]
+    _as_matrix(start.theta, "start", like=cov_train)
 
-    init = config.init
-    if init is None:
-        raise ValueError("matrix tuner needs an init; start it at tune_scalar's optimum")
-    weights = np.full((p, p), init.thresholds(p))
+    weights = np.full((p, p), start.reg.thresholds(p))
     with np.errstate(divide="ignore"):
         alpha = np.log(weights)  # zero weights pin their alpha at -inf
 
-    traj = _descend(cov_train, cov_test, alpha, config, theta_true, warm_start)
+    traj = _descend(cov_train, cov_test, alpha, config, theta_true, start)
     return traj.estimate.reg.weights, traj

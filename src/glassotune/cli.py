@@ -31,7 +31,6 @@ import shlex
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
 from pathlib import Path
 from typing import Callable, List, Optional
 
@@ -55,7 +54,7 @@ from .datagen import (
     split_samples,
 )
 from .exceptions import GlassoTuneError
-from .glasso import Regularization, SolverConfig
+from .glasso import SolverConfig
 from .implicit import criterion_holdout
 from .linalg import spd_inverse
 # Not called here; perfbench/tracer.py wraps this name in this module.
@@ -116,11 +115,10 @@ class ExperimentConfig:
     def solver_config(self) -> SolverConfig:
         return SolverConfig(tol=self.inner_tol)
 
-    def bilevel_config(self, init: Regularization) -> BilevelConfig:
+    def bilevel_config(self) -> BilevelConfig:
         return BilevelConfig(
             step_size=self.rho,
             max_outer_iter=self.max_outer_iter,
-            init=init,
             solver=self.solver_config(),
         )
 
@@ -190,10 +188,11 @@ def parse_config(argv: Optional[List[str]] = None) -> ExperimentConfig:
         parser.error(str(exc))
 
 
-def _descent_stage(summary: dict, stage: str, tune, init: Regularization,
+def _descent_stage(summary: dict, stage: str, tune, start,
                    config: ExperimentConfig, data, truth: GroundTruth,
                    population: np.ndarray) -> Trajectory:
-    """Run one descent stage and record its summary fields and seconds.
+    """Run one descent stage from ``start`` and record its summary fields
+    and seconds.
 
     The ``*_total``, ``kink_entries`` and stop fields are copied from the
     trajectory, which owns them.
@@ -203,8 +202,8 @@ def _descent_stage(summary: dict, stage: str, tune, init: Regularization,
     stops.  An aborted descent also gets a stderr line.
     """
     t0 = time.perf_counter()
-    _, traj = tune(data.cov_train, data.cov_test, config.bilevel_config(init),
-                   theta_true=truth.theta_true)
+    _, traj = tune(data.cov_train, data.cov_test, start=start,
+                   config=config.bilevel_config(), theta_true=truth.theta_true)
     if traj.aborted:
         print(f"warning: {stage} descent {traj.stop_reason}", file=sys.stderr)
     final = traj.final
@@ -286,16 +285,13 @@ def run(config: ExperimentConfig) -> int:
             print(f"grid: best lambda={best:.6g} criterion={at_best.criterion:.9g}")
 
         if config.mode != "grid":
-            descent = _descent_stage(summary, "scalar", tune_scalar,
-                                     Regularization.scalar(lam_start), config, data, truth,
-                                     population)
+            descent = _descent_stage(summary, "scalar", tune_scalar, lam_start, config,
+                                     data, truth, population)
             lam_opt = descent.final.penalty[0]
             if config.mode == "matrix":
-                # the matrix stage's first problem is the scalar stage's last one
-                tune = partial(tune_matrix, warm_start=descent.estimate)
-                descent = _descent_stage(summary, "matrix", tune,
-                                         Regularization.scalar(lam_opt), config, data, truth,
-                                         population)
+                # the matrix stage refines the scalar stage's last estimate
+                descent = _descent_stage(summary, "matrix", tune_matrix, descent.estimate,
+                                         config, data, truth, population)
             write_trajectory(descent, out / "trajectory.csv")
             final = descent.estimate
 

@@ -240,7 +240,8 @@ def solve(
     reg : Regularization
         Penalty level or weight matrix.
     config : SolverConfig, optional
-        Tolerances; defaults are suitable for p up to a few hundred.
+        Tolerances.  At the default tol of 1e-8 the CLI's ``compare`` and
+        ``matrix`` runs converge at p=1000.
     warm_start : ndarray or PrecisionEstimate, optional
         SPD starting point, e.g. the solution at a nearby penalty.  An
         estimate of the same size starts from its ``theta`` and reuses its

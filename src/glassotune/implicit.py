@@ -231,8 +231,8 @@ def relative_error(theta_hat: np.ndarray, theta_true: np.ndarray) -> float:
 
     Raises ValueError unless both are finite square matrices of one shape.
     """
-    theta_true = symmetrize(_as_matrix(theta_true, "theta_true"))
-    theta_hat = symmetrize(_as_matrix(theta_hat, "theta_hat", like=theta_true))
+    theta_hat = symmetrize(_as_matrix(theta_hat, "theta_hat"))
+    theta_true = symmetrize(_as_matrix(theta_true, "theta_true", like=theta_hat))
     denom = float(np.linalg.norm(theta_true))
     num = float(np.linalg.norm(theta_true - theta_hat))
     if denom == 0.0:

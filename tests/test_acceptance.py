@@ -350,7 +350,7 @@ def test_7_matrix_refinement_improves_on_scalar(capsys, instance20, scalar20):
     _, mtraj = tune_matrix(
         data.cov_train,
         data.cov_test,
-        BilevelConfig(init=Regularization.scalar(scalar20["lam_opt"])),
+        scalar20["traj"].estimate,
         theta_true=truth.theta_true,
     )
     elapsed = time.perf_counter() - t0 + scalar20["seconds"]

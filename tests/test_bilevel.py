@@ -38,6 +38,11 @@ def untimed(traj):
     return [dataclasses.replace(r, seconds=0.0) for r in traj.records]
 
 
+def start_at(cov_train, fraction):
+    """The estimate solved at ``fraction`` of lambda_init, a matrix tuner's start."""
+    return solve(cov_train, Regularization.scalar(fraction * lambda_init(cov_train)))
+
+
 def assert_final_weights(traj, weights):
     """The returned weights are the last iterate's, as its record summarizes them."""
     assert weights is traj.estimate.reg.weights
@@ -66,10 +71,8 @@ def test_each_solve_warm_starts_from_the_previous_estimate(monkeypatch, tuner):
         tune_scalar(data.cov_train, data.cov_test, cfg)
     else:
         # the matrix stage's first solve starts at the scalar stage's last
-        lam, straj = tune_scalar(data.cov_train, data.cov_test, cfg)
-        tune_matrix(data.cov_train, data.cov_test,
-                    dataclasses.replace(cfg, init=Regularization.scalar(lam)),
-                    warm_start=straj.estimate)
+        _, straj = tune_scalar(data.cov_train, data.cov_test, cfg)
+        tune_matrix(data.cov_train, data.cov_test, straj.estimate, cfg)
     assert len(calls) > 1 and calls[0][0] is None
     for (_, previous), (warm, _) in zip(calls, calls[1:]):
         assert warm is previous
@@ -174,8 +177,9 @@ class TestBadHoldout:
     @pytest.mark.parametrize("tune", [tune_scalar, tune_matrix])
     def test_tuners_reject_a_row(self, data, tune):
         # Symmetrized unchecked, a 1 x 8 row broadcast to an 8 x 8 matrix.
+        start = None if tune is tune_scalar else start_at(data[0], 0.3)
         with pytest.raises(ValueError, match="square 2-d"):
-            tune(data[0], np.ones((1, 8)), BilevelConfig(max_outer_iter=2))
+            tune(data[0], np.ones((1, 8)), start=start, config=BilevelConfig(max_outer_iter=2))
 
 
 class TestGridSearch:
@@ -274,10 +278,11 @@ class TestGridSearch:
 
     def test_validation(self):
         _, data = make_instance(3, 100, seed=1)
-        with pytest.raises(ValueError):
-            grid_search(data.cov_train, data.cov_test, [])
-        with pytest.raises(ValueError):
-            grid_search(data.cov_train, data.cov_test, [0.1, -0.2])
+        lam = lambda_init(data.cov_train)
+        # a grid that is not 1-d used to raise numpy's TypeError
+        for grid in ([], [0.1, -0.2], [[lam, lam / 2], [lam / 4, lam / 8]], [[lam]]):
+            with pytest.raises(ValueError):
+                grid_search(data.cov_train, data.cov_test, grid)
 
     def test_argmin_keeps_its_solution(self):
         _, data = make_instance(4, 200, seed=0)
@@ -301,7 +306,7 @@ class TestBilevelConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [{"step_size": 0.0}, {"max_outer_iter": 0}, {"max_outer_iter": 2.5},
-         {"step_size": float("inf")}, {"init": Regularization.scalar(0.0)}],
+         {"step_size": float("inf")}],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -350,11 +355,8 @@ class TestTuneScalar:
     def test_restart_at_optimum_stops_immediately(self):
         _, data = make_instance(5, 400, seed=3)
         lam, _ = tune_scalar(data.cov_train, data.cov_test, BilevelConfig(step_size=5.0))
-        _, traj = tune_scalar(
-            data.cov_train,
-            data.cov_test,
-            BilevelConfig(step_size=5.0, init=Regularization.scalar(lam)),
-        )
+        _, traj = tune_scalar(data.cov_train, data.cov_test, BilevelConfig(step_size=5.0),
+                              start=lam)
         assert traj.converged
         assert len(traj) <= 5
 
@@ -406,23 +408,13 @@ class TestTuneScalar:
         assert untimed(after) == untimed(before)
         assert after.stop_reason == before.stop_reason == "hypergradient below tolerance"
 
-    def test_rejects_matrix_init(self):
+    @pytest.mark.parametrize("start", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_a_start_that_is_not_finite_and_positive(self, monkeypatch, start):
+        # alpha = log(start) must be finite; checked before any solve
         _, data = make_instance(3, 100, seed=1)
-        with pytest.raises(ValueError):
-            tune_scalar(
-                data.cov_train,
-                data.cov_test,
-                BilevelConfig(init=Regularization.matrix(np.ones((3, 3)))),
-            )
-
-    def test_rejects_zero_init(self):
-        _, data = make_instance(3, 100, seed=1)
-        with pytest.raises(ValueError):
-            tune_scalar(
-                data.cov_train,
-                data.cov_test,
-                BilevelConfig(init=Regularization.scalar(0.0)),
-            )
+        monkeypatch.setattr(glassotune.bilevel, "solve", None)
+        with pytest.raises(ValueError, match="start must be finite and > 0"):
+            tune_scalar(data.cov_train, data.cov_test, start=start)
 
     def test_failure_at_start_propagates_annotated(self, monkeypatch):
         # A failure on the very first iterate leaves no trajectory to return.
@@ -436,12 +428,9 @@ class TestTuneScalar:
         # far inside the kink band; the rule takes both entries off it.
         _, data = make_instance(4, 100, seed=2)
         # A tiny first step stops the descent at that one iterate.
-        cfg = BilevelConfig(
-            init=Regularization.scalar(lambda_init(data.cov_train) - 1e-8),
-            step_size=1e-12,
-            solver=SolverConfig(tol=1e-11),
-        )
-        _, traj = tune_scalar(data.cov_train, data.cov_test, cfg)
+        cfg = BilevelConfig(step_size=1e-12, solver=SolverConfig(tol=1e-11))
+        _, traj = tune_scalar(data.cov_train, data.cov_test, cfg,
+                              start=lambda_init(data.cov_train) - 1e-8)
         assert len(traj) == 1
         assert traj.kink_entries == 2
 
@@ -479,17 +468,13 @@ LAM_OPT_P10_SEED1 = 0.029089247267355373
 
 
 class TestTuneMatrix:
-    def _config(self, data, **kwargs):
-        lam = 0.3 * lambda_init(data.cov_train)
-        return BilevelConfig(init=Regularization.scalar(lam), **kwargs)
-
     def test_midrun_non_spd_backtracking_aborts(self):
         # The step out of the scalar optimum leaves the inner solve no SPD
         # sufficient-decrease step (NotPositiveDefinite).
         _, data = make_instance(10, 400, seed=1)
-        cfg = BilevelConfig(init=Regularization.scalar(LAM_OPT_P10_SEED1),
-                            step_size=1e4, max_outer_iter=20)
-        weights, traj = tune_matrix(data.cov_train, data.cov_test, cfg)
+        start = solve(data.cov_train, Regularization.scalar(LAM_OPT_P10_SEED1))
+        cfg = BilevelConfig(step_size=1e4, max_outer_iter=20)
+        weights, traj = tune_matrix(data.cov_train, data.cov_test, start, cfg)
         assert traj.aborted and not traj.converged
         assert traj.stop_reason.startswith("aborted at outer iteration 1: no positive definite")
         assert len(traj) == 1
@@ -498,9 +483,9 @@ class TestTuneMatrix:
     @pytest.mark.filterwarnings("error")
     def test_step_to_infinite_penalty_aborts(self):
         _, data = make_instance(10, 400, seed=1)
-        cfg = BilevelConfig(init=Regularization.scalar(LAM_OPT_P10_SEED1),
-                            step_size=1e5, max_outer_iter=20)
-        weights, traj = tune_matrix(data.cov_train, data.cov_test, cfg)
+        start = solve(data.cov_train, Regularization.scalar(LAM_OPT_P10_SEED1))
+        cfg = BilevelConfig(step_size=1e5, max_outer_iter=20)
+        weights, traj = tune_matrix(data.cov_train, data.cov_test, start, cfg)
         assert traj.aborted and not traj.converged
         assert traj.stop_reason == (
             "aborted at outer iteration 1: the step took a penalty to 0 or inf"
@@ -512,9 +497,8 @@ class TestTuneMatrix:
     def test_repeated_midrun_failure_aborts_with_trajectory(self, monkeypatch):
         _, data = make_instance(4, 200, seed=0)
         fail_support_check(monkeypatch, lambda n: n > 1)
-        weights, traj = tune_matrix(
-            data.cov_train, data.cov_test, self._config(data, max_outer_iter=5)
-        )
+        weights, traj = tune_matrix(data.cov_train, data.cov_test,
+                                    start_at(data.cov_train, 0.3), BilevelConfig(max_outer_iter=5))
         assert traj.stop_reason.startswith("aborted at outer iteration 1")
         assert traj.aborted
         assert not traj.converged
@@ -528,10 +512,8 @@ class TestTuneMatrix:
         # The flat-criterion stop would end it long before the kink.
         monkeypatch.setattr(glassotune.bilevel, "FLAT_TOL", 0.0)
         _, data = make_instance(20, 500, seed=0, density=0.05)
-        lam, straj = tune_scalar(data.cov_train, data.cov_test)
-        _, traj = tune_matrix(data.cov_train, data.cov_test,
-                              BilevelConfig(init=Regularization.scalar(lam)),
-                              warm_start=straj.estimate)
+        _, straj = tune_scalar(data.cov_train, data.cov_test)
+        _, traj = tune_matrix(data.cov_train, data.cov_test, straj.estimate)
         assert not traj.aborted
         assert traj.stop_reason == "outer iteration budget exhausted"
         assert len(traj) == BilevelConfig().max_outer_iter + 1
@@ -542,10 +524,8 @@ class TestTuneMatrix:
         # first record whose criterion fell by less than FLAT_TOL relative
         # over the last FLAT_WINDOW records.
         _, data = make_instance(20, 500, seed=0, density=0.05)
-        lam, straj = tune_scalar(data.cov_train, data.cov_test)
-        _, traj = tune_matrix(data.cov_train, data.cov_test,
-                              BilevelConfig(init=Regularization.scalar(lam)),
-                              warm_start=straj.estimate)
+        _, straj = tune_scalar(data.cov_train, data.cov_test)
+        _, traj = tune_matrix(data.cov_train, data.cov_test, straj.estimate)
         assert traj.stop_reason == "held-out criterion flat"
         assert traj.converged and not traj.aborted
         crit = np.array([r.criterion for r in traj.records])
@@ -561,9 +541,7 @@ class TestTuneMatrix:
         lam = 0.3 * lambda_init(data.cov_train)
         est = solve(data.cov_train, Regularization.scalar(lam))
         cov_test = spd_inverse(cholesky(est.theta))
-        weights, traj = tune_matrix(
-            data.cov_train, cov_test, BilevelConfig(init=Regularization.scalar(lam))
-        )
+        weights, traj = tune_matrix(data.cov_train, cov_test, est)
         assert traj.converged
         assert len(traj) == 1
         assert traj.final.hypergrad_norm == 0.0
@@ -576,67 +554,66 @@ class TestTuneMatrix:
         _, data = make_instance(4, 200, seed=4)
         w0 = np.full((4, 4), 0.3 * lambda_init(data.cov_train))
         np.fill_diagonal(w0, 0.0)
-        cfg = BilevelConfig(init=Regularization.matrix(w0), max_outer_iter=3)
-        weights, traj = tune_matrix(data.cov_train, data.cov_test, cfg)
+        start = solve(data.cov_train, Regularization.matrix(w0))
+        weights, traj = tune_matrix(data.cov_train, data.cov_test, start,
+                                    BilevelConfig(max_outer_iter=3))
         assert np.all(np.diagonal(weights) == 0.0)
         assert np.all(weights[~np.eye(4, dtype=bool)] > 0.0)
         assert len(traj) == 4  # two Barzilai-Borwein steps among them
 
     def test_refines_scalar_optimum(self):
         _, data = make_instance(6, 400, seed=3)
-        lam, straj = tune_scalar(data.cov_train, data.cov_test)
-        cfg = BilevelConfig(init=Regularization.scalar(lam))
-        weights, mtraj = tune_matrix(data.cov_train, data.cov_test, cfg)
+        _, straj = tune_scalar(data.cov_train, data.cov_test)
+        weights, mtraj = tune_matrix(data.cov_train, data.cov_test, straj.estimate)
         assert mtraj.final.criterion <= straj.final.criterion + 1e-8
         assert weights.shape == (6, 6)
         np.testing.assert_array_equal(weights, weights.T)
 
-    def test_requires_an_init(self, monkeypatch):
-        # No hidden scalar descent: without an init the matrix tuner
-        # raises before it solves anything.
-        _, data = make_instance(4, 200, seed=0)
-        monkeypatch.setattr(glassotune.bilevel, "solve", None)
-        with pytest.raises(ValueError, match="init"):
-            tune_matrix(data.cov_train, data.cov_test, BilevelConfig(max_outer_iter=2))
-
-    def test_warm_start_at_the_scalar_optimum_needs_no_iteration(self):
+    def test_first_record_keeps_the_start_estimate(self, monkeypatch):
+        # The first solve warm-starts from the start estimate, which already
+        # solves the constant weights its level fills: no inner iteration.
         _, data = make_instance(20, 500, seed=0, density=0.05)
-        lam, straj = tune_scalar(data.cov_train, data.cov_test)
-        cfg = BilevelConfig(init=Regularization.scalar(lam), max_outer_iter=2)
-        _, cold = tune_matrix(data.cov_train, data.cov_test, cfg)
-        _, warm = tune_matrix(data.cov_train, data.cov_test, cfg,
-                              warm_start=straj.estimate.theta)
-        assert cold.records[0].inner_iterations > 0
-        assert warm.records[0].inner_iterations == 0
-        assert warm.records[0].criterion == pytest.approx(straj.final.criterion, abs=1e-9)
-        assert 0 <= warm.newton_steps <= warm.inner_iterations
-        assert warm.newton_steps <= warm.newton_trials
+        _, straj = tune_scalar(data.cov_train, data.cov_test)
+        calls = recorded_solves(monkeypatch)
+        _, traj = tune_matrix(data.cov_train, data.cov_test, straj.estimate,
+                              BilevelConfig(max_outer_iter=2))
+        warm, reg, est = calls[0]
+        assert warm is straj.estimate
+        assert reg == Regularization.matrix(np.full((20, 20), straj.estimate.reg.lam))
+        assert est.iterations == 0 and traj.records[0].inner_iterations == 0
+        np.testing.assert_array_equal(est.theta, straj.estimate.theta)
+        assert traj.records[0].criterion == straj.final.criterion
 
-    def test_rejects_zero_scalar_init(self):
+    def test_start_at_level_zero_pins_every_weight(self):
+        # A level fills a constant matrix; at 0 every weight is pinned, so
+        # no entry is free and the hypergradient over them is 0.
         _, data = make_instance(3, 100, seed=1)
-        with pytest.raises(ValueError):
-            tune_matrix(
-                data.cov_train,
-                data.cov_test,
-                BilevelConfig(init=Regularization.scalar(0.0)),
-            )
+        start = solve(data.cov_train, Regularization.scalar(0.0))
+        weights, traj = tune_matrix(data.cov_train, data.cov_test, start)
+        np.testing.assert_array_equal(weights, np.zeros((3, 3)))
+        assert traj.stop_reason == "hypergradient below tolerance"
+        assert len(traj) == 1 and traj.final.hypergrad_norm == 0.0
 
-    def test_rejects_matrix_init_of_another_size(self):
+    def test_rejects_matrix_init_of_another_size(self, monkeypatch):
+        # A start estimate of another size, or one whose weights are, is
+        # rejected before any solve.
         _, data = make_instance(3, 100, seed=1)
-        for size in (2, 1):
+        lam = 0.3 * lambda_init(data.cov_train)
+        own = solve(data.cov_train, Regularization.scalar(lam))
+        starts = [solve(data.cov_train[:size, :size], Regularization.scalar(lam))
+                  for size in (2, 1)]
+        starts += [dataclasses.replace(own, reg=Regularization.matrix(np.ones((size, size))))
+                   for size in (2, 1)]
+        monkeypatch.setattr(glassotune.bilevel, "solve", None)
+        for start in starts:
             with pytest.raises(ValueError):
-                tune_matrix(
-                    data.cov_train,
-                    data.cov_test,
-                    BilevelConfig(init=Regularization.matrix(np.ones((size, size)))),
-                )
+                tune_matrix(data.cov_train, data.cov_test, start)
 
     def test_deterministic_apart_from_timing(self):
         _, data = make_instance(4, 200, seed=0)
-        lam = 0.3 * lambda_init(data.cov_train)
-        cfg = BilevelConfig(init=Regularization.scalar(lam), max_outer_iter=3)
-        _, a = tune_matrix(data.cov_train, data.cov_test, cfg)
-        _, b = tune_matrix(data.cov_train, data.cov_test, cfg)
+        start, cfg = start_at(data.cov_train, 0.3), BilevelConfig(max_outer_iter=3)
+        _, a = tune_matrix(data.cov_train, data.cov_test, start, cfg)
+        _, b = tune_matrix(data.cov_train, data.cov_test, start, cfg)
         assert untimed(a) == untimed(b)
         np.testing.assert_array_equal(a.estimate.reg.weights, b.estimate.reg.weights)
 
@@ -666,13 +643,13 @@ def stage_totals(traj):
 
 
 def run_tuner(tuner, data, **kwargs):
-    """tune_scalar from its default start, or tune_matrix from a constant level."""
+    """tune_scalar from its default start, or tune_matrix from the estimate
+    at a level (solved before the recorded solves start to be counted)."""
     if tuner == "scalar":
         _, traj = tune_scalar(data.cov_train, data.cov_test, BilevelConfig(**kwargs))
     else:
-        init = Regularization.scalar(0.3 * lambda_init(data.cov_train))
-        _, traj = tune_matrix(data.cov_train, data.cov_test,
-                              BilevelConfig(init=init, **kwargs))
+        _, traj = tune_matrix(data.cov_train, data.cov_test, start_at(data.cov_train, 0.3),
+                              BilevelConfig(**kwargs))
     return traj
 
 
@@ -770,12 +747,11 @@ class TestOuterStep:
         _, data = make_instance(10, 400, seed=1)
         calls = recorded_solves(monkeypatch)
         loose = SolverConfig(tol=1e-4)
-        lam, straj = tune_scalar(data.cov_train, data.cov_test, BilevelConfig(solver=loose))
+        _, straj = tune_scalar(data.cov_train, data.cov_test, BilevelConfig(solver=loose))
         if tuner == "matrix":
             calls.clear()
-            _, traj = tune_matrix(data.cov_train, data.cov_test,
-                                  BilevelConfig(init=Regularization.scalar(lam), solver=loose),
-                                  warm_start=straj.estimate)
+            _, traj = tune_matrix(data.cov_train, data.cov_test, straj.estimate,
+                                  BilevelConfig(solver=loose))
         else:
             traj = straj
         assert traj.converged and not traj.aborted
@@ -804,8 +780,7 @@ class TestOuterStep:
         # the move that aborts the run today; a step rule that bounds the
         # move makes this pass, and strict xfail then says so.
         _, data = make_instance(6, 200, seed=0)
-        _, traj = tune_scalar(data.cov_train, data.cov_test,
-                              BilevelConfig(init=Regularization.scalar(1e6)))
+        _, traj = tune_scalar(data.cov_train, data.cov_test, start=1e6)
         assert not traj.aborted, traj.stop_reason
 
 
@@ -816,8 +791,9 @@ class TestTrajectoryRecord:
         # holds no p x p array and hashes by value.
         truth, data = make_instance(30, 600, seed=0, density=0.1)
         lam = 0.3 * lambda_init(data.cov_train)
-        cfg = BilevelConfig(init=Regularization.scalar(lam), max_outer_iter=4)
-        _, traj = tuner(data.cov_train, data.cov_test, cfg, theta_true=truth.theta_true)
+        start = lam if tuner is tune_scalar else solve(data.cov_train, Regularization.scalar(lam))
+        _, traj = tuner(data.cov_train, data.cov_test, start=start,
+                        config=BilevelConfig(max_outer_iter=4), theta_true=truth.theta_true)
         assert len(traj) == 5
         for r in traj.records:
             for f in dataclasses.fields(r):

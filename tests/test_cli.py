@@ -597,7 +597,8 @@ class TestTrajectoryCsv:
         _, traj = gt.tune_matrix(
             data.cov_train,
             data.cov_test,
-            gt.BilevelConfig(init=gt.Regularization.scalar(lam), max_outer_iter=2),
+            gt.solve(data.cov_train, gt.Regularization.scalar(lam)),
+            gt.BilevelConfig(max_outer_iter=2),
         )
         path = tmp_path / "traj.csv"
         write_trajectory(traj, path)

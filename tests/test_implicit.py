@@ -408,9 +408,9 @@ MATRIX_ARGUMENTS = {
         "grad_c", True, lambda est, a: hypergradient_scalar(est.theta, a)),
     "hypergradient_scalar-jac": (
         "jac", False, lambda est, a: hypergradient_scalar(a, est.theta)),
-    "relative_error": ("theta_hat", True, lambda est, a: relative_error(a, est.theta)),
+    "relative_error": ("theta_hat", False, lambda est, a: relative_error(a, est.theta)),
     "relative_error-theta_true": (
-        "theta_true", False, lambda est, a: relative_error(est.theta, a)),
+        "theta_true", True, lambda est, a: relative_error(est.theta, a)),
     "solve-warm_start": (
         "warm_start", True, lambda est, a: solve(est.theta_inv, est.reg, warm_start=a)),
     "solve-warm_start-estimate": (
