@@ -204,11 +204,12 @@ def grid_search(
     cov_train: np.ndarray,
     cov_test: np.ndarray,
     grid: Sequence[float],
-    solver: Optional[SolverConfig] = None,
+    solver: SolverConfig = SolverConfig(),
     theta_true: Optional[np.ndarray] = None,
 ) -> Tuple[float, List[GridPoint]]:
     """Evaluate the hold-out criterion on a grid of scalar levels.
 
+    Each level is solved with ``solver``, ``SolverConfig()`` by default.
     The sweep runs from the largest level down, warm-starting each solve
     from the previous solution (solutions vary continuously in the level,
     so the previous one is close).  Solver failures mark their point as
@@ -224,26 +225,26 @@ def grid_search(
     ties going to the smaller one, and the curve of those levels, failed
     ones included, sorted by increasing level; the point at the argmin
     carries its estimate, with the inverse and log-determinant the solver
-    computed.  Raises ValueError unless grid is a nonempty 1-d sequence of
-    positive, finite levels.
+    computed.  Raises ValueError before any solve unless grid is a nonempty
+    1-d sequence of positive, finite levels and ``theta_true``, when given,
+    is a finite matrix of ``cov_train``'s shape.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty 1-d sequence of levels")
     if np.any(grid <= 0.0) or not np.all(np.isfinite(grid)):
         raise ValueError("grid levels must be positive and finite")
-    if solver is None:
-        solver = SolverConfig()
+    if theta_true is not None:
+        _as_matrix(theta_true, "theta_true", like=cov_train)
 
-    points: dict = {}
-    warm = None
-    best_i = None
-    for i in np.argsort(grid)[::-1]:
-        lam = float(grid[i])
+    # the curve in sweep order, from the largest level down
+    curve: List[GridPoint] = []
+    warm = best = None
+    for lam in np.sort(grid)[::-1].tolist():
         try:
             est = solve(cov_train, Regularization.scalar(lam), solver, warm_start=warm)
         except GlassoTuneError:
-            points[int(i)] = GridPoint(lam, float("nan"), float("nan"), True)
+            curve.append(GridPoint(lam, float("nan"), float("nan"), True))
             continue
         warm = est
         crit = criterion_holdout(est, cov_test).value
@@ -252,17 +253,17 @@ def grid_search(
             if theta_true is not None
             else float("nan")
         )
-        points[int(i)] = GridPoint(lam, crit, re_val, False)
+        curve.append(GridPoint(lam, crit, re_val, False))
         # ties go to the smaller level, which the downward sweep meets last
-        if best_i is None or crit <= points[best_i].criterion:
-            best_i, best_est = int(i), est
-        elif lam <= points[best_i].lam / GRID_STOP_SPAN:
+        if best is None or crit <= curve[best].criterion:
+            best, best_est = len(curve) - 1, est
+        elif lam <= curve[best].lam / GRID_STOP_SPAN:
             break
 
-    if best_i is None:
+    if best is None:
         raise DegenerateInput("every grid point failed to solve")
-    best = points[best_i] = replace(points[best_i], estimate=best_est)
-    return best.lam, [points[int(i)] for i in np.argsort(grid) if int(i) in points]
+    curve[best] = replace(curve[best], estimate=best_est)
+    return curve[best].lam, curve[::-1]
 
 
 def _stop(traj: Trajectory, reason: str) -> Trajectory:
@@ -328,8 +329,12 @@ def _descend(
     iteration index; later it aborts the run, which keeps the iterates
     before it.  So does a step that takes a free entry to a penalty of 0
     or inf.  An abort's ``stop_reason`` starts with "aborted at outer
-    iteration k"; a failure is never retried.
+    iteration k"; a failure is never retried.  A ``theta_true`` that is
+    not a finite matrix of ``cov_train``'s shape raises ValueError before
+    any solve.
     """
+    if theta_true is not None:
+        _as_matrix(theta_true, "theta_true", like=cov_train)
     scalar = np.ndim(alpha) == 0
     free = np.isfinite(alpha)
     traj = Trajectory()
@@ -419,7 +424,7 @@ def _descend(
 def tune_scalar(
     cov_train: np.ndarray,
     cov_test: np.ndarray,
-    config: Optional[BilevelConfig] = None,
+    config: BilevelConfig = BilevelConfig(),
     theta_true: Optional[np.ndarray] = None,
     start: Optional[float] = None,
 ) -> Tuple[float, Trajectory]:
@@ -428,13 +433,12 @@ def tune_scalar(
     Starts at the level ``start``, :func:`starting_level` when None, and
     runs :func:`_descend` over alpha = log(lam) from a cold first solve;
     that function's docstring states the step rule, the stops and which
-    failures propagate.  Raises ValueError before any solve unless the
-    start is finite and > 0, since alpha = log(start).
+    failures propagate.  ``config`` defaults to ``BilevelConfig()``.
+    Raises ValueError before any solve unless the start is finite and
+    > 0, since alpha = log(start), or for a ``theta_true`` of another shape.
 
     Returns the last level tried, ``traj.estimate.reg.lam``, and the trajectory.
     """
-    if config is None:
-        config = BilevelConfig()
     cov_train, cov_test = symmetrize(cov_train), symmetrize(cov_test)
     lam = starting_level(cov_train) if start is None else start
     if not 0.0 < lam < np.inf:
@@ -448,7 +452,7 @@ def tune_matrix(
     cov_train: np.ndarray,
     cov_test: np.ndarray,
     start: PrecisionEstimate,
-    config: Optional[BilevelConfig] = None,
+    config: BilevelConfig = BilevelConfig(),
     theta_true: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Trajectory]:
     """Refine an estimate by descending the hold-out criterion over a full
@@ -461,15 +465,14 @@ def tune_matrix(
     The first solve warm-starts from ``start`` itself, whose inverse and
     log-determinant it reuses (see :func:`~glassotune.glasso.solve`), so a
     start that :func:`solve` or :func:`tune_scalar` returned needs no inner
-    iteration there.  Raises ValueError before any solve for a start of
-    another size than ``cov_train``.
+    iteration there.  ``config`` defaults to ``BilevelConfig()``.  Raises
+    ValueError before any solve for a start or ``theta_true`` of another
+    size than ``cov_train``.
 
     Returns the last weight matrix tried, ``traj.estimate.reg.weights``
     (read-only, as :class:`~glassotune.glasso.Regularization` stores it),
     and the trajectory.
     """
-    if config is None:
-        config = BilevelConfig()
     cov_train, cov_test = symmetrize(cov_train), symmetrize(cov_test)
     p = cov_train.shape[0]
     _as_matrix(start.theta, "start", like=cov_train)

@@ -69,10 +69,8 @@ class Regularization:
     unpenalized.  Raises ValueError unless exactly one form is given, a
     level is finite and >= 0, and weights are finite, square and >= 0.
 
-    Two scalar forms are equal when their levels are, two matrix forms
-    when their stored weights are, entry for entry; a scalar form never
-    equals a matrix form, even a constant one.  Not hashable, since the
-    weights are an array.
+    Two instances compare, and hash, by identity; compare ``lam`` or
+    ``weights`` to compare penalties.
     """
 
     lam: Optional[float] = None
@@ -93,17 +91,6 @@ class Regularization:
             w = symmetrize(w)
             w.flags.writeable = False
             object.__setattr__(self, "weights", w)
-
-    def __eq__(self, other):
-        if not isinstance(other, Regularization):
-            return NotImplemented
-        if self.is_scalar != other.is_scalar:
-            return False
-        if self.is_scalar:
-            return self.lam == other.lam
-        return np.array_equal(self.weights, other.weights)
-
-    __hash__ = None
 
     @classmethod
     def scalar(cls, lam: float) -> "Regularization":
@@ -228,8 +215,8 @@ def _initial_iterate(cov: np.ndarray, thr: float | np.ndarray) -> np.ndarray:
 def solve(
     cov: np.ndarray,
     reg: Regularization,
-    config: Optional[SolverConfig] = None,
-    warm_start: Optional[np.ndarray | PrecisionEstimate] = None,
+    config: SolverConfig = SolverConfig(),
+    warm_start: Optional[PrecisionEstimate] = None,
 ) -> PrecisionEstimate:
     """Solve the weighted graphical lasso for one covariance and penalty.
 
@@ -239,18 +226,14 @@ def solve(
         Symmetric PSD empirical covariance S.
     reg : Regularization
         Penalty level or weight matrix.
-    config : SolverConfig, optional
+    config : SolverConfig, default ``SolverConfig()``
         Tolerances.  At the default tol of 1e-8 the CLI's ``compare`` and
         ``matrix`` runs converge at p=1000.
-    warm_start : ndarray or PrecisionEstimate, optional
-        SPD starting point, e.g. the solution at a nearby penalty.  An
-        estimate of the same size starts from its ``theta`` and reuses its
-        ``theta_inv`` and ``logdet``, so the start is not factorized
-        again; for an estimate that :func:`solve` returned, these are the
-        values a factorization of its exactly symmetric ``theta`` gives,
-        so the result is the same, bit for bit, as from
-        ``warm_start=est.theta``.  When omitted the diagonal stationary
-        point 1 / (S_ii + T_ii) is used.
+    warm_start : PrecisionEstimate, optional
+        Estimate to start from, e.g. the solution at a nearby penalty.  The
+        solve starts from its ``theta`` and reuses its ``theta_inv`` and
+        ``logdet``, so the start is not factorized again.  When omitted
+        the diagonal stationary point 1 / (S_ii + T_ii) is used.
 
     Returns
     -------
@@ -258,18 +241,21 @@ def solve(
 
     Raises
     ------
+    TypeError
+        If warm_start is neither a PrecisionEstimate nor None.
     ValueError
-        If cov or the warm start is not a finite square matrix, or for a
-        warm start of another size or a penalty weight matrix of another size.
+        If cov or the warm start's theta is not a finite square matrix, or
+        for a warm start of another size or a penalty weight matrix of
+        another size.
     NotConverged
         After MAX_ITER accepted steps, proximal or Newton, with the residual
         still above tol.
         Carries the iteration count and last residual.
     NotPositiveDefinite
         If the penalty is identically zero and cov is singular (the
-        unpenalized problem has no minimizer), if the warm start is not
-        SPD, or if MAX_BACKTRACKS candidates at a halving step include no
-        SPD sufficient-decrease step.
+        unpenalized problem has no minimizer), if the warm start's theta
+        is not SPD, or if MAX_BACKTRACKS candidates at a halving step
+        include no SPD sufficient-decrease step.
 
     Notes
     -----
@@ -331,15 +317,16 @@ def solve(
     (seeds 0-1), so no floor for float32 round-off is needed.
 
     The returned theta is exactly symmetric, ``array_equal(theta,
-    theta.T)``, as is every iterate: cov and the warm start are symmetrized
-    once, the inverse is mirrored, the prox treats entries (i, j) and
-    (j, i) alike, the orthant is symmetric as the gradient is, and each
-    Newton direction is symmetrized once (see
+    theta.T)``, as is every iterate: cov is symmetrized once, the start is
+    the diagonal one or an estimate's theta, which :func:`solve` returns
+    exactly symmetric, the inverse is mirrored, the prox treats entries
+    (i, j) and (j, i) alike, the orthant is symmetric as the gradient is,
+    and each Newton direction is symmetrized once (see
     :func:`~glassotune.linalg.kron_restricted`).  Its inverse comes back
     with it as ``theta_inv``.
     """
-    if config is None:
-        config = SolverConfig()
+    if not (warm_start is None or isinstance(warm_start, PrecisionEstimate)):
+        raise TypeError("warm_start must be a PrecisionEstimate or None")
     cov = symmetrize(_as_matrix(cov, "cov"))
     thr = reg.thresholds(cov.shape[0])
 
@@ -351,14 +338,13 @@ def solve(
                 "unpenalized problem with a singular covariance has no minimizer"
             ) from exc
 
-    if isinstance(warm_start, PrecisionEstimate):
-        theta = _as_matrix(warm_start.theta, "warm_start", like=cov)
-        theta_inv, ld = warm_start.theta_inv, warm_start.logdet
-    else:
-        theta = (_initial_iterate(cov, thr) if warm_start is None
-                 else symmetrize(_as_matrix(warm_start, "warm_start", like=cov)))
+    if warm_start is None:
+        theta = _initial_iterate(cov, thr)
         lower = cholesky(theta)
         theta_inv, ld = spd_inverse(lower), logdet(lower)
+    else:
+        theta = _as_matrix(warm_start.theta, "warm_start", like=cov)
+        theta_inv, ld = warm_start.theta_inv, warm_start.logdet
     f_theta = -ld + float(np.vdot(cov, theta))
 
     gamma = _default_gamma(cov)

@@ -57,7 +57,7 @@ def test_each_solve_warm_starts_from_the_previous_estimate(monkeypatch, tuner):
     real = glassotune.bilevel.solve
     calls = []
 
-    def recording(cov, reg, config=None, warm_start=None):
+    def recording(cov, reg, config, warm_start=None):
         est = real(cov, reg, config, warm_start=warm_start)
         calls.append((warm_start, est))
         return est
@@ -76,6 +76,32 @@ def test_each_solve_warm_starts_from_the_previous_estimate(monkeypatch, tuner):
     assert len(calls) > 1 and calls[0][0] is None
     for (_, previous), (warm, _) in zip(calls, calls[1:]):
         assert warm is previous
+
+
+@pytest.mark.parametrize("tuner", ["grid", "scalar", "matrix"])
+def test_theta_true_of_another_shape_raises_before_any_solve(monkeypatch, tuner):
+    # Checked only by the first relative_error, a 3 x 3 truth with 6 x 6
+    # data failed after one solve.
+    _, data = make_instance(6, 300, seed=0)
+    start = start_at(data.cov_train, 0.3)
+    real = glassotune.bilevel.solve
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(glassotune.bilevel, "solve", counted)
+    truth = np.eye(3)
+    with pytest.raises(ValueError, match=r"^theta_true must have shape \(6, 6\)"):
+        if tuner == "grid":
+            grid_search(data.cov_train, data.cov_test,
+                        default_grid(lambda_init(data.cov_train), points=4), theta_true=truth)
+        elif tuner == "scalar":
+            tune_scalar(data.cov_train, data.cov_test, theta_true=truth)
+        else:
+            tune_matrix(data.cov_train, data.cov_test, start, theta_true=truth)
+    assert solves == []
 
 
 class TestLambdaInit:
@@ -245,6 +271,18 @@ class TestGridSearch:
         best, curve = grid_search(data.cov_train, data.cov_test, grid)
         assert best == grid[2]  # lam0 / 10
         assert [g.lam for g in curve] == list(grid[1:])
+
+    def test_unsorted_grid_with_a_repeated_level(self):
+        # The curve comes back by increasing level, each entry of the grid
+        # the sweep reached kept, the repeated one twice.
+        _, data = make_instance(20, 500, seed=3)
+        grid = default_grid(lambda_init(data.cov_train), points=4)
+        levels = [grid[2], grid[3], grid[1], grid[2], grid[0]]
+        best, curve = grid_search(data.cov_train, data.cov_test, levels)
+        assert best == grid[2]
+        assert [g.lam for g in curve] == [grid[1], grid[2], grid[2], grid[3]]
+        assert curve[1].criterion == curve[2].criterion
+        assert sum(g.estimate is not None for g in curve) == 1
 
     def test_rel_error_nan_without_truth(self):
         _, data = make_instance(3, 100, seed=1)
@@ -579,7 +617,8 @@ class TestTuneMatrix:
                               BilevelConfig(max_outer_iter=2))
         warm, reg, est = calls[0]
         assert warm is straj.estimate
-        assert reg == Regularization.matrix(np.full((20, 20), straj.estimate.reg.lam))
+        assert not reg.is_scalar
+        np.testing.assert_array_equal(reg.weights, np.full((20, 20), straj.estimate.reg.lam))
         assert est.iterations == 0 and traj.records[0].inner_iterations == 0
         np.testing.assert_array_equal(est.theta, straj.estimate.theta)
         assert traj.records[0].criterion == straj.final.criterion
@@ -623,7 +662,7 @@ def recorded_solves(monkeypatch):
     real = glassotune.bilevel.solve
     calls = []
 
-    def recording(cov, reg, config=None, warm_start=None):
+    def recording(cov, reg, config, warm_start=None):
         est = real(cov, reg, config, warm_start=warm_start)
         calls.append((warm_start, reg, est))
         return est

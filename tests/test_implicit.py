@@ -377,7 +377,7 @@ class TestCriterionHoldout:
         warm = None
         for lam in (0.2, 0.05, 0.02):
             est = solve(data.cov_train, Regularization.scalar(lam), warm_start=warm)
-            warm = est.theta
+            warm = est
             by_matrix = criterion_holdout(est.theta, data.cov_test)
             with monkeypatch.context() as m:
                 for module in (glassotune.glasso, glassotune.implicit):
@@ -411,8 +411,6 @@ MATRIX_ARGUMENTS = {
     "relative_error": ("theta_hat", False, lambda est, a: relative_error(a, est.theta)),
     "relative_error-theta_true": (
         "theta_true", True, lambda est, a: relative_error(est.theta, a)),
-    "solve-warm_start": (
-        "warm_start", True, lambda est, a: solve(est.theta_inv, est.reg, warm_start=a)),
     "solve-warm_start-estimate": (
         "warm_start", True,
         lambda est, a: solve(est.theta_inv, est.reg, warm_start=dataclasses.replace(
