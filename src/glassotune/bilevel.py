@@ -50,6 +50,7 @@ FLAT_TOL = 1e-3
 CONVERGED_STOPS = ("hypergradient below tolerance", "step below resolution",
                    "solve below resolution", "held-out criterion flat")
 MAX_STEP = 1e3
+MAX_MOVE = 20.0
 SUFFICIENT_DECREASE = 1e-4
 STEP_RESOLUTION = 1e-9
 
@@ -83,6 +84,8 @@ class TrajectoryRecord:
     """One accepted outer iteration: one row of ``trajectory.csv``.
 
     ``penalty`` is ``(lam,)`` or the ``(min, max, mean)`` of the weights.
+    ``rel_error`` is nan when the run was given no ``theta_true``, as in
+    :class:`GridPoint` and the CSV.
     ``inner_iterations`` is the accepted iterate's own solve.  ``seconds``
     runs from the previous record, so it includes the trials rejected in
     between.
@@ -93,7 +96,7 @@ class TrajectoryRecord:
     criterion: float
     hypergrad_norm: float
     inner_iterations: int
-    rel_error: Optional[float]
+    rel_error: float
     seconds: float
 
 
@@ -291,38 +294,41 @@ def _descend(
     factorization it reuses.
 
     From the last accepted iterate (alpha, g) a trial goes to alpha - s g.
-    The first step s is ``config.step_size``; after each accepted trial s
-    becomes the Barzilai-Borwein quotient <da, da> / <da, dg> of the last
-    two accepted iterates (Barzilai & Borwein, IMA J. Numer. Anal. 1988),
-    capped at MAX_STEP, or stays as it was when <da, dg> <= 0.  The sums
-    run over the free entries, those with finite alpha; entries pinned at
-    alpha = -inf stay at penalty 0 and never enter a difference.  A trial
-    is accepted, and recorded, only if its criterion is at most the last
-    accepted one minus SUFFICIENT_DECREASE * s * sum(g^2) (a
-    sufficient-decrease guard, as in Raydan, SIAM J. Optim. 1997), so the
-    recorded criteria never increase.  A rejected trial halves s and is
-    tried again from the last accepted iterate; it gets no hypergradient
+    The first step s is ``config.step_size``, uncapped; after each accepted
+    trial s becomes the Barzilai-Borwein quotient <da, da> / <da, dg> of the
+    last two accepted iterates (Barzilai & Borwein, IMA J. Numer. Anal.
+    1988), capped at MAX_STEP (1e3) and at MAX_MOVE / |g|_inf, so that the
+    move s * |g|_inf is at most MAX_MOVE (20), or stays as it was when
+    <da, dg> <= 0.  The sums run over the free entries, those with finite
+    alpha; entries pinned at alpha = -inf stay at penalty 0 and never enter
+    a difference.  A trial is accepted, and recorded, only if its criterion
+    is at most the last accepted one minus SUFFICIENT_DECREASE * s * sum(g^2)
+    (a sufficient-decrease guard, as in Raydan, SIAM J. Optim. 1997), so
+    the recorded criteria never increase.  A rejected trial halves s and
+    is tried again from the last accepted iterate; it gets no hypergradient
     and no record, and ``traj.rejected_steps`` counts it.  Every solve
     that returns, rejected or not, adds its estimate's iteration,
     Newton-step and Newton-trial counts to the trajectory's totals.
 
-    The descent stops, converged, when the hypergradient is at most
-    OUTER_TOL, in absolute value for a level and in sup-norm for weights
-    ("hypergradient below tolerance"), when the next move, s * |g|_inf, is
-    at most STEP_RESOLUTION, too small to move the estimate ("step below
-    resolution"), or when a solve after the first one takes no inner
-    iteration, so theta did not move and the hypergradient could not
-    change ("solve below resolution").  The last two end descents whose
-    minimum sits at a kink of the solution map, where the hypergradient
-    jumps and need not fall below its tolerance.  It stops unconverged
-    once ``config.max_outer_iter`` steps are accepted ("outer iteration
-    budget exhausted").  Weights, never a level, also stop, converged, at
-    record k >= FLAT_WINDOW (3) once the recorded held-out criterion C
-    fell by less than FLAT_TOL (1e-3) relative over the last FLAT_WINDOW
-    records, C_{k-3} - C_k < 1e-3 |C_k| ("held-out criterion flat"):
-    p(p+1)/2 weights tuned on one held-out split overfit it, and past that
-    point the held-out criterion keeps falling while the estimate's
-    expected one rises.
+    Before each trial after the first record, the stops that read only the
+    loop's state are tested, in this order.  The descent stops, converged,
+    when the last hypergradient is at most OUTER_TOL, in absolute value for
+    a level and in sup-norm for weights ("hypergradient below tolerance"),
+    or when the next move, s * |g|_inf, is at most STEP_RESOLUTION, too
+    small to move the estimate ("step below resolution").  Weights, never a
+    level, stop, converged, at record k >= FLAT_WINDOW (3) once the
+    recorded held-out criterion C fell by less than FLAT_TOL (1e-3)
+    relative over the last FLAT_WINDOW records, C_{k-3} - C_k < 1e-3 |C_k|
+    ("held-out criterion flat"): p(p+1)/2 weights tuned on one held-out
+    split overfit it, and past that point the held-out criterion keeps
+    falling while the estimate's expected one rises.  The descent stops
+    unconverged once ``config.max_outer_iter`` steps are accepted ("outer
+    iteration budget exhausted").  A trial's own solve stops it, converged,
+    when it takes no inner iteration, so theta did not move and the
+    hypergradient could not change ("solve below resolution").  That stop
+    and the step one end descents whose minimum sits at a kink of the
+    solution map, where the hypergradient jumps and need not fall below its
+    tolerance.
 
     Any GlassoTuneError of the solve, the criterion, the support check or
     the adjoint solve propagates at the first iterate, annotated with the
@@ -344,6 +350,16 @@ def _descend(
     while True:
         k = len(traj.records)
         if k:
+            if norm <= OUTER_TOL:
+                return _stop(traj, "hypergradient below tolerance")
+            if step * norm <= STEP_RESOLUTION:
+                return _stop(traj, "step below resolution")
+            if not scalar and k > FLAT_WINDOW and (
+                    traj.records[-1 - FLAT_WINDOW].criterion - traj.final.criterion
+                    < FLAT_TOL * abs(traj.final.criterion)):
+                return _stop(traj, "held-out criterion flat")
+            if k > config.max_outer_iter:
+                return _stop(traj, "outer iteration budget exhausted")
             alpha = last_alpha - step * galpha
         with np.errstate(over="ignore"):
             penalty = np.exp(alpha)
@@ -366,8 +382,6 @@ def _descend(
             if k and not crit.value <= traj.final.criterion - SUFFICIENT_DECREASE * step * g_sq:
                 traj.rejected_steps += 1
                 step /= 2.0
-                if step * norm <= STEP_RESOLUTION:
-                    return _stop(traj, "step below resolution")
                 continue
             support = support_from_estimate(est, cov_train)
             values = hypergradient_weighted(est, support, crit.gradient)
@@ -380,17 +394,19 @@ def _descend(
         # chain rule through the exponential: d/dalpha = penalty * d/dpenalty
         g = penalty * (np.sum(values) if scalar else values)
         seconds = time.perf_counter() - t0
+        norm = float(np.max(np.abs(g)))
         if k:
             d_alpha = np.asarray(alpha)[free] - np.asarray(last_alpha)[free]
             d_g = np.asarray(g)[free] - np.asarray(galpha)[free]
             curvature = float(np.sum(d_alpha * d_g))
             if curvature > 0.0:
                 step = min(float(np.sum(d_alpha * d_alpha)) / curvature, MAX_STEP)
+                if step * norm > MAX_MOVE:
+                    step = MAX_MOVE / norm
         last_alpha, galpha = alpha, g
-        norm = float(np.max(np.abs(galpha)))
         g_sq = float(np.sum(np.asarray(galpha)[free] ** 2))
         re_val = (
-            relative_error(est.theta, theta_true) if theta_true is not None else None
+            relative_error(est.theta, theta_true) if theta_true is not None else float("nan")
         )
         w = est.reg.weights
         level = (est.reg.lam,) if scalar else (float(w.min()), float(w.max()), float(w.mean()))
@@ -409,16 +425,6 @@ def _descend(
         t0 = time.perf_counter()
         traj.estimate = est
         warm = est
-        if norm <= OUTER_TOL:
-            return _stop(traj, "hypergradient below tolerance")
-        if step * norm <= STEP_RESOLUTION:
-            return _stop(traj, "step below resolution")
-        if not scalar and k >= FLAT_WINDOW and (
-                traj.records[-1 - FLAT_WINDOW].criterion - crit.value
-                < FLAT_TOL * abs(crit.value)):
-            return _stop(traj, "held-out criterion flat")
-        if k == config.max_outer_iter:
-            return _stop(traj, "outer iteration budget exhausted")
 
 
 def tune_scalar(

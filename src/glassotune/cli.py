@@ -333,8 +333,7 @@ def write_trajectory(traj: Trajectory, path: Path) -> None:
     """``trajectory.csv``, one row per record, as README's *Output files* lays it out."""
     penalty = "lambda" if traj.estimate.reg.is_scalar else "lambda_min,lambda_max,lambda_mean"
     rows = [[r.iteration, *r.penalty, r.criterion, r.hypergrad_norm, r.inner_iterations,
-             float("nan") if r.rel_error is None else r.rel_error, r.seconds]
-            for r in traj.records]
+             r.rel_error, r.seconds] for r in traj.records]
     save_matrix_csv(rows, path, header=f"iter,{penalty},criterion,hypergrad_norm,"
                                        "inner_iters,rel_error,seconds")
 

@@ -73,10 +73,8 @@ class GroundTruth:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A train/test partition of samples and its two empirical covariances."""
+    """The two empirical covariances of a train/test partition of samples."""
 
-    train_indices: np.ndarray = field(repr=False)
-    test_indices: np.ndarray = field(repr=False)
     cov_train: np.ndarray = field(repr=False)
     cov_test: np.ndarray = field(repr=False)
 
@@ -153,8 +151,9 @@ def empirical_covariance(samples: np.ndarray) -> np.ndarray:
 def split_samples(samples: np.ndarray, ratio: float, seed: int) -> Dataset:
     """Random permutation split at ``floor(n * ratio)`` train samples.
 
-    Both empirical covariances are computed on the way out.  Deterministic
-    given ``seed``.
+    The train rows are the first ``floor(n * ratio)`` entries of
+    ``Generator(PCG64(seed)).permutation(n)``, the test rows the rest; only
+    their two empirical covariances are kept.
 
     Raises
     ------
@@ -173,13 +172,9 @@ def split_samples(samples: np.ndarray, ratio: float, seed: int) -> Dataset:
             f"split of {n} samples at ratio {ratio} leaves an empty side"
         )
     perm = _generator(seed).permutation(n)
-    train = perm[:n_train]
-    test = perm[n_train:]
     return Dataset(
-        train_indices=train,
-        test_indices=test,
-        cov_train=empirical_covariance(x[train]),
-        cov_test=empirical_covariance(x[test]),
+        cov_train=empirical_covariance(x[perm[:n_train]]),
+        cov_test=empirical_covariance(x[perm[n_train:]]),
     )
 
 

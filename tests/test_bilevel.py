@@ -10,6 +10,8 @@ from glassotune.bilevel import (
     FLAT_TOL,
     FLAT_WINDOW,
     INIT_BACKOFF,
+    MAX_MOVE,
+    MAX_STEP,
     BilevelConfig,
     GridPoint,
     Trajectory,
@@ -33,9 +35,11 @@ from glassotune.linalg import spd_inverse, cholesky
 from conftest import fail_support_check, make_instance
 
 
-def untimed(traj):
-    """The records of a run with the wall-clock field zeroed."""
-    return [dataclasses.replace(r, seconds=0.0) for r in traj.records]
+def assert_same_records(a, b):
+    """Two runs' records are equal apart from the wall-clock field; a
+    missing relative error, nan, matches nan."""
+    np.testing.assert_equal(*([dataclasses.astuple(dataclasses.replace(r, seconds=0.0))
+                               for r in traj.records] for traj in (a, b)))
 
 
 def start_at(cov_train, fraction):
@@ -367,7 +371,7 @@ class TestTuneScalar:
         assert traj.final.hypergrad_norm <= 1e-6
         assert traj.final.criterion <= traj.records[0].criterion
         assert traj.final.penalty == (lam,)
-        assert traj.final.rel_error is not None
+        assert np.isfinite(traj.final.rel_error)
 
     def test_starts_at_backed_off_level(self):
         _, data = make_instance(5, 400, seed=3)
@@ -406,19 +410,19 @@ class TestTuneScalar:
         assert traj.stop_reason == "outer iteration budget exhausted"
         assert len(traj) == cfg.max_outer_iter + 1
 
-    def test_rel_error_none_without_truth(self):
+    def test_rel_error_nan_without_truth(self):
         _, data = make_instance(5, 400, seed=3)
         _, traj = tune_scalar(
             data.cov_train, data.cov_test, BilevelConfig(max_outer_iter=1)
         )
-        assert traj.final.rel_error is None
+        assert all(type(r.rel_error) is float and np.isnan(r.rel_error) for r in traj.records)
 
     def test_deterministic_apart_from_timing(self):
         _, data = make_instance(5, 400, seed=3)
         cfg = BilevelConfig(max_outer_iter=5)
         _, a = tune_scalar(data.cov_train, data.cov_test, cfg)
         _, b = tune_scalar(data.cov_train, data.cov_test, cfg)
-        assert untimed(a) == untimed(b)
+        assert_same_records(a, b)
 
     def test_hypergradient_is_the_summed_weighted_one(self):
         # A single level ties every weight to it, so its alpha-space
@@ -443,7 +447,7 @@ class TestTuneScalar:
         monkeypatch.setattr(glassotune.bilevel, "FLAT_TOL", np.inf)
         _, after = tune_scalar(data.cov_train, data.cov_test)
         assert len(before) > FLAT_WINDOW + 1
-        assert untimed(after) == untimed(before)
+        assert_same_records(after, before)
         assert after.stop_reason == before.stop_reason == "hypergradient below tolerance"
 
     @pytest.mark.parametrize("start", [0.0, -1.0, float("nan"), float("inf")])
@@ -653,7 +657,7 @@ class TestTuneMatrix:
         start, cfg = start_at(data.cov_train, 0.3), BilevelConfig(max_outer_iter=3)
         _, a = tune_matrix(data.cov_train, data.cov_test, start, cfg)
         _, b = tune_matrix(data.cov_train, data.cov_test, start, cfg)
-        assert untimed(a) == untimed(b)
+        assert_same_records(a, b)
         np.testing.assert_array_equal(a.estimate.reg.weights, b.estimate.reg.weights)
 
 
@@ -739,7 +743,7 @@ class TestOuterStep:
             if k:
                 da, dg = alpha[k] - alpha[k - 1], g[k] - g[k - 1]
                 if da * dg > 0.0:
-                    step = min(da * da / (da * dg), 1e3)
+                    step = min(da * da / (da * dg), MAX_STEP, MAX_MOVE / abs(g[k]))
             assert alpha[k + 1] == pytest.approx(alpha[k] - step * g[k], rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("tuner", ["scalar", "matrix"])
@@ -811,16 +815,37 @@ class TestOuterStep:
         assert len(traj) == 1
         assert 1e-12 * traj.final.hypergrad_norm <= 1e-9
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "MAX_STEP caps the step s, not the move s * |g| in alpha: from lam = 1e6 "
-        "the second step moves alpha by about 6,000 and takes lam to 0 or inf"))
     def test_start_far_above_the_optimum_does_not_abort(self):
-        # |g| = 6.0 at the second record times the capped step of 1e3 is
-        # the move that aborts the run today; a step rule that bounds the
-        # move makes this pass, and strict xfail then says so.
+        # |g| = 6.0 at the second record: a step capped only at MAX_STEP
+        # moved alpha by about 6,000 and took lam to 0 or inf.  Move caps of
+        # 50 or 100 avoid the abort but stop at lam of 1e-16 or less, with a
+        # held-out criterion of 2.0764.
         _, data = make_instance(6, 200, seed=0)
-        _, traj = tune_scalar(data.cov_train, data.cov_test, start=1e6)
+        lam, traj = tune_scalar(data.cov_train, data.cov_test, start=1e6)
         assert not traj.aborted, traj.stop_reason
+        assert traj.converged
+        assert traj.final.criterion == pytest.approx(1.8801783, abs=1e-7)
+        assert lam == pytest.approx(0.0511241, rel=1e-6)
+
+    def test_no_step_after_the_first_moves_alpha_more_than_max_move(self, monkeypatch):
+        # The CLI's p=100 seed-8 data, scalar stage then matrix stage: with
+        # the step capped only at MAX_STEP, the matrix stage moved alpha by
+        # 44.8.  The first step of each stage, config.step_size, is not capped.
+        _, data = make_instance(100, 2000, seed=8, density=0.05)
+        calls = recorded_solves(monkeypatch)
+        _, straj = tune_scalar(data.cov_train, data.cov_test)
+        scalar_calls = list(calls)
+        calls.clear()
+        _, mtraj = tune_matrix(data.cov_train, data.cov_test, straj.estimate)
+        assert mtraj.stop_reason == "held-out criterion flat"
+        for stage in (scalar_calls, calls):
+            # every penalty here is positive, so every alpha is free
+            first = stage[0][2]
+            moves = [np.max(np.abs(np.log(reg.thresholds(100)) - np.log(warm.reg.thresholds(100))))
+                     for warm, reg, _ in stage[1:] if warm is not first]
+            assert moves and max(moves) <= MAX_MOVE * (1.0 + 1e-12)
+        # the cap binds in the matrix stage
+        assert max(moves) == pytest.approx(MAX_MOVE, rel=1e-12)
 
 
 class TestTrajectoryRecord:
@@ -841,7 +866,7 @@ class TestTrajectoryRecord:
                     assert type(value) is tuple and len(value) == width
                     assert all(type(x) is float for x in value)
                 else:
-                    assert value is None or type(value) in (int, float), f.name
+                    assert type(value) in (int, float), f.name
             assert hash(r) == hash(dataclasses.replace(r))
         assert len(set(r.penalty for r in traj.records)) == len(traj)  # the penalty moved
 
@@ -853,7 +878,7 @@ class TestTrajectoryCsv:
         traj = Trajectory()
         assert len(traj) == 0
         traj.records.append(
-            TrajectoryRecord(0, (0.5,), 1.25, 0.3, 7, None, 0.01)
+            TrajectoryRecord(0, (0.5,), 1.25, 0.3, 7, float("nan"), 0.01)
         )
         assert traj.final.criterion == 1.25
 

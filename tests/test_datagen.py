@@ -27,6 +27,19 @@ def support_mask(truth: GroundTruth) -> np.ndarray:
     return (np.abs(theta) > PATTERN_TOL) & ~np.eye(truth.dim, dtype=bool)
 
 
+def split_rows(n: int, ratio: float, seed: int):
+    """The train and test rows of ``split_samples``, by its documented scheme:
+    the first ``floor(n * ratio)`` entries of ``PCG64(seed).permutation(n)``."""
+    perm = np.random.Generator(np.random.PCG64(seed)).permutation(n)
+    n_train = int(np.floor(n * ratio))
+    return perm[:n_train], perm[n_train:]
+
+
+def assert_covariances_of(ds, x, train, test):
+    np.testing.assert_array_equal(ds.cov_train, empirical_covariance(x[train]))
+    np.testing.assert_array_equal(ds.cov_test, empirical_covariance(x[test]))
+
+
 class TestGroundTruth:
     def test_mask_excludes_diagonal(self):
         theta = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -167,30 +180,30 @@ class TestSplitSamples:
     def test_floor_rule(self):
         x = np.arange(14.0).reshape(7, 2)
         ds = split_samples(x, 0.5, seed=0)
-        assert len(ds.train_indices) == 3
-        assert len(ds.test_indices) == 4
+        train, test = split_rows(7, 0.5, seed=0)
+        assert len(train) == 3
+        assert len(test) == 4
+        assert_covariances_of(ds, x, train, test)
 
     def test_partition(self):
         x = np.random.default_rng(1).normal(size=(10, 3))
         ds = split_samples(x, 0.6, seed=2)
-        merged = np.sort(np.concatenate([ds.train_indices, ds.test_indices]))
+        train, test = split_rows(10, 0.6, seed=2)
+        merged = np.sort(np.concatenate([train, test]))
         np.testing.assert_array_equal(merged, np.arange(10))
+        assert_covariances_of(ds, x, train, test)
 
     def test_covariances_match_partition(self):
         x = np.random.default_rng(3).normal(size=(9, 2))
         ds = split_samples(x, 0.5, seed=4)
-        np.testing.assert_array_equal(
-            ds.cov_train, empirical_covariance(x[ds.train_indices])
-        )
-        np.testing.assert_array_equal(
-            ds.cov_test, empirical_covariance(x[ds.test_indices])
-        )
+        assert_covariances_of(ds, x, *split_rows(9, 0.5, seed=4))
 
     def test_deterministic(self):
         x = np.random.default_rng(5).normal(size=(8, 2))
         a = split_samples(x, 0.5, seed=6)
         b = split_samples(x, 0.5, seed=6)
-        np.testing.assert_array_equal(a.train_indices, b.train_indices)
+        np.testing.assert_array_equal(a.cov_train, b.cov_train)
+        np.testing.assert_array_equal(a.cov_test, b.cov_test)
 
     def test_empty_side_raises(self):
         x = np.ones((3, 2))
@@ -211,8 +224,10 @@ class TestSplitSamples:
     def test_partition_invariant_over_seeds(self, seed):
         x = np.arange(21.0).reshape(7, 3)
         ds = split_samples(x, 0.43, seed=seed)
-        merged = np.sort(np.concatenate([ds.train_indices, ds.test_indices]))
+        train, test = split_rows(7, 0.43, seed=seed)
+        merged = np.sort(np.concatenate([train, test]))
         np.testing.assert_array_equal(merged, np.arange(7))
+        assert_covariances_of(ds, x, train, test)
         assert isinstance(ds, Dataset)
 
 
@@ -291,9 +306,12 @@ class TestGoldenValues:
         self.assert_rel(sample_gaussian(truth, 4, seed=8), self.SAMPLES_5)
 
     def test_split_samples(self):
-        data = split_samples(np.array(self.SAMPLES_5), 0.5, seed=9)
-        np.testing.assert_array_equal(data.train_indices, [3, 0])
-        np.testing.assert_array_equal(data.test_indices, [2, 1])
+        x = np.array(self.SAMPLES_5)
+        data = split_samples(x, 0.5, seed=9)
+        train, test = split_rows(4, 0.5, seed=9)
+        np.testing.assert_array_equal(train, [3, 0])
+        np.testing.assert_array_equal(test, [2, 1])
+        assert_covariances_of(data, x, train, test)
         self.assert_rel(data.cov_train[1, 3], 1.4585975581015038)
         self.assert_rel(np.diagonal(data.cov_test), self.COV_TEST_DIAG_5)
 
@@ -311,9 +329,9 @@ class TestGoldenValues:
         self.assert_rel(samples.sum(), 327.2598744232457)
         self.assert_rel((samples * samples).sum(), 101064.94221713854)
         data = split_samples(samples, 0.5, seed=2)
-        np.testing.assert_array_equal(
-            data.train_indices[:8], [1843, 273, 150, 461, 1384, 1995, 558, 601]
-        )
-        assert int(data.train_indices.sum()) == 1018108
+        train, test = split_rows(2000, 0.5, seed=2)
+        np.testing.assert_array_equal(train[:8], [1843, 273, 150, 461, 1384, 1995, 558, 601])
+        assert int(train.sum()) == 1018108
+        assert_covariances_of(data, samples, train, test)
         self.assert_rel(np.trace(data.cov_train), 50.54184689671901)
         self.assert_rel(np.trace(data.cov_test), 50.52309532041954)
